@@ -9,10 +9,11 @@
 namespace influmax {
 namespace {
 
-/// FoldBatch chunk: 12 wire bytes per node keeps a chunk far under
-/// kMaxFramePayloadBytes while amortizing the round trip over the whole
-/// CELF initial pass.
-constexpr std::size_t kFoldBatchChunk = std::size_t{1} << 16;
+/// CELF initial-pass batch budget in (1 + A_x) units, a sixteenth of the
+/// server's kMaxGainTermsPerRequest refusal line: at 4 slots a per-slot
+/// reply stays near half a MiB, so the prefetch adds little to a shard
+/// server's peak memory.
+constexpr std::uint64_t kPrefetchBatchBudget = kMaxGainTermsPerRequest / 16;
 
 /// Failures that justify trying another replica: the transient-network
 /// class (refused/reset/timed-out/closed, a replica at capacity or past
@@ -122,9 +123,9 @@ Status RemoteShardRouter::ConnectAll(std::uint64_t pin) {
     // replay) with replica failover and retry, so a dead first replica
     // never blocks startup.
     BufferWriter empty;
-    std::vector<std::uint8_t> payload;
     INFLUMAX_RETURN_IF_ERROR(
-        CallSlot(s, MsgType::kPing, empty, MsgType::kPong, &payload));
+        CallSlot(s, MsgType::kPing, empty, MsgType::kPong, nullptr,
+                 RpcDeadline()));
     if (s == 0) {
       // Adopt slot 0's identity; every other slot (and every later
       // reconnect) is validated against it.
@@ -157,7 +158,8 @@ Status RemoteShardRouter::ConnectAll(std::uint64_t pin) {
   }
 
   // Topology: one generation/dataset, ranges contiguous ascending and
-  // covering [0, num_actions) — the precondition of the chained fold.
+  // covering [0, num_actions) — the precondition of the ordered client
+  // fold.
   ActionId expect = 0;
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     const HelloResponse& h = slots_[s].hello;
@@ -174,8 +176,8 @@ Status RemoteShardRouter::ConnectAll(std::uint64_t pin) {
       return Status::FailedPrecondition(
           "slot " + std::to_string(s) + " covers actions [" +
           std::to_string(h.action_begin) + ", " +
-          std::to_string(h.action_end) + ") but the fold chain needs it to "
-          "start at " + std::to_string(expect) +
+          std::to_string(h.action_end) + ") but the range-order fold needs "
+          "it to start at " + std::to_string(expect) +
           " (slots must be listed in ascending range order)");
     }
     expect = h.action_end;
@@ -273,32 +275,52 @@ Status RemoteShardRouter::DoRequest(Slot& slot, MsgType type,
                                     const BufferWriter& request,
                                     MsgType ok_type,
                                     std::vector<std::uint8_t>* response,
-                                    const Deadline& deadline) {
-  const NetMetrics& nm = GetNetMetrics();
-  nm.rpc_count->Increment();
-  const bool traced = trace_ != nullptr && trace_->active();
-  std::uint64_t rpc_span_id = 0;
-  const std::uint64_t t0 = MonotonicNowNs();
+                                    const Deadline& deadline,
+                                    std::uint64_t parent_span_id) {
+  PendingRpc rpc;
+  INFLUMAX_RETURN_IF_ERROR(
+      SendRequest(slot, type, request, deadline, parent_span_id, &rpc));
+  return RecvResponse(slot, rpc, ok_type, response, deadline);
+}
+
+Status RemoteShardRouter::SendRequest(Slot& slot, MsgType type,
+                                      const BufferWriter& request,
+                                      const Deadline& deadline,
+                                      std::uint64_t parent_span_id,
+                                      PendingRpc* rpc) {
+  GetNetMetrics().rpc_count->Increment();
+  rpc->type = type;
+  rpc->span_id = 0;
+  rpc->parent_span_id = 0;
   Frame frame;
   frame.header.type = static_cast<std::uint8_t>(type);
   frame.header.kernel_mode = static_cast<std::uint8_t>(kernel_mode_);
   frame.header.generation = generation_;
   frame.header.deadline_us = deadline.remaining_us();
   frame.payload = request.buffer();
-  if (traced) {
+  if (trace_ != nullptr && trace_->active()) {
     // The net.rpc span adopts the server's span subtree: its id rides in
     // the trace-context prefix and comes back as the server.request
     // span's parent (docs/tracing.md).
-    rpc_span_id = trace_->NextSpanId();
+    rpc->span_id = trace_->NextSpanId();
+    rpc->parent_span_id =
+        parent_span_id != 0 ? parent_span_id : trace_->root_span_id();
     frame.header.flags |= kFrameFlagTraced;
-    PrependTraceContext(TraceContext{trace_->trace_id(), rpc_span_id},
+    PrependTraceContext(TraceContext{trace_->trace_id(), rpc->span_id},
                         &frame.payload);
   }
-  INFLUMAX_RETURN_IF_ERROR(SendFrame(slot.conn, std::move(frame), deadline));
+  rpc->t0 = MonotonicNowNs();
+  return SendFrame(slot.conn, std::move(frame), deadline);
+}
+
+Status RemoteShardRouter::RecvResponse(Slot& slot, const PendingRpc& rpc,
+                                       MsgType ok_type,
+                                       std::vector<std::uint8_t>* response,
+                                       const Deadline& deadline) {
   Result<Frame> resp = RecvFrame(slot.conn, deadline);
   if (!resp.ok()) return resp.status();
   const std::uint64_t t1 = MonotonicNowNs();
-  nm.rpc_latency->Record(t1 - t0);
+  GetNetMetrics().rpc_latency->Record(t1 - rpc.t0);
 
   // A traced response's span-block prefix is stripped whatever the
   // local trace state — error frames carry one too, and the message
@@ -311,18 +333,18 @@ Status RemoteShardRouter::DoRequest(Slot& slot, MsgType type,
     block = std::move(stripped).value();
     have_block = true;
   }
-  if (traced) {
+  if (rpc.span_id != 0) {
     SpanRecord rpc_rec{};
     rpc_rec.name_id = kSpanNetRpc;
-    rpc_rec.start_ns = t0;
-    rpc_rec.duration_ns = t1 - t0;
+    rpc_rec.start_ns = rpc.t0;
+    rpc_rec.duration_ns = t1 - rpc.t0;
     rpc_rec.detail = static_cast<std::uint64_t>(
-        static_cast<std::uint8_t>(type));
-    trace_->AddSpan(rpc_span_id, trace_->root_span_id(), rpc_rec);
+        static_cast<std::uint8_t>(rpc.type));
+    trace_->AddSpan(rpc.span_id, rpc.parent_span_id, rpc_rec);
     if (have_block) {
-      StitchSpanBlock(slot, block, t0, t1, /*extra_flags=*/0);
+      StitchSpanBlock(slot, block, rpc.t0, t1, /*extra_flags=*/0);
       if ((resp->header.flags & kFrameFlagTraceOverflow) != 0) {
-        FetchOverflowSpans(slot, t0, t1, deadline);
+        FetchOverflowSpans(slot, rpc.t0, t1, deadline);
       }
     }
   }
@@ -339,7 +361,7 @@ Status RemoteShardRouter::DoRequest(Slot& slot, MsgType type,
     return Status::Corruption(
         "unexpected response type " + std::to_string(resp->header.type) +
         " to request type " +
-        std::to_string(static_cast<int>(static_cast<std::uint8_t>(type))));
+        std::to_string(static_cast<int>(static_cast<std::uint8_t>(rpc.type))));
   }
   if (response != nullptr) *response = std::move(resp->payload);
   return Status::OK();
@@ -408,50 +430,57 @@ void RemoteShardRouter::FetchOverflowSpans(Slot& slot, std::uint64_t t0,
   trace_->NoteFetch();
 }
 
+void RemoteShardRouter::AbandonReplica(Slot& slot) {
+  DropConn(slot);
+  if (slot.replicas.size() < 2) return;
+  if (trace_ != nullptr && trace_->active()) {
+    // Point span naming the replica being abandoned, so a stitched trace
+    // shows WHERE the query switched replicas.
+    SpanRecord rec{};
+    rec.name_id = kSpanNetFailover;
+    rec.flags = kSpanFlagFailover;
+    rec.origin = (static_cast<std::uint32_t>(slot.index + 1) << 8) |
+                 static_cast<std::uint32_t>(slot.active & 0xff);
+    rec.start_ns = MonotonicNowNs();
+    rec.detail = slot.index;
+    trace_->AddSpan(trace_->NextSpanId(), trace_->root_span_id(), rec);
+    trace_->NoteFailover();
+  }
+  slot.active = (slot.active + 1) % slot.replicas.size();
+  GetNetMetrics().failovers->Increment();
+}
+
 Status RemoteShardRouter::CallSlot(std::size_t s, MsgType type,
                                    const BufferWriter& request,
-                                   MsgType ok_type,
-                                   std::vector<std::uint8_t>* response) {
+                                   MsgType ok_type, const ReplyFn& on_reply,
+                                   const Deadline& deadline,
+                                   std::uint64_t parent_span_id) {
   Slot& slot = slots_[s];
   const NetMetrics& nm = GetNetMetrics();
-  const Deadline deadline = RpcDeadline();
   // RunWithRetry's counter bumps on EVERY attempt; net.rpc.retries
   // should count only the re-attempts, so count rounds ourselves.
   std::size_t rounds = 0;
+  std::vector<std::uint8_t> payload;
   const auto attempt = [&]() -> Status {
     if (++rounds > 1) nm.rpc_retries->Increment();
     // One round: each replica of the slot gets one chance, starting from
     // the active one. Deterministic application errors return
-    // immediately; transport failures advance the replica cursor.
+    // immediately; transport failures and rejected replies advance the
+    // replica cursor.
     Status last = Status::Unavailable("slot " + std::to_string(s) +
                                       ": no replica answered");
     for (std::size_t tried = 0; tried < slot.replicas.size(); ++tried) {
       Status st;
       if (!slot.hello_done) st = ConnectActiveReplica(slot, deadline);
       if (st.ok()) {
-        st = DoRequest(slot, type, request, ok_type, response, deadline);
+        st = DoRequest(slot, type, request, ok_type, &payload, deadline,
+                       parent_span_id);
+        if (st.ok() && on_reply) st = on_reply(s, &payload);
         if (st.ok()) return st;
         if (!IsFailoverTrigger(st)) return st;
       }
       last = st;
-      DropConn(slot);
-      if (slot.replicas.size() > 1) {
-        if (trace_ != nullptr && trace_->active()) {
-          // Point span naming the replica being abandoned, so a stitched
-          // trace shows WHERE the fold chain switched replicas.
-          SpanRecord rec{};
-          rec.name_id = kSpanNetFailover;
-          rec.flags = kSpanFlagFailover;
-          rec.origin = (static_cast<std::uint32_t>(slot.index + 1) << 8) |
-                       static_cast<std::uint32_t>(slot.active & 0xff);
-          rec.start_ns = MonotonicNowNs();
-          rec.detail = s;
-          trace_->AddSpan(trace_->NextSpanId(), trace_->root_span_id(), rec);
-          trace_->NoteFailover();
-        }
-        slot.active = (slot.active + 1) % slot.replicas.size();
-        nm.failovers->Increment();
-      }
+      AbandonReplica(slot);
       if (deadline.expired()) break;
     }
     return last;
@@ -461,6 +490,74 @@ Status RemoteShardRouter::CallSlot(std::size_t s, MsgType type,
   return st;
 }
 
+Status RemoteShardRouter::FanOut(MsgType type, const BufferWriter& request,
+                                 MsgType ok_type, const ReplyFn& on_reply,
+                                 bool fail_over) {
+  const Deadline deadline = RpcDeadline();
+  const bool traced = trace_ != nullptr && trace_->active();
+  const std::uint64_t fanout_span = traced ? trace_->NextSpanId() : 0;
+  const std::uint64_t f0 = traced ? MonotonicNowNs() : 0;
+  const std::size_t n = slots_.size();
+  fanout_.resize(n);
+
+  // Every request goes on the wire before any reply is read, so the
+  // servers work concurrently and the fan-out costs the slowest hop, not
+  // the sum. A slot without a live connection waits for the ladder
+  // below, which dials it. The ladder runs under the fan-out's deadline:
+  // the RPC deadline bounds the whole query, failovers included.
+  for (std::size_t s = 0; s < n; ++s) {
+    FanOutSlot& f = fanout_[s];
+    f.sent = slots_[s].hello_done;
+    f.status = f.sent ? SendRequest(slots_[s], type, request, deadline,
+                                    fanout_span, &f.rpc)
+                      : Status::OK();
+  }
+  // Drain EVERY sent reply, whatever happened to the others: a reply
+  // left unread would answer the next request on that stream.
+  for (std::size_t s = 0; s < n; ++s) {
+    FanOutSlot& f = fanout_[s];
+    if (!f.sent || !f.status.ok()) continue;
+    f.status = RecvResponse(slots_[s], f.rpc, ok_type, &f.payload, deadline);
+    if (f.status.ok() && on_reply) f.status = on_reply(s, &f.payload);
+  }
+
+  // Failed slots, in slot order. A transport failure or a rejected
+  // reply takes CallSlot's ladder: abandon the replica, then CallSlot
+  // dials the next one, replays the commits and re-asks this slot, with
+  // its retry rounds behind that. A deterministic error ends the fan-out
+  // (the other slots' replies were already drained, so every stream
+  // stays in sync); slots still broken behind it just drop their
+  // connection.
+  Status first_error;
+  for (std::size_t s = 0; s < n; ++s) {
+    FanOutSlot& f = fanout_[s];
+    if (f.sent && f.status.ok()) continue;
+    Slot& slot = slots_[s];
+    if (!fail_over || !first_error.ok()) {
+      DropConn(slot);
+      continue;
+    }
+    if (f.sent) {
+      if (!IsFailoverTrigger(f.status)) {
+        first_error = f.status;
+        continue;
+      }
+      AbandonReplica(slot);
+    }
+    first_error = CallSlot(s, type, request, ok_type, on_reply, deadline,
+                           fanout_span);
+  }
+  if (traced) {
+    SpanRecord rec{};
+    rec.name_id = kSpanNetFanout;
+    rec.start_ns = f0;
+    rec.duration_ns = MonotonicNowNs() - f0;
+    rec.detail = n;
+    trace_->AddSpan(fanout_span, trace_->root_span_id(), rec);
+  }
+  return first_error;
+}
+
 Status RemoteShardRouter::CheckNotPoisoned() const {
   if (poisoned_.ok()) return Status::OK();
   return Status::FailedPrecondition(
@@ -468,26 +565,67 @@ Status RemoteShardRouter::CheckNotPoisoned() const {
       "); ResetSession() or Refresh() to recover");
 }
 
-Result<double> RemoteShardRouter::RemoteGain(NodeId x) {
-  // The gain-merge fold of docs/sharding.md stretched over sockets:
-  // chaining the accumulator through the slots in range order replays
-  // the monolithic engine's exact floating-point addition sequence. A
-  // failover inside CallSlot re-issues only the failed slot's step with
-  // the accumulator it already had — completed prefixes are never
-  // recomputed, so the sequence survives the failover unchanged.
-  double acc = 0.0;
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    BufferWriter request;
-    EncodeFold(FoldRequest{x, acc}, &request);
-    std::vector<std::uint8_t> payload;
-    INFLUMAX_RETURN_IF_ERROR(
-        CallSlot(s, MsgType::kFold, request, MsgType::kFoldOk, &payload));
-    BufferReader reader(payload);
-    Result<FoldResponse> resp = DecodeFoldOk(&reader);
-    if (!resp.ok()) return resp.status();
-    acc = resp->acc;
+Status RemoteShardRouter::FoldGains(std::span<const NodeId> nodes,
+                                    double* gains) {
+  // Theorem 3 splits a gain into one term per action x performed, and
+  // the slots partition the actions in range order. Adding every slot's
+  // terms in slot order is therefore the exact addition sequence of
+  // ShardRouter::MarginalGain — which process computed a term does not
+  // matter, only the order of the final additions, and that happens
+  // here. A failover re-asks one slot for the same terms.
+  GainTermsRequest request_msg;
+  request_msg.nodes.assign(nodes.begin(), nodes.end());
+  BufferWriter request;
+  EncodeGainTerms(request_msg, &request);
+  term_replies_.resize(slots_.size());
+  const ReplyFn accept = [&](std::size_t s,
+                             std::vector<std::uint8_t>* payload) -> Status {
+    BufferReader reader(*payload);
+    Result<GainTermsResponse> reply = DecodeGainTermsOk(&reader);
+    if (!reply.ok()) return reply.status();
+    if (reply->counts.size() != nodes.size()) {
+      return Status::Corruption(
+          "gain terms: slot " + std::to_string(s) + " returned " +
+          std::to_string(reply->counts.size()) + " counts for " +
+          std::to_string(nodes.size()) + " nodes");
+    }
+    term_replies_[s] = std::move(reply).value();
+    return Status::OK();
+  };
+  INFLUMAX_RETURN_IF_ERROR(
+      FanOut(MsgType::kGainTerms, request, MsgType::kGainTermsOk, accept,
+             /*fail_over=*/true));
+
+  term_cursor_.assign(slots_.size(), 0);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    double acc = 0.0;
+    std::uint64_t count = 0;
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+      const GainTermsResponse& reply = term_replies_[s];
+      const std::uint32_t c = reply.counts[i];
+      const double* terms = reply.terms.data() + term_cursor_[s];
+      for (std::uint32_t t = 0; t < c; ++t) acc += terms[t];
+      term_cursor_[s] += c;
+      count += c;
+    }
+    // Each slot returns one term per action x performed in its range, so
+    // the slots' counts must add up to the hello's A_x. No single slot
+    // is to blame when they do not, so the query fails as Corruption.
+    if (count != au_[nodes[i]]) {
+      return Status::Corruption(
+          "gain terms: slots returned " + std::to_string(count) +
+          " terms for node " + std::to_string(nodes[i]) + " with A_x = " +
+          std::to_string(au_[nodes[i]]));
+    }
+    gains[i] = acc;
   }
-  return acc;
+  return Status::OK();
+}
+
+Result<double> RemoteShardRouter::RemoteGain(NodeId x) {
+  double gain = 0.0;
+  INFLUMAX_RETURN_IF_ERROR(FoldGains(std::span<const NodeId>(&x, 1), &gain));
+  return gain;
 }
 
 Result<double> RemoteShardRouter::MarginalGain(NodeId x) {
@@ -501,20 +639,17 @@ Result<double> RemoteShardRouter::MarginalGain(NodeId x) {
 Status RemoteShardRouter::CommitSeed(NodeId x) {
   INFLUMAX_RETURN_IF_ERROR(CheckNotPoisoned());
   if (x >= num_users_ || is_seed_[x]) return Status::OK();
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    BufferWriter request;
-    EncodeCommit(CommitRequest{x}, &request);
-    std::vector<std::uint8_t> payload;
-    if (Status st = CallSlot(s, MsgType::kCommit, request, MsgType::kCommitOk,
-                             &payload);
-        !st.ok()) {
-      // Some slots may have applied the commit, some not: the fold chain
-      // would mix seed sets, so the session is poisoned until
-      // ResetSession()/Refresh() rebuilds a consistent one. Degradation
-      // is a refusal, never a partial answer.
-      poisoned_ = st;
-      return st;
-    }
+  BufferWriter request;
+  EncodeCommit(CommitRequest{x}, &request);
+  if (Status st = FanOut(MsgType::kCommit, request, MsgType::kCommitOk,
+                         nullptr, /*fail_over=*/true);
+      !st.ok()) {
+    // Some slots may have applied the commit, some not: their terms
+    // would mix seed sets, so the session is poisoned until
+    // ResetSession()/Refresh() rebuilds a consistent one. Degradation is
+    // a refusal, never a partial answer.
+    poisoned_ = st;
+    return st;
   }
   is_seed_[x] = 1;
   committed_.push_back(x);
@@ -535,34 +670,28 @@ Result<double> RemoteShardRouter::SpreadOf(std::span<const NodeId> seeds) {
 }
 
 Status RemoteShardRouter::PrefetchGains(const std::vector<NodeId>& nodes) {
-  for (std::size_t begin = 0; begin < nodes.size();
-       begin += kFoldBatchChunk) {
-    const std::size_t end = std::min(nodes.size(), begin + kFoldBatchChunk);
-    FoldBatchRequest batch;
-    batch.nodes.assign(nodes.begin() + static_cast<std::ptrdiff_t>(begin),
-                       nodes.begin() + static_cast<std::ptrdiff_t>(end));
-    batch.accs.assign(end - begin, 0.0);
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      BufferWriter request;
-      EncodeFoldBatch(batch, &request);
-      std::vector<std::uint8_t> payload;
-      INFLUMAX_RETURN_IF_ERROR(CallSlot(s, MsgType::kFoldBatch, request,
-                                        MsgType::kFoldBatchOk, &payload));
-      BufferReader reader(payload);
-      Result<FoldBatchResponse> resp = DecodeFoldBatchOk(&reader);
-      if (!resp.ok()) return resp.status();
-      if (resp->accs.size() != batch.accs.size()) {
-        return Status::Corruption(
-            "fold batch: " + std::to_string(resp->accs.size()) +
-            " accumulators returned for " +
-            std::to_string(batch.accs.size()) + " nodes");
-      }
-      batch.accs = std::move(resp->accs);
+  // Batches by reply size, not node count: a node costs one count plus
+  // A_x terms across the slots, so a batch's replies together stay under
+  // kPrefetchBatchBudget units (a single heavier node goes alone).
+  std::vector<double> gains;
+  std::size_t begin = 0;
+  while (begin < nodes.size()) {
+    std::size_t end = begin;
+    std::uint64_t cost = 0;
+    while (end < nodes.size()) {
+      const std::uint64_t node_cost = 1 + std::uint64_t{au_[nodes[end]]};
+      if (end > begin && cost + node_cost > kPrefetchBatchBudget) break;
+      cost += node_cost;
+      ++end;
     }
-    for (std::size_t i = 0; i < batch.nodes.size(); ++i) {
-      prefetch_gain_[batch.nodes[i]] = batch.accs[i];
-      prefetch_valid_[batch.nodes[i]] = 1;
+    const std::span<const NodeId> batch(nodes.data() + begin, end - begin);
+    gains.resize(batch.size());
+    INFLUMAX_RETURN_IF_ERROR(FoldGains(batch, gains.data()));
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      prefetch_gain_[batch[i]] = gains[i];
+      prefetch_valid_[batch[i]] = 1;
     }
+    begin = end;
   }
   return Status::OK();
 }
@@ -571,10 +700,10 @@ Result<SnapshotSeedSelection> RemoteShardRouter::TopKSeeds(
     NodeId k, double spread_budget) {
   INFLUMAX_RETURN_IF_ERROR(ResetSession());
 
-  // Prefetch the CELF initial pass: every active non-seed's gain via one
-  // batched fold chain per slot (seeds answer 0.0 from the local guard,
-  // as in ShardRouter). Each node's fold is independent, so batching
-  // changes round trips, never bits.
+  // Prefetch the CELF initial pass: every active non-seed's gain, a batch
+  // of nodes per fan-out (seeds answer 0.0 from the local guard, as in
+  // ShardRouter). Each node's fold is independent, so batching changes
+  // round trips, never bits.
   std::vector<NodeId> nodes;
   for (NodeId x = 0; x < num_users_; ++x) {
     if (au_[x] != 0 && !is_seed_[x]) nodes.push_back(x);
@@ -621,18 +750,12 @@ Result<SnapshotSeedSelection> RemoteShardRouter::TopKSeeds(
 }
 
 Status RemoteShardRouter::ResetSession() {
-  for (Slot& slot : slots_) {
-    if (!slot.hello_done) continue;
-    BufferWriter empty;
-    std::vector<std::uint8_t> payload;
-    if (Status st = DoRequest(slot, MsgType::kReset, empty, MsgType::kResetOk,
-                              &payload, RpcDeadline());
-        !st.ok()) {
-      // Dropping the connection is an equivalent reset: the reconnect
-      // replays the (now empty) commit list onto a fresh server session.
-      DropConn(slot);
-    }
-  }
+  // No failover: a slot whose reset fails just drops its connection,
+  // which is an equivalent reset — the reconnect replays the (now
+  // empty) commit list onto a fresh server session.
+  BufferWriter empty;
+  (void)FanOut(MsgType::kReset, empty, MsgType::kResetOk, nullptr,
+               /*fail_over=*/false);
   committed_.clear();
   is_seed_ = is_frozen_;
   poisoned_ = Status::OK();

@@ -2,6 +2,7 @@
 #define INFLUMAX_NET_REMOTE_ROUTER_H_
 
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <span>
@@ -65,30 +66,36 @@ struct ReplicaHealth {
 };
 
 /// ShardRouter over sockets (docs/networking.md): each range slot is a
-/// replica set of shard_server processes, and every query chains the
-/// per-slot AccumulateGainTerms fold through the slots in range order —
-/// the same serial fold ShardRouter runs in-process, so MarginalGain /
-/// SpreadOf / CommitSeed / TopKSeeds return bit-identical seeds, gains,
-/// and evaluation counts (the chained-fold argument of docs/sharding.md
-/// does not care whether a fold step crosses a function call or a
-/// socket).
+/// replica set of shard_server processes. A gain, a commit, or a reset is
+/// one fan-out: the request goes to every slot first, then every reply
+/// is read, so a query costs the slowest hop rather than the sum of the
+/// hops. For a gain each slot returns its per-action terms
+/// `mg_a(x) * (1 - SC(x, a))`, and the client adds them with `acc += t`
+/// in slot order — the addition sequence of ShardRouter::MarginalGain.
+/// MarginalGain / SpreadOf / CommitSeed / TopKSeeds therefore return
+/// bit-identical seeds, gains, and evaluation counts (docs/sharding.md):
+/// bit identity depends on the order of the final additions, not on
+/// which process computed each term.
 ///
 /// TopKSeeds runs the engine's own RunCelfTopK verbatim (workers = 1,
-/// serial loop) with the initial gain pass answered from one batched
-/// fold chain per slot — each node's fold is independent, so batching
-/// changes round trips, never bits. The consumption loop's stale
-/// re-evaluations go over the wire one fold chain each.
+/// serial loop) with the initial gain pass answered from batched
+/// fan-outs — each node's terms are independent, so batching changes
+/// round trips, never bits. The consumption loop's stale re-evaluations
+/// go over the wire one fan-out each.
 ///
 /// Robustness contract:
 ///  * Transport failures (timeout, torn/corrupt frame, connection loss,
-///    a replica at capacity) fail over to the next replica of that
-///    slot: the connection is re-dialed under RetryPolicy, the session
+///    a replica at capacity) and rejected replies (counts that do not
+///    match the request) fail over to the next replica of that slot:
+///    the connection is re-dialed under RetryPolicy, the session
 ///    re-pinned to the SAME generation, committed seeds replayed in
-///    order, and the failed request re-issued — the chained fold
-///    restarts from the failed slot with the accumulator it already
-///    had, so FP order is preserved across the failover.
+///    order, and that slot alone re-asked. The other slots' replies are
+///    drained first, so no stream desyncs; the re-asked terms are the
+///    same terms, so FP order is preserved across the failover.
 ///  * Deterministic errors (InvalidArgument, a generation-pin mismatch)
 ///    surface to the caller unchanged.
+///  * Slots whose term counts for a node do not add up to the hello's
+///    A_x fail the query with Corruption (no single slot is to blame).
 ///  * A slot with no live replica fails the query with Unavailable
 ///    after one bounded retry schedule — fast degradation, never a
 ///    partial answer: queries return values only when every slot
@@ -97,7 +104,9 @@ struct ReplicaHealth {
 ///    the seed set); every later query returns FailedPrecondition until
 ///    ResetSession()/Refresh() rebuilds a consistent state.
 ///
-/// Concurrency contract: one router per thread, like ShardRouter.
+/// One thread does all of it, without poll(): it writes to every socket,
+/// then reads from every socket. Concurrency contract: one router per
+/// thread, like ShardRouter.
 class RemoteShardRouter {
  public:
   /// Dials every slot, validates the topology (one generation, ranges
@@ -111,10 +120,10 @@ class RemoteShardRouter {
   RemoteShardRouter(const RemoteShardRouter&) = delete;
   RemoteShardRouter& operator=(const RemoteShardRouter&) = delete;
 
-  /// The chained remote fold; bit-identical to ShardRouter::MarginalGain.
+  /// The fanned-out gain; bit-identical to ShardRouter::MarginalGain.
   Result<double> MarginalGain(NodeId x);
 
-  /// Commits x on every slot (every replica set), in slot order.
+  /// Commits x on every slot (every replica set) in one fan-out.
   Status CommitSeed(NodeId x);
 
   /// sigma_cd of `seeds` committed in order over a fresh session.
@@ -172,6 +181,27 @@ class RemoteShardRouter {
     HelloResponse hello;  ///< last accepted hello from this slot
   };
 
+  /// An RPC whose request is on the wire and whose reply is unread.
+  struct PendingRpc {
+    MsgType type = MsgType::kError;
+    std::uint64_t t0 = 0;
+    std::uint64_t span_id = 0;  ///< net.rpc span id; 0 = untraced
+    std::uint64_t parent_span_id = 0;
+  };
+
+  /// One slot's state within a fan-out (FanOut's reused scratch).
+  struct FanOutSlot {
+    bool sent = false;
+    Status status;
+    PendingRpc rpc;
+    std::vector<std::uint8_t> payload;
+  };
+
+  /// Accepts one slot's OK reply payload. A non-OK status rejects it;
+  /// Corruption means "this replica is suspect" and fails over.
+  using ReplyFn =
+      std::function<Status(std::size_t slot, std::vector<std::uint8_t>*)>;
+
   RemoteShardRouter() = default;
 
   Deadline RpcDeadline() const;
@@ -182,18 +212,49 @@ class RemoteShardRouter {
   Status ConnectAll(std::uint64_t pin);
 
   /// Sends `request` to slot `s` (dialing/re-helloing as needed) and
-  /// decodes a response of `ok_type` into `*response`. Implements the
-  /// whole robustness ladder: replica cycling, RetryPolicy rounds,
-  /// commit replay, fast Unavailable when nothing is live.
+  /// hands a response of `ok_type` to `on_reply` (nullptr = discard).
+  /// Implements the whole robustness ladder: replica cycling,
+  /// RetryPolicy rounds, commit replay, fast Unavailable when nothing is
+  /// live — all under `deadline`. `parent_span_id` parents the net.rpc
+  /// spans (0 = trace root).
   Status CallSlot(std::size_t s, MsgType type, const BufferWriter& request,
-                  MsgType ok_type, std::vector<std::uint8_t>* response);
+                  MsgType ok_type, const ReplyFn& on_reply,
+                  const Deadline& deadline,
+                  std::uint64_t parent_span_id = 0);
 
-  /// One send+recv on an established connection. Transient-network /
-  /// Corruption statuses mean "this replica is suspect" (CallSlot fails
-  /// over on them); decoded error frames surface as-is.
+  /// Sends `request` to every slot, then reads every reply in slot order
+  /// and hands each to `on_reply`. With `fail_over`, a slot that failed
+  /// in transport or whose reply was rejected goes through CallSlot's
+  /// ladder; the first error in slot order is returned. Without it (the
+  /// reset), a failed slot just drops its connection and the result is
+  /// always OK. Records one net.fanout span over the whole fan-out.
+  Status FanOut(MsgType type, const BufferWriter& request, MsgType ok_type,
+                const ReplyFn& on_reply, bool fail_over);
+
+  /// One send+recv on an established connection: SendRequest, then
+  /// RecvResponse. Transient-network / Corruption statuses mean "this
+  /// replica is suspect" (CallSlot fails over on them); decoded error
+  /// frames surface as-is.
   Status DoRequest(Slot& slot, MsgType type, const BufferWriter& request,
                    MsgType ok_type, std::vector<std::uint8_t>* response,
-                   const Deadline& deadline);
+                   const Deadline& deadline,
+                   std::uint64_t parent_span_id = 0);
+
+  /// The send half: frames `request` (with the trace context when a
+  /// trace is active) and writes it to the slot's socket.
+  Status SendRequest(Slot& slot, MsgType type, const BufferWriter& request,
+                     const Deadline& deadline, std::uint64_t parent_span_id,
+                     PendingRpc* rpc);
+
+  /// The receive half: reads the reply to `rpc`, records its net.rpc
+  /// span and stitches the server's spans, and decodes error frames.
+  Status RecvResponse(Slot& slot, const PendingRpc& rpc, MsgType ok_type,
+                      std::vector<std::uint8_t>* response,
+                      const Deadline& deadline);
+
+  /// Drops the slot's connection and, when it has another replica,
+  /// advances to it: bumps net.failovers and records a net.failover span.
+  void AbandonReplica(Slot& slot);
 
   /// Dials slot.replicas[slot.active], hellos with the pinned
   /// generation, replays committed seeds. On success the slot is ready
@@ -202,12 +263,16 @@ class RemoteShardRouter {
 
   void DropConn(Slot& slot);
 
-  /// The chained fold without the seed/range guards (callers own them,
-  /// like AccumulateGainTerms).
+  /// gains[i] = the gain of nodes[i] from one kGainTerms fan-out, folded
+  /// in slot order. No seed/range guards (callers own them, like
+  /// AccumulateGainTerms); every node must have A_x > 0.
+  Status FoldGains(std::span<const NodeId> nodes, double* gains);
+
+  /// FoldGains for one node.
   Result<double> RemoteGain(NodeId x);
 
-  /// Batched chained fold for `nodes` (already filtered to active
-  /// non-seeds) into prefetch_gain_/prefetch_valid_.
+  /// FoldGains over `nodes` (already filtered to active non-seeds), in
+  /// batches bounded by reply size, into prefetch_gain_/prefetch_valid_.
   Status PrefetchGains(const std::vector<NodeId>& nodes);
 
   Status CheckNotPoisoned() const;
@@ -240,6 +305,12 @@ class RemoteShardRouter {
   std::vector<std::uint8_t> is_frozen_;
   std::vector<NodeId> committed_;      ///< session seeds, commit order
   Status poisoned_;                    ///< non-OK after a failed commit
+
+  // Fan-out scratch, reused across queries: per-slot send/receive state,
+  // each slot's decoded gain terms, and the fold's read cursor per slot.
+  std::vector<FanOutSlot> fanout_;
+  std::vector<GainTermsResponse> term_replies_;
+  std::vector<std::size_t> term_cursor_;
 
   // TopKSeeds prefetch: prefetch_gain_[x] valid for the seed-set size
   // it was computed at (prefetch_commits_) — exactly the CELF initial

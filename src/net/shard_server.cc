@@ -198,6 +198,7 @@ void ShardServer::HandleConn(Conn* conn) {
   NodeId num_users = 0;
   std::uint32_t session_seeds = 0;
   GainKernelMode mode = GainKernelMode::kExact;
+  GainTermsResponse terms_reply;  // reused: keeps its capacity
 
   // Tracing state (docs/tracing.md). reply_* is per-request; pending_
   // trace survives across requests until the client's kTraceFetch.
@@ -351,8 +352,8 @@ void ShardServer::HandleConn(Conn* conn) {
     // generation — a client that reconnected around a swap finds out
     // here, not from silently different bits. (kTraceFetch stays
     // outside this list: retrieving parked spans needs no session.)
-    if (type == MsgType::kFold || type == MsgType::kFoldBatch ||
-        type == MsgType::kCommit || type == MsgType::kReset) {
+    if (type == MsgType::kGainTerms || type == MsgType::kCommit ||
+        type == MsgType::kReset) {
       const std::uint64_t pin_t0 = reply_traced ? MonotonicNowNs() : 0;
       if (!session.has_value()) {
         if (!send_error(Status::FailedPrecondition("no session: hello first"),
@@ -479,98 +480,82 @@ void ShardServer::HandleConn(Conn* conn) {
         break;
       }
 
-      case MsgType::kFold: {
+      case MsgType::kGainTerms: {
         const std::uint64_t decode_t0 = reply_traced ? MonotonicNowNs() : 0;
-        auto fold_or = DecodeFold(&reader);
-        if (!fold_or.ok()) {
-          sent = send_error(fold_or.status(), deadline);
+        auto request_or = DecodeGainTerms(&reader);
+        if (!request_or.ok()) {
+          sent = send_error(request_or.status(), deadline);
           break;
         }
         trace_child(kSpanServerDecode, decode_t0, frame.payload.size());
-        if (fold_or->node >= num_users) {
-          sent = send_error(Status::InvalidArgument(
-                                "node " + std::to_string(fold_or->node) +
-                                " >= num_users " + std::to_string(num_users)),
-                            deadline);
-          break;
-        }
-        double acc = fold_or->acc;
-        bool dropped = false;
-        std::size_t slot_index = shard_begin;
-        for (SnapshotQueryEngine& engine : engines) {
-          // The mid-fold crash site: a multi-shard server dying between
-          // two shards' fold segments.
-          if (EvalDropSite("net.server.fold_step") == SiteOutcome::kDropConn) {
-            dropped = true;
+        const std::vector<NodeId>& nodes = request_or->nodes;
+        // Validate every node and bound the reply BEFORE any fold work:
+        // each node costs one count plus one term per action it
+        // performed (global A_x bounds this server's share).
+        const std::vector<std::uint32_t>& au = session->shards().manifest.au;
+        Status invalid;
+        std::uint64_t cost = 0;
+        for (const NodeId node : nodes) {
+          if (node >= num_users) {
+            invalid = Status::InvalidArgument(
+                "node " + std::to_string(node) + " >= num_users " +
+                std::to_string(num_users));
             break;
           }
-          const std::uint64_t fold_t0 = reply_traced ? MonotonicNowNs() : 0;
-          acc = engine.AccumulateGainTerms(fold_or->node, acc);
-          trace_child(kSpanServerFold, fold_t0, slot_index++);
+          cost += 1 + std::uint64_t{au[node]};
+          if (cost > kMaxGainTermsPerRequest) {
+            invalid = Status::InvalidArgument(
+                "gain terms request of " + std::to_string(nodes.size()) +
+                " nodes exceeds the reply budget of " +
+                std::to_string(kMaxGainTermsPerRequest) + " (1 + A_x) units");
+            break;
+          }
         }
-        if (dropped) {
-          sent = false;
+        if (!invalid.ok()) {
+          sent = send_error(invalid, deadline);
           break;
         }
-        BufferWriter payload;
-        EncodeFoldOk(FoldResponse{acc}, &payload);
-        sent = send_response(MsgType::kFoldOk, std::move(payload), deadline);
-        break;
-      }
-
-      case MsgType::kFoldBatch: {
-        const std::uint64_t decode_t0 = reply_traced ? MonotonicNowNs() : 0;
-        auto batch_or = DecodeFoldBatch(&reader);
-        if (!batch_or.ok()) {
-          sent = send_error(batch_or.status(), deadline);
-          break;
-        }
-        trace_child(kSpanServerDecode, decode_t0, frame.payload.size());
-        FoldBatchResponse resp;
-        resp.accs = std::move(batch_or->accs);
+        terms_reply.counts.assign(nodes.size(), 0);
+        terms_reply.terms.clear();
         bool dropped = false;
         bool too_late = false;
-        // Per-engine fold attribution for traced batches: one span per
-        // engine covering its slice of the whole batch (per-node spans
+        // Per-engine fold attribution for traced requests: one span per
+        // engine covering its slice of the whole request (per-node spans
         // would blow the span cap on a CELF prefetch batch).
         std::vector<std::uint64_t> fold_start(
             reply_traced ? engines.size() : 0, 0);
         std::vector<std::uint64_t> fold_ns(reply_traced ? engines.size() : 0,
                                            0);
-        for (std::size_t i = 0; i < batch_or->nodes.size(); ++i) {
-          // Server-side deadline enforcement inside the one genuinely
-          // long request: a late batch stops folding and reports, it
-          // does not burn the budget to the end.
+        for (std::size_t i = 0; i < nodes.size() && !dropped; ++i) {
+          // Server-side deadline enforcement inside a long prefetch
+          // batch: a late request stops and reports, it does not burn
+          // the budget to the end.
           if ((i & 255u) == 255u && deadline.expired()) {
             too_late = true;
             break;
           }
-          const NodeId node = batch_or->nodes[i];
-          if (node >= num_users) {
-            sent = send_error(
-                Status::InvalidArgument("node " + std::to_string(node) +
-                                        " >= num_users " +
-                                        std::to_string(num_users)),
-                deadline);
-            dropped = true;  // response already sent; skip the OK path
-            break;
-          }
+          const std::size_t before = terms_reply.terms.size();
           for (std::size_t e = 0; e < engines.size(); ++e) {
+            // The mid-fold crash site: a server dying between two
+            // shards' term segments.
             if (EvalDropSite("net.server.fold_step") ==
                 SiteOutcome::kDropConn) {
-              sent = false;
               dropped = true;
               break;
             }
-            const std::uint64_t fold_t0 =
-                reply_traced ? MonotonicNowNs() : 0;
-            resp.accs[i] = engines[e].AccumulateGainTerms(node, resp.accs[i]);
+            const std::uint64_t fold_t0 = reply_traced ? MonotonicNowNs() : 0;
+            engines[e].AppendGainTerms(nodes[i], &terms_reply.terms);
             if (reply_traced) {
               if (fold_start[e] == 0) fold_start[e] = fold_t0;
               fold_ns[e] += MonotonicNowNs() - fold_t0;
             }
           }
-          if (dropped) break;
+          terms_reply.counts[i] =
+              static_cast<std::uint32_t>(terms_reply.terms.size() - before);
+        }
+        if (dropped) {
+          sent = false;
+          break;
         }
         if (reply_traced) {
           for (std::size_t e = 0; e < engines.size(); ++e) {
@@ -581,18 +566,16 @@ void ShardServer::HandleConn(Conn* conn) {
                                      fold_ns[e], shard_begin + e}});
           }
         }
-        if (dropped) break;
         if (too_late) {
           if constexpr (kObsEnabled) net.deadline_exceeded->Increment();
-          sent = send_error(
-              Status::Unavailable("deadline expired mid-batch"),
-              Deadline::AfterMs(1000));
+          sent = send_error(Status::Unavailable("deadline expired mid-batch"),
+                            Deadline::AfterMs(1000));
           break;
         }
         BufferWriter payload;
-        EncodeFoldBatchOk(resp, &payload);
+        EncodeGainTermsOk(terms_reply, &payload);
         sent =
-            send_response(MsgType::kFoldBatchOk, std::move(payload), deadline);
+            send_response(MsgType::kGainTermsOk, std::move(payload), deadline);
         break;
       }
 
@@ -644,12 +627,16 @@ void ShardServer::HandleConn(Conn* conn) {
         break;
       }
 
-      default:
+      default: {
+        // Includes the retired chained-fold ids 5-8.
+        const bool retired = frame.header.type >= 5 && frame.header.type <= 8;
         sent = send_error(
-            Status::InvalidArgument("unexpected message type " +
-                                    std::to_string(frame.header.type)),
+            Status::InvalidArgument(
+                std::string(retired ? "retired" : "unexpected") +
+                " message type " + std::to_string(frame.header.type)),
             deadline);
         break;
+      }
     }
     if constexpr (kObsEnabled) {
       net.server_latency->Record(MonotonicNowNs() - handle_t0);

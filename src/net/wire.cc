@@ -349,32 +349,44 @@ Result<FoldResponse> DecodeFoldOk(BufferReader* in) {
   return msg;
 }
 
-void EncodeFoldBatch(const FoldBatchRequest& msg, BufferWriter* out) {
+void EncodeGainTerms(const GainTermsRequest& msg, BufferWriter* out) {
   out->WriteVector(msg.nodes);
-  out->WriteVector(msg.accs);
 }
 
-Result<FoldBatchRequest> DecodeFoldBatch(BufferReader* in) {
-  FoldBatchRequest msg;
+Result<GainTermsRequest> DecodeGainTerms(BufferReader* in) {
+  GainTermsRequest msg;
   msg.nodes = in->ReadVector<NodeId>(kMaxWireElements);
-  msg.accs = in->ReadVector<double>(kMaxWireElements);
   INFLUMAX_RETURN_IF_ERROR(in->Finish());
-  if (msg.nodes.size() != msg.accs.size()) {
-    return Status::Corruption("fold batch: " + std::to_string(msg.nodes.size()) +
-                              " nodes vs " + std::to_string(msg.accs.size()) +
-                              " accumulators");
-  }
   return msg;
 }
 
-void EncodeFoldBatchOk(const FoldBatchResponse& msg, BufferWriter* out) {
-  out->WriteVector(msg.accs);
+void EncodeGainTermsOk(const GainTermsResponse& msg, BufferWriter* out) {
+  out->WriteVector(msg.counts);
+  out->WriteVector(msg.terms);
 }
 
-Result<FoldBatchResponse> DecodeFoldBatchOk(BufferReader* in) {
-  FoldBatchResponse msg;
-  msg.accs = in->ReadVector<double>(kMaxWireElements);
+Result<GainTermsResponse> DecodeGainTermsOk(BufferReader* in) {
+  GainTermsResponse msg;
+  msg.counts = in->ReadVector<std::uint32_t>(kMaxWireElements);
+  msg.terms = in->ReadVector<double>(kMaxWireElements);
   INFLUMAX_RETURN_IF_ERROR(in->Finish());
+  // The client slices terms by these counts, so they must tile the term
+  // array exactly. Stop as soon as the running sum passes terms.size():
+  // it never grows past that plus one u32, so it cannot overflow.
+  std::uint64_t total = 0;
+  for (const std::uint32_t count : msg.counts) {
+    total += count;
+    if (total > msg.terms.size()) break;
+  }
+  if (total > msg.terms.size()) {
+    return Status::Corruption("gain terms: counts overrun the " +
+                              std::to_string(msg.terms.size()) + " terms");
+  }
+  if (total != msg.terms.size()) {
+    return Status::Corruption("gain terms: counts sum to " +
+                              std::to_string(total) + " for " +
+                              std::to_string(msg.terms.size()) + " terms");
+  }
   return msg;
 }
 

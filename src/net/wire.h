@@ -69,16 +69,24 @@ inline constexpr std::uint64_t kMaxWireSpans = 4096;
 inline constexpr std::uint8_t kFrameFlagTraced = 1u << 0;
 inline constexpr std::uint8_t kFrameFlagTraceOverflow = 1u << 1;
 
+/// Caps one kGainTerms request by the size of its reply: the sum over
+/// its nodes of (1 + A_x), one u32 count plus one f64 term per action x
+/// performed. A server refuses a request over the cap with
+/// InvalidArgument before it folds anything, so no reply carries more
+/// than ~8 bytes per unit (32 MiB, an eighth of kMaxFramePayloadBytes);
+/// the client splits the CELF initial pass into batches under it.
+inline constexpr std::uint64_t kMaxGainTermsPerRequest = 1u << 22;
+
+/// Type ids are wire contract: retired ids are never reused. 5-8 were
+/// the chained fold (kFold/kFoldOk, kFoldBatch/kFoldBatchOk), replaced
+/// by the kGainTerms fan-out; a server answers them with an
+/// InvalidArgument error frame like any unknown type.
 enum class MsgType : std::uint8_t {
   kError = 0,
   kHello = 1,
   kHelloOk = 2,
   kPing = 3,
   kPong = 4,
-  kFold = 5,
-  kFoldOk = 6,
-  kFoldBatch = 7,
-  kFoldBatchOk = 8,
   kCommit = 9,
   kCommitOk = 10,
   kReset = 11,
@@ -87,6 +95,10 @@ enum class MsgType : std::uint8_t {
   // behind. Session-free and generation-free, like kPing.
   kTraceFetch = 13,
   kTraceFetchOk = 14,
+  // The fan-out gain request: every slot's per-action gain terms, folded
+  // by the client in range order (docs/networking.md).
+  kGainTerms = 15,
+  kGainTermsOk = 16,
 };
 
 struct FrameHeader {
@@ -205,8 +217,25 @@ struct PongResponse {
   std::int32_t metrics_port = -1;
 };
 
-/// One chained-fold step: fold x's gain terms over this server's shards
-/// (ascending range order) into acc.
+/// The per-slot gain terms of `nodes` over this server's shards.
+struct GainTermsRequest {
+  std::vector<NodeId> nodes;
+};
+
+/// counts[i] terms belong to nodes[i]; the terms of all nodes follow one
+/// another in request order, and each node's terms are its per-action
+/// `mg_a(x) * (1 - SC(x, a))` values in ascending action order — the
+/// exact addends of SnapshotQueryEngine::AccumulateGainTerms. One term
+/// per action x performed in this server's range, so across every slot
+/// a node's counts sum to its global A_x.
+struct GainTermsResponse {
+  std::vector<std::uint32_t> counts;
+  std::vector<double> terms;
+};
+
+/// The retired chained-fold step (type ids 5/6). No longer on the wire;
+/// the struct and its codecs stay because perfbench's wire-codec probe
+/// (net.wire.fold_codec_ns) is built against them.
 struct FoldRequest {
   NodeId node = 0;
   double acc = 0.0;
@@ -214,18 +243,6 @@ struct FoldRequest {
 
 struct FoldResponse {
   double acc = 0.0;
-};
-
-/// The same fold for many nodes in one round trip (the CELF initial
-/// pass): accs[i] is chained for nodes[i] independently, so batching
-/// changes round trips, never bits.
-struct FoldBatchRequest {
-  std::vector<NodeId> nodes;
-  std::vector<double> accs;
-};
-
-struct FoldBatchResponse {
-  std::vector<double> accs;
 };
 
 struct CommitRequest {
@@ -253,10 +270,11 @@ void EncodeFold(const FoldRequest& msg, BufferWriter* out);
 Result<FoldRequest> DecodeFold(BufferReader* in);
 void EncodeFoldOk(const FoldResponse& msg, BufferWriter* out);
 Result<FoldResponse> DecodeFoldOk(BufferReader* in);
-void EncodeFoldBatch(const FoldBatchRequest& msg, BufferWriter* out);
-Result<FoldBatchRequest> DecodeFoldBatch(BufferReader* in);
-void EncodeFoldBatchOk(const FoldBatchResponse& msg, BufferWriter* out);
-Result<FoldBatchResponse> DecodeFoldBatchOk(BufferReader* in);
+void EncodeGainTerms(const GainTermsRequest& msg, BufferWriter* out);
+Result<GainTermsRequest> DecodeGainTerms(BufferReader* in);
+void EncodeGainTermsOk(const GainTermsResponse& msg, BufferWriter* out);
+/// Rejects (Corruption) a reply whose counts do not sum to terms.size().
+Result<GainTermsResponse> DecodeGainTermsOk(BufferReader* in);
 void EncodeCommit(const CommitRequest& msg, BufferWriter* out);
 Result<CommitRequest> DecodeCommit(BufferReader* in);
 void EncodeCommitOk(const CommitResponse& msg, BufferWriter* out);

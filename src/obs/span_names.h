@@ -43,6 +43,10 @@ enum SpanName : std::uint16_t {
   kSpanServerPin = 15,
   kSpanServerFold = 16,
   kSpanServerSend = 17,
+
+  // Remote-router fan-out: one per request sent to every slot at once,
+  // parent of that fan-out's net.rpc spans; detail = slot count.
+  kSpanNetFanout = 18,
 };
 
 /// Human-readable name for a catalog id; "span.unknown" for anything
@@ -84,6 +88,8 @@ inline const char* SpanNameString(std::uint16_t id) {
       return "server.fold";
     case kSpanServerSend:
       return "server.send";
+    case kSpanNetFanout:
+      return "net.fanout";
     default:
       return "span.unknown";
   }

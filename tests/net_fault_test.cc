@@ -1,13 +1,14 @@
 // Network chaos suite (docs/networking.md): arm the wire-level
 // failpoints at every protocol step — a replica dying before handling,
-// tearing its response at an exact byte offset, dying between two fold
-// steps, the client's own request stream tearing — and assert the two
-// failover invariants: with a live replica remaining, every query
-// still returns bit-identical answers (the chained fold restarts from
-// the failed slot with the accumulator it already had), and with no
-// live replica the router degrades to a fast Unavailable, never a
-// partial answer. Built against the failpoint-enabled mirror
-// (influmax_fp), so this suite runs in the default ctest run.
+// tearing its response at an exact byte offset, dying between two
+// shards' term segments, the client's own request stream tearing — and
+// assert the two failover invariants: with a live replica remaining,
+// every query still returns bit-identical answers (the failed slot alone
+// is re-asked for the same terms while the other slots' replies are
+// drained), and with no live replica the router degrades to a fast
+// Unavailable, never a partial answer. Built against the
+// failpoint-enabled mirror (influmax_fp), so this suite runs in the
+// default ctest run.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -67,13 +69,21 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-/// The shared corpus: one 2-shard generation directory plus the
-/// in-process expected answers, built once (the matrix below starts a
-/// fresh fleet + router per scenario, but the data never changes).
+/// The shared corpus: the same generation split into 2 and into 3
+/// shards, plus the in-process expected answers, built once (the matrix
+/// below starts a fresh fleet + router per scenario, but the data never
+/// changes). Every shard count answers bit-identically, so one set of
+/// expected answers serves both.
 struct ChaosFixture {
-  std::string dir;
+  std::string dir;   ///< 2 shards
+  std::string dir3;  ///< 3 shards
   SnapshotSeedSelection expected;
   std::vector<double> expected_gains;
+  /// What-if session: gains of every user after committing the first
+  /// kWhatIfCommits expected seeds.
+  std::vector<double> whatif_gains;
+
+  static constexpr std::size_t kWhatIfCommits = 5;
 
   static const ChaosFixture& Get() {
     static const ChaosFixture* fixture = [] {
@@ -84,18 +94,28 @@ struct ChaosFixture {
       const auto model =
           BuildModel(data->graph, data->log, credit, 0.001);
       f->dir = MakeTempDir("net_chaos_corpus");
-      ShardedSnapshotWriter writer(f->dir, 2);
-      INFLUMAX_CHECK(writer.WriteFromModel(model, 1).ok());
-      INFLUMAX_CHECK(
-          WriteCurrentManifestName(f->dir, ManifestFileName(1)).ok());
+      f->dir3 = MakeTempDir("net_chaos_corpus3");
+      for (const auto& [dir, shards] :
+           {std::pair{f->dir, 2}, std::pair{f->dir3, 3}}) {
+        ShardedSnapshotWriter writer(dir, shards);
+        INFLUMAX_CHECK(writer.WriteFromModel(model, 1).ok());
+        INFLUMAX_CHECK(
+            WriteCurrentManifestName(dir, ManifestFileName(1)).ok());
+      }
       auto manager = GenerationManager::Open(f->dir);
       INFLUMAX_CHECK(manager.ok());
       GenerationManager::Session session(**manager);
       f->expected = session.router().TopKSeeds(6);
-      INFLUMAX_CHECK(!f->expected.seeds.empty());
+      INFLUMAX_CHECK(f->expected.seeds.size() > kWhatIfCommits);
       session.router().ResetSession();
       for (NodeId x = 0; x < data->log.num_users(); ++x) {
         f->expected_gains.push_back(session.router().MarginalGain(x));
+      }
+      for (std::size_t i = 0; i < kWhatIfCommits; ++i) {
+        session.router().CommitSeed(f->expected.seeds[i]);
+      }
+      for (NodeId x = 0; x < data->log.num_users(); ++x) {
+        f->whatif_gains.push_back(session.router().MarginalGain(x));
       }
       return f;
     }();
@@ -121,7 +141,7 @@ ReplicatedFleet StartReplicatedFleet(const std::string& dir,
       options.dir = dir;
       options.shard = static_cast<int>(i);
       auto server = ShardServer::Start(options);
-      INFLUMAX_CHECK(server.ok());
+      INFLUMAX_CHECK(server.ok()) << server.status().ToString();
       replicas.push_back({"127.0.0.1", (*server)->port()});
       fleet.servers.push_back(std::move(*server));
     }
@@ -144,6 +164,76 @@ RemoteRouterOptions FastRetryOptions(
 
 // --------------------------------------------------------- the matrix
 
+/// The query mixes the matrix drives through a fleet with one armed
+/// failpoint. Each returns "" when every answer was bit-exact, else a
+/// description of the first failure.
+enum class Workload { kTopK, kGainSweep, kWhatIf };
+
+const char* WorkloadName(Workload w) {
+  switch (w) {
+    case Workload::kTopK:
+      return "topk";
+    case Workload::kGainSweep:
+      return "gain sweep";
+    case Workload::kWhatIf:
+      return "what-if";
+  }
+  return "?";
+}
+
+/// Every 3rd user: enough fan-outs that a skip of 9 lands mid-sweep.
+constexpr NodeId kSweepStride = 3;
+
+std::string RunWorkload(Workload workload, RemoteShardRouter& remote,
+                        const ChaosFixture& fixture) {
+  const auto sweep = [&](const std::vector<double>& want) -> std::string {
+    for (NodeId x = 0; x < remote.num_users(); x += kSweepStride) {
+      auto gain = remote.MarginalGain(x);
+      if (!gain.ok()) return gain.status().ToString();
+      if (!SameBits(*gain, want[x])) return "gain of " + std::to_string(x);
+    }
+    return "";
+  };
+  switch (workload) {
+    case Workload::kTopK: {
+      auto routed = remote.TopKSeeds(6);
+      if (!routed.ok()) return routed.status().ToString();
+      if (routed->seeds != fixture.expected.seeds ||
+          routed->marginal_gains != fixture.expected.marginal_gains ||
+          routed->cumulative_spread != fixture.expected.cumulative_spread ||
+          routed->gain_evaluations != fixture.expected.gain_evaluations) {
+        return "topk selection differs";
+      }
+      return "";
+    }
+    case Workload::kGainSweep:
+      return sweep(fixture.expected_gains);
+    case Workload::kWhatIf: {
+      // 5 commits, a gain sweep against them, a reset, and one fresh
+      // gain: commit fan-outs, replayed commits, and the reset all sit
+      // in the injection path.
+      for (std::size_t i = 0; i < ChaosFixture::kWhatIfCommits; ++i) {
+        if (Status st = remote.CommitSeed(fixture.expected.seeds[i]);
+            !st.ok()) {
+          return st.ToString();
+        }
+      }
+      if (std::string bad = sweep(fixture.whatif_gains); !bad.empty()) {
+        return "what-if " + bad;
+      }
+      if (Status st = remote.ResetSession(); !st.ok()) return st.ToString();
+      const NodeId x = fixture.expected.seeds[0];
+      auto gain = remote.MarginalGain(x);
+      if (!gain.ok()) return gain.status().ToString();
+      if (!SameBits(*gain, fixture.expected_gains[x])) {
+        return "gain after reset";
+      }
+      return "";
+    }
+  }
+  return "unknown workload";
+}
+
 TEST(NetChaosTest, EveryProtocolStepFailsOverToBitIdenticalAnswers) {
   const ChaosFixture& fixture = ChaosFixture::Get();
 
@@ -151,7 +241,9 @@ TEST(NetChaosTest, EveryProtocolStepFailsOverToBitIdenticalAnswers) {
   // and how. Every spec fires at most once (#limit=1 via limit field),
   // at the skip-th evaluation of its site — sweeping skip walks the
   // injection across the protocol: hello, commit replay, batch folds,
-  // the CELF consumption loop's re-evaluations.
+  // the CELF consumption loop's re-evaluations, what-if commits. With 3
+  // slots the fault can land on the middle slot while the others'
+  // replies are still in flight.
   struct Scenario {
     const char* site;
     const char* spec;  ///< without the @skip suffix
@@ -166,32 +258,33 @@ TEST(NetChaosTest, EveryProtocolStepFailsOverToBitIdenticalAnswers) {
       {"net.frame.send", "error"},        // client send failed outright
   };
   const std::uint64_t skips[] = {0, 1, 3, 9};
+  const Workload workloads[] = {Workload::kTopK, Workload::kGainSweep,
+                                Workload::kWhatIf};
 
   const std::uint64_t failovers_before = CounterValue("net.failovers");
-  for (const Scenario& scenario : scenarios) {
-    for (const std::uint64_t skip : skips) {
-      SCOPED_TRACE(std::string(scenario.site) + "=" + scenario.spec +
-                   "@" + std::to_string(skip));
-      ReplicatedFleet fleet = StartReplicatedFleet(fixture.dir, 2);
-      auto remote =
-          RemoteShardRouter::Connect(FastRetryOptions(fleet.replica_sets));
-      ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{3}}) {
+    const std::string& dir = shards == 2 ? fixture.dir : fixture.dir3;
+    for (const Workload workload : workloads) {
+      for (const Scenario& scenario : scenarios) {
+        for (const std::uint64_t skip : skips) {
+          SCOPED_TRACE(std::to_string(shards) + " slots, " +
+                       WorkloadName(workload) + ": " + scenario.site + "=" +
+                       scenario.spec + "@" + std::to_string(skip));
+          ReplicatedFleet fleet = StartReplicatedFleet(dir, shards);
+          auto remote = RemoteShardRouter::Connect(
+              FastRetryOptions(fleet.replica_sets));
+          ASSERT_TRUE(remote.ok()) << remote.status().ToString();
 
-      auto spec =
-          ParseFailpointSpec(std::string(scenario.spec) + "@" +
-                             std::to_string(skip) + "#1");
-      ASSERT_TRUE(spec.ok());
-      ASSERT_TRUE(ArmFailpoint(scenario.site, *spec).ok());
-      auto routed = (*remote)->TopKSeeds(6);
-      DisarmAllFailpoints();
-
-      ASSERT_TRUE(routed.ok()) << routed.status().ToString();
-      EXPECT_EQ(routed->seeds, fixture.expected.seeds);
-      EXPECT_EQ(routed->marginal_gains, fixture.expected.marginal_gains);
-      EXPECT_EQ(routed->cumulative_spread,
-                fixture.expected.cumulative_spread);
-      EXPECT_EQ(routed->gain_evaluations,
-                fixture.expected.gain_evaluations);
+          auto spec =
+              ParseFailpointSpec(std::string(scenario.spec) + "@" +
+                                 std::to_string(skip) + "#1");
+          ASSERT_TRUE(spec.ok());
+          ASSERT_TRUE(ArmFailpoint(scenario.site, *spec).ok());
+          const std::string bad = RunWorkload(workload, **remote, fixture);
+          DisarmAllFailpoints();
+          EXPECT_EQ(bad, "");
+        }
+      }
     }
   }
   // The matrix as a whole must have exercised the failover path (some
@@ -225,8 +318,8 @@ TEST(NetChaosTest, KilledReplicaFailsOverWithCommitReplay) {
   const std::uint64_t failovers = CounterValue("net.failovers");
   const std::uint64_t replays = CounterValue("net.commit_replays");
   // Kill the active replica of each slot; the next query re-dials the
-  // surviving replica, replays both commits, and re-issues the fold —
-  // same bits as if nothing happened.
+  // surviving replica, replays both commits, and re-asks that slot for
+  // its terms — same bits as if nothing happened.
   fleet.servers[0]->Kill();
   fleet.servers[2]->Kill();
   for (NodeId x = 0; x < (*remote)->num_users(); x += 5) {

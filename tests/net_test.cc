@@ -1,20 +1,24 @@
 // Cross-process shard serving (src/net/, docs/networking.md): the wire
 // framing contract (torn frames name their byte offset, hostile length
 // prefixes are rejected before allocation), the endpoint-spec grammar,
-// and the headline determinism claim — a RemoteShardRouter chaining the
-// gain fold through loopback shard servers returns bit-identical seeds,
-// gains, and evaluation counts to the in-process ShardRouter for shard
-// counts {1, 2, 3}.
+// and the headline determinism claim — a RemoteShardRouter fanning each
+// gain out to loopback shard servers and folding the returned terms in
+// range order returns bit-identical seeds, gains, and evaluation counts
+// to the in-process ShardRouter for shard counts {1, 2, 3}.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/binary_io.h"
@@ -29,6 +33,7 @@
 #include "net/shard_server.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 #include "serve/query_engine.h"
 #include "shard/generation_manager.h"
 #include "shard/shard_manifest.h"
@@ -187,12 +192,12 @@ TEST(BufferIoTest, VectorRoundTripsThroughWriter) {
 TEST(WireTest, FrameRoundTripsOverLoopback) {
   SocketPair pair = MakeSocketPair();
   Frame frame;
-  frame.header.type = static_cast<std::uint8_t>(MsgType::kFold);
+  frame.header.type = static_cast<std::uint8_t>(MsgType::kGainTerms);
   frame.header.kernel_mode = 1;
   frame.header.generation = 42;
   frame.header.deadline_us = 123456;
   BufferWriter payload;
-  EncodeFold(FoldRequest{7, 2.5}, &payload);
+  EncodeGainTerms(GainTermsRequest{{7, 2}}, &payload);
   frame.payload = payload.TakeBuffer();
 
   ASSERT_TRUE(
@@ -200,15 +205,14 @@ TEST(WireTest, FrameRoundTripsOverLoopback) {
   auto received = RecvFrame(pair.server, Deadline::AfterMs(2000));
   ASSERT_TRUE(received.ok()) << received.status().ToString();
   EXPECT_EQ(received->header.type,
-            static_cast<std::uint8_t>(MsgType::kFold));
+            static_cast<std::uint8_t>(MsgType::kGainTerms));
   EXPECT_EQ(received->header.kernel_mode, 1);
   EXPECT_EQ(received->header.generation, 42u);
   EXPECT_EQ(received->header.deadline_us, 123456u);
   BufferReader reader(received->payload);
-  auto fold = DecodeFold(&reader);
-  ASSERT_TRUE(fold.ok());
-  EXPECT_EQ(fold->node, 7u);
-  EXPECT_EQ(fold->acc, 2.5);
+  auto request = DecodeGainTerms(&reader);
+  ASSERT_TRUE(request.ok());
+  EXPECT_EQ(request->nodes, (std::vector<NodeId>{7, 2}));
 }
 
 TEST(WireTest, TornHeaderNamesByteOffset) {
@@ -254,7 +258,7 @@ TEST(WireTest, TornPayloadNamesByteOffset) {
   const std::vector<std::uint8_t> payload(100, 0xAB);
   FrameHeader header;
   header.payload_len = 100;
-  header.type = static_cast<std::uint8_t>(MsgType::kFoldOk);
+  header.type = static_cast<std::uint8_t>(MsgType::kGainTermsOk);
   header.fingerprint = FingerprintFrame(header, payload);
   SendRawFrame(pair.client, header, payload, /*truncate_at=*/32 + 20);
   auto received = RecvFrame(pair.server, Deadline::AfterMs(2000));
@@ -269,7 +273,7 @@ TEST(WireTest, OversizedPayloadLengthRejectedBeforeAllocation) {
   SocketPair pair = MakeSocketPair();
   FrameHeader header;
   header.payload_len = kMaxFramePayloadBytes + 1;
-  header.type = static_cast<std::uint8_t>(MsgType::kFoldOk);
+  header.type = static_cast<std::uint8_t>(MsgType::kGainTermsOk);
   // No payload follows — if the receiver tried to allocate/read it the
   // test would hang or OOM instead of failing cleanly.
   SendRawFrame(pair.client, header, {});
@@ -297,11 +301,11 @@ TEST(WireTest, V1FrameStillAccepted) {
   // byte) — must decode as an untraced v2 frame bit-for-bit.
   SocketPair pair = MakeSocketPair();
   BufferWriter payload_writer;
-  EncodeFold(FoldRequest{3, 1.5}, &payload_writer);
+  EncodeCommit(CommitRequest{3}, &payload_writer);
   const std::vector<std::uint8_t> payload = payload_writer.buffer();
   FrameHeader header;
   header.version = kWireMinVersion;
-  header.type = static_cast<std::uint8_t>(MsgType::kFold);
+  header.type = static_cast<std::uint8_t>(MsgType::kCommit);
   header.payload_len = static_cast<std::uint32_t>(payload.size());
   header.fingerprint = FingerprintFrame(header, payload);
   SendRawFrame(pair.client, header, payload);
@@ -310,15 +314,15 @@ TEST(WireTest, V1FrameStillAccepted) {
   EXPECT_EQ(received->header.version, kWireMinVersion);
   EXPECT_EQ(received->header.flags, 0);
   BufferReader reader(received->payload);
-  auto fold = DecodeFold(&reader);
-  ASSERT_TRUE(fold.ok());
-  EXPECT_EQ(fold->node, 3u);
+  auto commit = DecodeCommit(&reader);
+  ASSERT_TRUE(commit.ok());
+  EXPECT_EQ(commit->node, 3u);
 }
 
 TEST(WireTest, TracePrefixesRoundTripAndStrip) {
   // Request side: a 16-byte trace context prepends and strips cleanly.
   BufferWriter payload_writer;
-  EncodeFold(FoldRequest{9, 0.25}, &payload_writer);
+  EncodeGainTerms(GainTermsRequest{{9}}, &payload_writer);
   std::vector<std::uint8_t> payload = payload_writer.buffer();
   const std::size_t bare_size = payload.size();
   PrependTraceContext(TraceContext{0xAABB, 0x17}, &payload);
@@ -329,9 +333,9 @@ TEST(WireTest, TracePrefixesRoundTripAndStrip) {
   EXPECT_EQ(ctx->parent_span_id, 0x17u);
   EXPECT_EQ(payload.size(), bare_size);
   BufferReader reader(payload);
-  auto fold = DecodeFold(&reader);
-  ASSERT_TRUE(fold.ok());
-  EXPECT_EQ(fold->node, 9u);
+  auto request = DecodeGainTerms(&reader);
+  ASSERT_TRUE(request.ok());
+  EXPECT_EQ(request->nodes, (std::vector<NodeId>{9}));
 
   // Response side: a span block with anchors and two spans.
   SpanBlock block;
@@ -391,6 +395,34 @@ TEST(WireTest, ErrorResponseRoundTripsEveryStatusCode) {
     const Status decoded = StatusFromError(encoded);
     EXPECT_EQ(decoded.code(), st.code());
     EXPECT_EQ(decoded.message(), st.message());
+  }
+}
+
+TEST(WireTest, GainTermsOkRejectsCountsThatDoNotTileTheTerms) {
+  const auto decode = [](const GainTermsResponse& reply) {
+    BufferWriter writer;
+    EncodeGainTermsOk(reply, &writer);
+    BufferReader reader(writer.buffer());
+    return DecodeGainTermsOk(&reader);
+  };
+  auto ok = decode(GainTermsResponse{{2, 0, 1}, {0.5, 0.25, 0.125}});
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->counts, (std::vector<std::uint32_t>{2, 0, 1}));
+  EXPECT_EQ(ok->terms, (std::vector<double>{0.5, 0.25, 0.125}));
+
+  // Too few counts, too many counts, and counts whose u32 sum would wrap
+  // to exactly terms.size() — all Corruption, never a slicing overrun.
+  const std::vector<GainTermsResponse> forged = {
+      {{1, 1}, {0.5, 0.25, 0.125}},
+      {{2, 2}, {0.5, 0.25, 0.125}},
+      {{0xFFFFFFFFu, 4}, {0.5, 0.25, 0.125}},
+      {{3}, {}},
+  };
+  for (const GainTermsResponse& reply : forged) {
+    auto bad = decode(reply);
+    ASSERT_FALSE(bad.ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kCorruption)
+        << bad.status().ToString();
   }
 }
 
@@ -706,6 +738,374 @@ TEST(ShardServerTest, RefreshFollowsCurrentPointerWithoutMovingPins) {
   EXPECT_EQ((*remote)->generation(), 2u);
 }
 
+// ---------------------------------------------------- hostile replies
+
+/// Opens a session on `port` over a raw connection (hello with no pin)
+/// and returns the connection plus the hello's generation.
+std::pair<TcpConn, std::uint64_t> RawSession(int port) {
+  auto conn = TcpConn::Connect("127.0.0.1", port, Deadline::AfterMs(2000));
+  INFLUMAX_CHECK(conn.ok());
+  Frame hello;
+  hello.header.type = static_cast<std::uint8_t>(MsgType::kHello);
+  BufferWriter payload;
+  EncodeHello(HelloRequest{}, &payload);
+  hello.payload = payload.TakeBuffer();
+  INFLUMAX_CHECK(SendFrame(*conn, std::move(hello), Deadline::AfterMs(2000))
+                     .ok());
+  auto reply = RecvFrame(*conn, Deadline::AfterMs(2000));
+  INFLUMAX_CHECK(reply.ok());
+  INFLUMAX_CHECK(reply->header.type ==
+                 static_cast<std::uint8_t>(MsgType::kHelloOk));
+  return {std::move(*conn), reply->header.generation};
+}
+
+/// One request/response exchange on a raw session connection.
+Frame RawExchange(TcpConn& conn, std::uint64_t generation, MsgType type,
+                  std::vector<std::uint8_t> payload, std::uint8_t flags = 0) {
+  Frame frame;
+  frame.header.type = static_cast<std::uint8_t>(type);
+  frame.header.generation = generation;
+  frame.header.flags = flags;
+  frame.payload = std::move(payload);
+  INFLUMAX_CHECK(SendFrame(conn, std::move(frame), Deadline::AfterMs(5000))
+                     .ok());
+  auto reply = RecvFrame(conn, Deadline::AfterMs(5000));
+  INFLUMAX_CHECK(reply.ok()) << reply.status().ToString();
+  return std::move(*reply);
+}
+
+Status ErrorOf(const Frame& frame) {
+  if (frame.header.type != static_cast<std::uint8_t>(MsgType::kError)) {
+    return Status::OK();
+  }
+  BufferReader reader(frame.payload);
+  auto error = DecodeError(&reader);
+  INFLUMAX_CHECK(error.ok());
+  return StatusFromError(*error);
+}
+
+TEST(ShardServerTest, RetiredFoldTypesGetInvalidArgument) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("net_retired_types");
+  WriteGenerationDir(model, dir, 1);
+  ServerFleet fleet = StartFleet(dir, 1);
+  auto [conn, generation] = RawSession(fleet.servers[0]->port());
+
+  // 5-8 were the chained fold; a frame of those types gets a clean
+  // error frame, and the session keeps serving.
+  for (std::uint8_t type = 5; type <= 8; ++type) {
+    BufferWriter payload;
+    EncodeFold(FoldRequest{0, 0.0}, &payload);
+    const Frame reply = RawExchange(conn, generation,
+                                    static_cast<MsgType>(type),
+                                    payload.TakeBuffer());
+    const Status st = ErrorOf(reply);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_NE(st.message().find("retired"), std::string::npos)
+        << st.ToString();
+  }
+  BufferWriter payload;
+  EncodeGainTerms(GainTermsRequest{{0}}, &payload);
+  const Frame reply = RawExchange(conn, generation, MsgType::kGainTerms,
+                                  payload.TakeBuffer());
+  EXPECT_EQ(reply.header.type,
+            static_cast<std::uint8_t>(MsgType::kGainTermsOk));
+}
+
+TEST(ShardServerTest, OverBudgetGainTermsRefusedBeforeFolding) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("net_terms_budget");
+  WriteGenerationDir(model, dir, 1);
+  ServerFleet fleet = StartFleet(dir, 1);
+
+  // The most active user, repeated until the request's reply would
+  // cost one unit past kMaxGainTermsPerRequest (1 + A_x per node).
+  NodeId busiest = 0;
+  for (NodeId x = 0; x < data.log.num_users(); ++x) {
+    if (data.log.ActionsPerformedBy(x) >
+        data.log.ActionsPerformedBy(busiest)) {
+      busiest = x;
+    }
+  }
+  const std::uint64_t cost = 1 + data.log.ActionsPerformedBy(busiest);
+  ASSERT_GT(cost, 1u);
+  GainTermsRequest request;
+  request.nodes.assign(kMaxGainTermsPerRequest / cost + 1, busiest);
+
+  auto [conn, generation] = RawSession(fleet.servers[0]->port());
+  BufferWriter payload;
+  EncodeGainTerms(request, &payload);
+  std::vector<std::uint8_t> traced = payload.TakeBuffer();
+  PrependTraceContext(TraceContext{1, 2}, &traced);
+  Frame reply = RawExchange(conn, generation, MsgType::kGainTerms,
+                            std::move(traced), kFrameFlagTraced);
+  ASSERT_NE(reply.header.flags & kFrameFlagTraced, 0);
+  auto block = StripSpanBlock(&reply.payload);
+  ASSERT_TRUE(block.ok()) << block.status().ToString();
+  const Status st = ErrorOf(reply);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.message().find("budget"), std::string::npos) << st.ToString();
+  // Refused before any fold work: the server recorded no fold span.
+  for (const TraceSpan& span : block->spans) {
+    EXPECT_NE(span.rec.name_id, kSpanServerFold);
+  }
+
+  // One node fewer fits the budget and is answered.
+  request.nodes.resize(kMaxGainTermsPerRequest / cost);
+  BufferWriter fits;
+  EncodeGainTerms(request, &fits);
+  const Frame ok = RawExchange(conn, generation, MsgType::kGainTerms,
+                               fits.TakeBuffer());
+  EXPECT_EQ(ok.header.type, static_cast<std::uint8_t>(MsgType::kGainTermsOk))
+      << ErrorOf(ok).ToString();
+}
+
+/// A replica that lies: it relays frames between one client and a real
+/// shard server, one connection at a time, and passes every
+/// kGainTermsOk reply through `forge` while forging is on. A forge
+/// returning false replaces the reply with an InvalidArgument error
+/// frame instead.
+class ForgingProxy {
+ public:
+  using Forge = std::function<bool(GainTermsResponse*)>;
+
+  ForgingProxy(int upstream_port, Forge forge)
+      : upstream_port_(upstream_port), forge_(std::move(forge)) {
+    auto listener = TcpListener::Bind(0);
+    INFLUMAX_CHECK(listener.ok());
+    listener_ = std::move(*listener);
+    thread_ = std::thread([this] { Run(); });
+  }
+
+  ~ForgingProxy() {
+    stopping_ = true;
+    listener_.Abort();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (client_ != nullptr) client_->Abort();
+    }
+    thread_.join();
+  }
+
+  int port() const { return listener_.port(); }
+  void set_forging(bool on) { forging_ = on; }
+  std::size_t forged() const { return forged_; }
+
+ private:
+  void Run() {
+    while (!stopping_) {
+      auto client = listener_.Accept(Deadline::Infinite());
+      if (!client.ok()) return;
+      auto upstream = TcpConn::Connect("127.0.0.1", upstream_port_,
+                                       Deadline::AfterMs(2000));
+      if (!upstream.ok()) return;
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        client_ = &*client;
+      }
+      Relay(*client, *upstream);
+      std::lock_guard<std::mutex> lock(mu_);
+      client_ = nullptr;
+    }
+  }
+
+  void Relay(TcpConn& client, TcpConn& upstream) {
+    const auto deadline = [] { return Deadline::AfterMs(5000); };
+    for (;;) {
+      auto request = RecvFrame(client, Deadline::Infinite());
+      if (!request.ok()) return;
+      if (!SendFrame(upstream, std::move(*request), deadline()).ok()) return;
+      auto reply = RecvFrame(upstream, deadline());
+      if (!reply.ok()) return;
+      if (forging_ && reply->header.type ==
+                          static_cast<std::uint8_t>(MsgType::kGainTermsOk)) {
+        BufferReader reader(reply->payload);
+        auto terms = DecodeGainTermsOk(&reader);
+        INFLUMAX_CHECK(terms.ok());
+        BufferWriter forged;
+        if (forge_(&*terms)) {
+          EncodeGainTermsOk(*terms, &forged);
+        } else {
+          reply->header.type = static_cast<std::uint8_t>(MsgType::kError);
+          EncodeError(ErrorFromStatus(Status::InvalidArgument("forged")),
+                      &forged);
+        }
+        reply->payload = forged.TakeBuffer();
+        ++forged_;
+      }
+      if (!SendFrame(client, std::move(*reply), deadline()).ok()) return;
+    }
+  }
+
+  const int upstream_port_;
+  const Forge forge_;
+  TcpListener listener_;
+  std::thread thread_;
+  std::mutex mu_;
+  TcpConn* client_ = nullptr;  // guarded by mu_
+  std::atomic<bool> stopping_{false};
+  std::atomic<bool> forging_{true};
+  std::atomic<std::size_t> forged_{0};
+};
+
+std::uint64_t CounterValue(const std::string& name) {
+  const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
+  const auto* counter = snap.FindCounter(name);
+  return counter == nullptr ? 0 : counter->value;
+}
+
+TEST(RemoteRouterTest, ForgedGainTermsRepliesAreRejected) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("net_forged_terms");
+  WriteGenerationDir(model, dir, 2);
+  ServerFleet fleet = StartFleet(dir, 2);
+  auto manager = GenerationManager::Open(dir);
+  ASSERT_TRUE(manager.ok());
+  GenerationManager::Session session(**manager);
+  std::vector<NodeId> active;
+  for (NodeId x = 0; x < data.log.num_users(); ++x) {
+    if (data.log.ActionsPerformedBy(x) != 0) active.push_back(x);
+  }
+  ASSERT_GE(active.size(), 2u);
+
+  struct Case {
+    const char* name;
+    ForgingProxy::Forge forge;
+    bool fails_over;  ///< rejected on its own slot, so a failover trigger
+  };
+  const Case cases[] = {
+      // One count more than nodes asked for.
+      {"extra count",
+       [](GainTermsResponse* r) {
+         r->counts.push_back(0);
+         return true;
+       },
+       true},
+      // Counts that no longer tile the terms (caught by the decoder).
+      {"untiled terms",
+       [](GainTermsResponse* r) {
+         r->terms.push_back(1.0);
+         return true;
+       },
+       true},
+      // Well-formed, but one term more than A_x across the slots.
+      {"term total != A_x",
+       [](GainTermsResponse* r) {
+         r->counts[0] += 1;
+         r->terms.insert(r->terms.begin(), 0.0);
+         return true;
+       },
+       false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    // Slot 1 is served by the liar alone: every forgery is Corruption.
+    {
+      ForgingProxy proxy(fleet.servers[1]->port(), c.forge);
+      RemoteRouterOptions options;
+      options.replica_sets = {fleet.replica_sets[0],
+                              {{"127.0.0.1", proxy.port()}}};
+      options.retry.max_attempts = 1;
+      auto remote = RemoteShardRouter::Connect(options);
+      ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+      auto gain = (*remote)->MarginalGain(active[0]);
+      ASSERT_FALSE(gain.ok());
+      EXPECT_EQ(gain.status().code(), StatusCode::kCorruption)
+          << gain.status().ToString();
+      EXPECT_GE(proxy.forged(), 1u);
+      // The liar stops lying: the next query is bit-exact, so no stream
+      // was left out of sync.
+      proxy.set_forging(false);
+      auto next = (*remote)->MarginalGain(active[1]);
+      ASSERT_TRUE(next.ok()) << next.status().ToString();
+      EXPECT_TRUE(SameBits(*next, session.router().MarginalGain(active[1])));
+    }
+    // With an honest second replica, a reply rejected on its own slot
+    // fails over to it and the answer keeps its bits. The A_x total
+    // names no single slot, so it stays a Corruption.
+    {
+      ForgingProxy proxy(fleet.servers[1]->port(), c.forge);
+      RemoteRouterOptions options;
+      options.replica_sets = {
+          fleet.replica_sets[0],
+          {{"127.0.0.1", proxy.port()}, fleet.replica_sets[1][0]}};
+      options.retry.max_attempts = 1;
+      auto remote = RemoteShardRouter::Connect(options);
+      ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+      const std::uint64_t failovers = CounterValue("net.failovers");
+      auto gain = (*remote)->MarginalGain(active[0]);
+      if (!c.fails_over) {
+        ASSERT_FALSE(gain.ok());
+        EXPECT_EQ(gain.status().code(), StatusCode::kCorruption);
+        continue;
+      }
+      ASSERT_TRUE(gain.ok()) << gain.status().ToString();
+      EXPECT_TRUE(SameBits(*gain, session.router().MarginalGain(active[0])));
+      EXPECT_GT(CounterValue("net.failovers"), failovers);
+    }
+  }
+}
+
+TEST(RemoteRouterTest, DeterministicSlotErrorKeepsEveryStreamInSync) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("net_slot_error");
+  WriteGenerationDir(model, dir, 3);
+  ServerFleet fleet = StartFleet(dir, 3);
+  auto manager = GenerationManager::Open(dir);
+  ASSERT_TRUE(manager.ok());
+  GenerationManager::Session session(**manager);
+
+  // The middle slot answers with an error frame while slot 2's reply is
+  // still unread behind it.
+  ForgingProxy proxy(fleet.servers[1]->port(),
+                     [](GainTermsResponse*) { return false; });
+  RemoteRouterOptions options;
+  options.replica_sets = {fleet.replica_sets[0],
+                          {{"127.0.0.1", proxy.port()}},
+                          fleet.replica_sets[2]};
+  auto remote = RemoteShardRouter::Connect(options);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  NodeId seed = 0;
+  for (NodeId x = 0; x < data.log.num_users(); ++x) {
+    if (data.log.ActionsPerformedBy(x) > data.log.ActionsPerformedBy(seed)) {
+      seed = x;
+    }
+  }
+  ASSERT_TRUE((*remote)->CommitSeed(seed).ok());
+  session.router().CommitSeed(seed);
+
+  NodeId probe = 0;
+  while (probe == seed || data.log.ActionsPerformedBy(probe) == 0) ++probe;
+  const std::uint64_t reconnects = CounterValue("net.reconnects");
+  const std::uint64_t failovers = CounterValue("net.failovers");
+  auto refused = (*remote)->MarginalGain(probe);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().ToString();
+
+  // A deterministic error is not a failover: no replica was abandoned,
+  // no connection re-dialed, and every stream — the erring slot's and
+  // the two whose replies were drained around it — answers the next
+  // queries bit-exactly against the committed session.
+  proxy.set_forging(false);
+  for (NodeId x = 0; x < data.log.num_users(); x += 3) {
+    auto gain = (*remote)->MarginalGain(x);
+    ASSERT_TRUE(gain.ok()) << gain.status().ToString();
+    ASSERT_TRUE(SameBits(*gain, session.router().MarginalGain(x)))
+        << "node " << x;
+  }
+  EXPECT_EQ(CounterValue("net.reconnects"), reconnects);
+  EXPECT_EQ(CounterValue("net.failovers"), failovers);
+}
+
 // ------------------------------------------------- distributed tracing
 
 /// Runs traced MarginalGain queries against `remote` until one actually
@@ -751,8 +1151,10 @@ TEST(TracingTest, RemoteGainTraceStitchesClientAndServerSpans) {
   std::map<std::uint64_t, const TraceSpan*> by_id;
   for (const TraceSpan& s : trace.spans) by_id[s.span_id] = &s;
 
-  // One client net.rpc span per slot, parented under the query root.
+  // One net.fanout span under the query root, and one client net.rpc
+  // span per slot under it: the RPCs overlap instead of chaining.
   std::size_t rpc_spans = 0, server_requests = 0, server_folds = 0;
+  std::size_t fanout_spans = 0;
   std::uint32_t remote_flagged = 0;
   std::set<std::uint32_t> origins;
   for (const TraceSpan& s : trace.spans) {
@@ -779,16 +1181,29 @@ TEST(TracingTest, RemoteGainTraceStitchesClientAndServerSpans) {
     } else {
       EXPECT_EQ(s.rec.origin, 0u);  // local spans stay origin 0
     }
+    if (s.rec.name_id == kSpanNetFanout) {
+      ++fanout_spans;
+      EXPECT_EQ(s.parent_span_id, trace.root_span_id);
+      EXPECT_EQ(s.rec.detail, 2u);  // slot count
+    }
     if (s.rec.name_id == kSpanNetRpc) {
       ++rpc_spans;
-      EXPECT_EQ(s.parent_span_id, trace.root_span_id);
+      auto parent = by_id.find(s.parent_span_id);
+      ASSERT_NE(parent, by_id.end());
+      EXPECT_EQ(parent->second->rec.name_id, kSpanNetFanout);
       EXPECT_EQ(s.rec.flags & kSpanFlagRemote, 0);
+      // The fan-out envelope holds each of its RPCs.
+      EXPECT_GE(s.rec.start_ns, parent->second->rec.start_ns);
+      EXPECT_LE(s.rec.start_ns + s.rec.duration_ns,
+                parent->second->rec.start_ns +
+                    parent->second->rec.duration_ns);
     }
     if (s.rec.name_id == kSpanServerRequest) ++server_requests;
     if (s.rec.name_id == kSpanServerFold) ++server_folds;
   }
-  // The fold chains through both slots: a client RPC and a remote
+  // The gain fans out to both slots: a client RPC and a remote
   // server.request + server.fold from each.
+  EXPECT_EQ(fanout_spans, 1u);
   EXPECT_EQ(rpc_spans, 2u);
   EXPECT_EQ(server_requests, 2u);
   EXPECT_EQ(server_folds, 2u);
@@ -799,6 +1214,7 @@ TEST(TracingTest, RemoteGainTraceStitchesClientAndServerSpans) {
   // The trace exports as Chrome trace-event JSON with both sides named.
   const std::string json = collector.TraceEventJson();
   EXPECT_NE(json.find("\"net.rpc\""), std::string::npos);
+  EXPECT_NE(json.find("\"net.fanout\""), std::string::npos);
   EXPECT_NE(json.find("\"server.fold\""), std::string::npos);
 }
 

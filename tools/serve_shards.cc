@@ -1006,8 +1006,9 @@ int RunBenchNet(GenerationManager& manager, const std::string& dir, int k,
     std::fprintf(stderr, "no active users, nothing to bench\n");
     return 1;
   }
-  // Each remote gain is one fold chain (num_shards round trips); cap the
-  // sweep so the bench stays seconds, not minutes, on big corpora.
+  // Each remote gain is one fan-out (num_shards round trips in flight);
+  // cap the sweep so the bench stays seconds, not minutes, on big
+  // corpora.
   constexpr std::size_t kMaxSweep = 4096;
   if (active.size() > kMaxSweep) active.resize(kMaxSweep);
 

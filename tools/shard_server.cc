@@ -11,8 +11,8 @@
 // actions=[b,e)`) so scripts and tests can scrape them. --shard=-1
 // (default) serves every shard of the generation — the single-process
 // fallback; a scale-out deployment runs one process per shard and a
-// RemoteShardRouter (serve_shards --connect) chains the fold across
-// them.
+// RemoteShardRouter (serve_shards --connect) fans each query out to
+// them and folds their gain terms in range order.
 //
 // The daemon then reads commands from stdin (EOF stops the server —
 // killing the parent pipe is a clean shutdown):
