@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -28,6 +29,7 @@
 #include "datagen/cascade_generator.h"
 #include "graph/generators.h"
 #include "graph/pagerank.h"
+#include "obs/metrics.h"
 #include "probability/em_learner.h"
 #include "probability/time_params.h"
 #include "propagation/monte_carlo.h"
@@ -68,6 +70,19 @@ const MicroFixture& Fixture(NodeId nodes) {
   auto& slot = (*fixtures)[nodes];
   if (!slot) slot = std::make_unique<MicroFixture>(nodes);
   return *slot;
+}
+
+// The `n` most active users, by action count (ties to smaller id).
+std::vector<NodeId> BusiestUsers(const ActionLog& log, std::size_t n) {
+  std::vector<NodeId> users(log.num_users());
+  for (NodeId u = 0; u < log.num_users(); ++u) users[u] = u;
+  std::sort(users.begin(), users.end(), [&](NodeId a, NodeId b) {
+    const auto na = log.ActionsPerformedBy(a);
+    const auto nb = log.ActionsPerformedBy(b);
+    return na != nb ? na > nb : a < b;
+  });
+  users.resize(std::min(n, users.size()));
+  return users;
 }
 
 void BM_ScanActionLog(benchmark::State& state) {
@@ -118,15 +133,7 @@ void BM_CommitSeed(benchmark::State& state) {
   config.scan_threads = threads;
   ScanArenaPool arena_pool;  // rebuild-per-iteration reuses scan arenas
   config.arena_pool = &arena_pool;
-  // The 8 busiest users, by action count (ties to smaller id).
-  std::vector<NodeId> busiest(fx.data.graph.num_nodes());
-  for (NodeId u = 0; u < fx.data.graph.num_nodes(); ++u) busiest[u] = u;
-  std::sort(busiest.begin(), busiest.end(), [&](NodeId a, NodeId b) {
-    const auto na = fx.data.log.ActionsPerformedBy(a);
-    const auto nb = fx.data.log.ActionsPerformedBy(b);
-    return na != nb ? na > nb : a < b;
-  });
-  busiest.resize(8);
+  const std::vector<NodeId> busiest = BusiestUsers(fx.data.log, 8);
   std::uint64_t actions_committed = 0;
   for (auto _ : state) {
     state.PauseTiming();  // rebuilding the store is not the measured op
@@ -229,6 +236,40 @@ void BM_SnapshotTopKSeeds(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SnapshotTopKSeeds)->Arg(500)->Arg(2000);
+
+// One what-if session on one engine, the shape of perfbench's what-if
+// phase: commit the 5 busiest users (the commits whose copy-on-write
+// footprint is largest), ask 20 gains against that set (the next 20
+// busiest users), then rewind. Commits dominate; the overlay_entries
+// counter is the credits one session copied (serve.overlay.entries).
+void BM_SnapshotWhatIfSession(benchmark::State& state) {
+  const auto nodes = static_cast<NodeId>(state.range(0));
+  const std::string& path = SnapshotPath(nodes);
+  auto view = CreditSnapshotView::Open(path);
+  INFLUMAX_CHECK(view.ok());
+  SnapshotQueryEngine engine(*view);
+  const std::vector<NodeId> busiest = BusiestUsers(Fixture(nodes).data.log, 25);
+  INFLUMAX_CHECK(busiest.size() == 25);
+  const std::span<const NodeId> commits(busiest.data(), 5);
+  const std::span<const NodeId> gains(busiest.data() + 5, 20);
+  const auto copied = [] {
+    const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
+    const auto* c = snap.FindCounter("serve.overlay.entries");
+    return c != nullptr ? c->value : 0;
+  };
+  const std::uint64_t copied_before = copied();
+  double sink = 0.0;
+  for (auto _ : state) {
+    for (NodeId x : commits) engine.CommitSeed(x);
+    for (NodeId x : gains) sink += engine.MarginalGain(x);
+    engine.ResetSession();
+  }
+  benchmark::DoNotOptimize(sink);
+  state.counters["overlay_entries"] =
+      static_cast<double>(copied() - copied_before) /
+      static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_SnapshotWhatIfSession)->Arg(500)->Arg(2000);
 
 void BM_RebuildTopKSeeds(benchmark::State& state) {
   // What every query cost before the serving layer: Build() + the

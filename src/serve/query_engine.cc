@@ -17,7 +17,8 @@ namespace {
 // are fed only by the sampled TimedMarginalGain path, so their counters
 // move in units of kObsSampleEvery; the coarse operations record
 // exactly. The overlay histograms are recorded at ResetSession — the
-// moment the session's copy-on-write footprint is final.
+// moment the session's copy-on-write footprint is final; the copied
+// entry count is added per commit.
 struct EngineMetrics {
   Counter* gain_queries;
   Timer* gain_latency;
@@ -30,8 +31,9 @@ struct EngineMetrics {
   Counter* resets;
   Timer* reset_latency;
   Timer* spread_latency;
-  Timer* overlay_actions;
+  Timer* overlay_slots;
   Timer* overlay_bytes;
+  Counter* overlay_entries;
 };
 
 const EngineMetrics& GetEngineMetrics() {
@@ -49,8 +51,9 @@ const EngineMetrics& GetEngineMetrics() {
         reg.FindOrCreateCounter("serve.reset.count"),
         reg.FindOrCreateTimer("serve.reset.latency"),
         reg.FindOrCreateTimer("serve.spread.latency"),
-        reg.FindOrCreateTimer("serve.overlay.actions"),
+        reg.FindOrCreateTimer("serve.overlay.slots"),
         reg.FindOrCreateTimer("serve.overlay.bytes"),
+        reg.FindOrCreateCounter("serve.overlay.entries"),
     };
   }();
   return metrics;
@@ -101,7 +104,10 @@ SnapshotQueryEngine::SnapshotQueryEngine(
       quot_ = own_quot_;
     }
   }
-  ovl_offset_.assign(view.num_actions(), kNotOverlaid);
+  ovl_offset_.assign(view.num_slots(), kNotOverlaid);
+  if (view.num_slots() > 0) {
+    zero_row_.assign(std::ranges::max(view.fwd_count()), 0.0);
+  }
   sc_cur_.assign(view.slot_sc().begin(), view.slot_sc().end());
   sc_dirty_.assign(view.num_slots(), 0);
   is_seed_.assign(view.num_users(), 0);
@@ -120,10 +126,49 @@ void SnapshotQueryEngine::EnsureScratch(CommitScratch* scratch) {
   }
 }
 
-const double* SnapshotQueryEngine::CreditsOf(ActionId a) const {
-  const std::uint64_t off = ovl_offset_[a];
-  if (off != kNotOverlaid) return ovl_buf_.data() + off;
-  return view_->fwd_credit().data() + view_->action_entry_begin()[a];
+const double* SnapshotQueryEngine::RowOf(std::uint64_t s) const {
+  const std::uint64_t off = ovl_offset_[s];
+  if (off == kNotOverlaid) {
+    return view_->fwd_credit().data() + view_->fwd_begin()[s];
+  }
+  if (off == kErased) return zero_row_.data();
+  return ovl_buf_.data() + off;
+}
+
+double* SnapshotQueryEngine::WritableRow(std::uint64_t s) {
+  std::uint64_t off = ovl_offset_[s];
+  if (off == kNotOverlaid) {
+    off = ovl_buf_.size();
+    const double* base = view_->fwd_credit().data() + view_->fwd_begin()[s];
+    ovl_buf_.insert(ovl_buf_.end(), base, base + view_->fwd_count()[s]);
+    ovl_offset_[s] = off;
+    ovl_slots_.push_back(s);
+  }
+  return ovl_buf_.data() + off;
+}
+
+void SnapshotQueryEngine::CollectLiveCreditors(
+    std::uint64_t s, std::vector<CommitScratch::LiveCreditor>* out) const {
+  const ActionId a = view_->slot_action()[s];
+  const auto fwd_begin = view_->fwd_begin();
+  const auto fwd_count = view_->fwd_count();
+  const auto bwd_node = view_->bwd_node();
+  const auto bwd_entry = view_->bwd_entry();
+  const std::uint64_t bb = view_->bwd_begin()[s];
+  const std::uint64_t bc = view_->bwd_count()[s];
+  for (std::uint64_t j = bb; j < bb + bc; ++j) {
+    // Every creditor of an action participates in it, so its slot must
+    // exist, and the record must point into that slot's row; the view
+    // only proves it lies in the action's slice, so tolerate a crafted
+    // file rather than read past the row (one unsigned compare also
+    // rejects an entry below the row's begin).
+    const std::uint64_t sv = view_->SlotOf(bwd_node[j], a);
+    if (sv == CreditSnapshotView::kNoSlot) continue;
+    const std::uint64_t off = bwd_entry[j] - fwd_begin[sv];
+    if (off >= fwd_count[sv]) continue;
+    const double credit = RowOf(sv)[off];
+    if (credit > 0.0) out->push_back({sv, credit});
+  }
 }
 
 template <typename TermFn>
@@ -136,8 +181,11 @@ void SnapshotQueryEngine::ForEachGainTerm(NodeId x, TermFn&& term) const {
   // so every returned gain is bit-identical to
   // CreditDistributionModel::MarginalGain. Fast mode reassociates the
   // per-slot sums within kFastMathRelErrorBound (docs/gain_kernel.md).
-  // Overlaid actions carry session-mutated credits the pool does not
+  // Rows this session wrote carry mutated credits the pool does not
   // reflect, so they divide on the fly in both modes — exact always.
+  // Unwritten rows fold the pool even when a sibling row of the same
+  // action was written: their credits are the base credits, all above
+  // kZeroEpsilon, so the divide path would add the same quotients.
   const auto au = au_;
   const std::uint32_t ax = au[x];
   if (ax == 0) return;
@@ -146,11 +194,9 @@ void SnapshotQueryEngine::ForEachGainTerm(NodeId x, TermFn&& term) const {
   const auto uo = view_->user_offsets();
   const std::uint64_t slot_begin = uo[x];
   const std::uint64_t slot_end = uo[x + 1];
-  const auto slot_action = view_->slot_action();
   const auto fwd_begin = view_->fwd_begin();
   const auto fwd_count = view_->fwd_count();
   const auto fwd_node = view_->fwd_node();
-  const auto aeb = view_->action_entry_begin();
   const double* quot = quot_.data();
   const bool fast = kernel_mode_ == GainKernelMode::kFastMath;
 
@@ -162,17 +208,14 @@ void SnapshotQueryEngine::ForEachGainTerm(NodeId x, TermFn&& term) const {
       continue;
     }
     const std::uint64_t fb = fwd_begin[s];
-    const ActionId a = slot_action[s];
-    const std::uint64_t off = ovl_offset_[a];
     double mga;
-    if (off != kNotOverlaid) {
-      const double* credits = ovl_buf_.data() + off;
-      const std::uint64_t base = aeb[a];
+    if (ovl_offset_[s] != kNotOverlaid) {
+      const double* credits = RowOf(s);
       mga = inv_ax;
-      for (std::uint64_t e = fb; e < fb + fc; ++e) {
-        const double credit = credits[e - base];
+      for (std::uint32_t i = 0; i < fc; ++i) {
+        const double credit = credits[i];
         if (credit > 0.0) {
-          mga += credit / au[fwd_node[e]];
+          mga += credit / au[fwd_node[fb + i]];
         }
       }
     } else if (fast) {
@@ -221,45 +264,35 @@ void SnapshotQueryEngine::CommitOneSlot(
     std::uint64_t s, NodeId x, CommitScratch* scratch,
     std::vector<std::uint64_t>* touched_out) {
   // Algorithm 5 for one slot (one action x performed) against the
-  // pre-created copy-on-write overlay. A credit of exactly 0.0 encodes
-  // "erased": live entries are always > kZeroEpsilon, and SubtractCredit's
+  // copy-on-write overlay. Only the rows of x's live creditors are
+  // written here, each copied on its first write; x's own row is erased
+  // by CommitSeed afterwards. A credit of exactly 0.0 encodes "erased":
+  // live entries are always > kZeroEpsilon, and SubtractCredit's
   // epsilon-erase is replayed below, so 0.0 is unambiguous.
-  const auto slot_action = view_->slot_action();
   const auto fwd_begin = view_->fwd_begin();
   const auto fwd_count = view_->fwd_count();
   const auto fwd_node = view_->fwd_node();
-  const auto bwd_begin = view_->bwd_begin();
-  const auto bwd_count = view_->bwd_count();
-  const auto bwd_node = view_->bwd_node();
-  const auto bwd_entry = view_->bwd_entry();
-  const auto aeb = view_->action_entry_begin();
 
   const std::uint32_t fc = fwd_count[s];
-  const std::uint32_t bc = bwd_count[s];
   // Nothing flows through this slot: x credits nobody and nobody
   // credits x for this action, so every loop below is empty — skip
   // before touching the overlay. (Algorithm 5 is a no-op here: no pairs
   // to subtract, no SC folds, an empty row to erase.)
-  if (fc == 0 && bc == 0) return;
+  if (fc == 0 && view_->bwd_count()[s] == 0) return;
 
-  const ActionId a = slot_action[s];
-  double* ovl = ovl_buf_.data() + ovl_offset_[a];
-  const std::uint64_t base = aeb[a];
+  const ActionId a = view_->slot_action()[s];
   const double sc_x = sc_cur_[s];
 
   // Snapshot the live rows up front, as the live CommitSeed does.
   scratch->credited.clear();
   scratch->creditors.clear();
   const std::uint64_t fb = fwd_begin[s];
-  for (std::uint64_t e = fb; e < fb + fc; ++e) {
-    const double credit = ovl[e - base];
-    if (credit > 0.0) scratch->credited.push_back({fwd_node[e], credit});
+  const double* row_x = RowOf(s);
+  for (std::uint32_t i = 0; i < fc; ++i) {
+    const double credit = row_x[i];
+    if (credit > 0.0) scratch->credited.push_back({fwd_node[fb + i], credit});
   }
-  const std::uint64_t bb = bwd_begin[s];
-  for (std::uint64_t j = bb; j < bb + bc; ++j) {
-    const double credit = ovl[bwd_entry[j] - base];
-    if (credit > 0.0) scratch->creditors.push_back({bwd_node[j], credit});
-  }
+  CollectLiveCreditors(s, &scratch->creditors);
 
   // Lemma 2: subtract the through-x path product from every
   // (creditor, credited) pair. The live code addresses each pair by
@@ -271,25 +304,24 @@ void SnapshotQueryEngine::CommitOneSlot(
     scratch->stamp_epoch[cu.node] = epoch;
     scratch->stamp_credit[cu.node] = cu.credit;
   }
-  for (const CommitScratch::LiveEntry& cv : scratch->creditors) {
-    // Every creditor of an action participates in it, so its slot must
-    // exist; tolerate a crafted file rather than index out of bounds.
-    const std::uint64_t sv = view_->SlotOf(cv.node, a);
-    if (sv == CreditSnapshotView::kNoSlot) continue;
-    const std::uint64_t vb = fwd_begin[sv];
-    const std::uint32_t vc = fwd_count[sv];
-    for (std::uint64_t e = vb; e < vb + vc; ++e) {
-      const NodeId u = fwd_node[e];
+  for (const CommitScratch::LiveCreditor& cv : scratch->creditors) {
+    // A live creditor's row always takes the column erase, so this is
+    // the moment it is first written: copy it now (a no-op on the
+    // parallel path, whose pre-pass copied it).
+    double* row = WritableRow(cv.slot);
+    const std::uint64_t vb = fwd_begin[cv.slot];
+    const std::uint32_t vc = fwd_count[cv.slot];
+    for (std::uint32_t i = 0; i < vc; ++i) {
+      const NodeId u = fwd_node[vb + i];
       if (u == x) {
-        ovl[e - base] = 0.0;  // column erase: drop (creditor -> x)
+        row[i] = 0.0;  // column erase: drop (creditor -> x)
         continue;
       }
       if (scratch->stamp_epoch[u] != epoch) continue;
-      const double credit = ovl[e - base];
+      const double credit = row[i];
       if (credit == 0.0) continue;  // truncated away or already erased
       const double next = credit - cv.credit * scratch->stamp_credit[u];
-      ovl[e - base] =
-          next <= ActionCreditTable::kZeroEpsilon ? 0.0 : next;
+      row[i] = next <= ActionCreditTable::kZeroEpsilon ? 0.0 : next;
     }
   }
   // Lemma 3: fold x's credit into SC for every user x credits. The slots
@@ -303,90 +335,78 @@ void SnapshotQueryEngine::CommitOneSlot(
     }
     sc_cur_[su] += cu.credit * (1.0 - sc_x);
   }
-  // Row erase: x has left the induced subgraph V - S.
-  for (std::uint64_t e = fb; e < fb + fc; ++e) {
-    ovl[e - base] = 0.0;
-  }
 }
 
 void SnapshotQueryEngine::CommitSeed(NodeId x) {
   // Algorithm 5 against the copy-on-write overlay. Slots of x reference
-  // distinct actions; their updates write disjoint overlay slices and
-  // disjoint SC-shadow slots, so after a serial overlay pre-pass (the
-  // only ovl_buf_ growth) the slots fan out over gain_threads() workers.
-  // Per-worker touched-slot logs are merged back in slot order, so the
-  // session state — every overlay credit, every SC value, the rewind log
-  // — is bit-identical to the serial commit for any thread count.
+  // distinct actions; their updates write disjoint overlay rows and
+  // disjoint SC-shadow slots, so the slots fan out over gain_threads()
+  // workers once a serial pre-pass has copied every row they will write
+  // (the only ovl_buf_ / ovl_slots_ growth on that path). Per-worker
+  // touched-slot logs are merged back in slot order, so the session
+  // state — every overlay credit, every SC value, the rewind log — is
+  // bit-identical to the serial commit for any thread count.
   if (x >= view_->num_users() || is_seed_[x]) return;
   std::uint64_t obs_t0 = 0;
   if constexpr (kObsEnabled) {
     if (obs_enabled_) obs_t0 = MonotonicNowNs();
   }
+  const std::uint64_t copied_before = ovl_buf_.size();
   const auto uo = view_->user_offsets();
   const std::uint64_t slot_begin = uo[x];
   const std::uint64_t slot_end = uo[x + 1];
   const std::size_t num_slots = slot_end - slot_begin;
-  if (num_slots > 0) {
-    // Overlay pre-pass: create every missing overlay for x's actions in
-    // slot order (one ovl_buf_ resize), then fill the copies in
-    // parallel — they are disjoint slices of the grown buffer.
-    const auto slot_action = view_->slot_action();
-    const auto aeb = view_->action_entry_begin();
-    fresh_actions_.clear();
-    std::uint64_t extra = 0;
+  const std::size_t workers =
+      std::min(EffectiveThreadCount(gain_threads_), num_slots);
+  if (workers <= 1) {
     for (std::uint64_t s = slot_begin; s < slot_end; ++s) {
-      const ActionId a = slot_action[s];
-      if (ovl_offset_[a] == kNotOverlaid) {
-        fresh_actions_.push_back(a);
-        extra += aeb[a + 1] - aeb[a];
+      CommitOneSlot(s, x, &commit_scratch_[0], &sc_touched_);
+    }
+  } else {
+    // Copy pre-pass: the live creditors each worker will write, found
+    // against the pre-commit state — which is what its worker sees, as
+    // no other slot's update writes this slot's action.
+    std::vector<CommitScratch::LiveCreditor>& creditors =
+        commit_scratch_[0].creditors;
+    for (std::uint64_t s = slot_begin; s < slot_end; ++s) {
+      creditors.clear();
+      CollectLiveCreditors(s, &creditors);
+      for (const CommitScratch::LiveCreditor& cv : creditors) {
+        WritableRow(cv.slot);
       }
     }
-    const std::size_t workers = std::min(
-        EffectiveThreadCount(gain_threads_), num_slots);
-    if (extra > 0) {
-      std::uint64_t off = ovl_buf_.size();
-      ovl_buf_.resize(off + extra);
-      for (const ActionId a : fresh_actions_) {
-        ovl_offset_[a] = off;
-        ovl_actions_.push_back(a);
-        off += aeb[a + 1] - aeb[a];
-      }
-      ParallelForDynamic(
-          fresh_actions_.size(), workers, [&](std::size_t, std::size_t i) {
-            const ActionId a = fresh_actions_[i];
-            const double* base = view_->fwd_credit().data() + aeb[a];
-            std::copy(base, base + (aeb[a + 1] - aeb[a]),
-                      ovl_buf_.data() + ovl_offset_[a]);
-          });
+    if (commit_scratch_.size() < workers) commit_scratch_.resize(workers);
+    touched_slices_.resize(num_slots);
+    ParallelForDynamic(
+        num_slots, workers, [&](std::size_t t, std::size_t i) {
+          CommitScratch& scratch = commit_scratch_[t];
+          EnsureScratch(&scratch);
+          const std::uint64_t offset = scratch.sc_touched.size();
+          CommitOneSlot(slot_begin + i, x, &scratch, &scratch.sc_touched);
+          touched_slices_[i] = {
+              static_cast<std::uint32_t>(t), offset,
+              static_cast<std::uint32_t>(scratch.sc_touched.size() -
+                                         offset)};
+        });
+    for (const ArenaSlice& slice : touched_slices_) {
+      const std::uint64_t* entries =
+          commit_scratch_[slice.worker].sc_touched.data() + slice.offset;
+      sc_touched_.insert(sc_touched_.end(), entries, entries + slice.count);
     }
-    if (workers <= 1) {
-      for (std::uint64_t s = slot_begin; s < slot_end; ++s) {
-        CommitOneSlot(s, x, &commit_scratch_[0], &sc_touched_);
-      }
-    } else {
-      if (commit_scratch_.size() < workers) commit_scratch_.resize(workers);
-      touched_slices_.resize(num_slots);
-      ParallelForDynamic(
-          num_slots, workers, [&](std::size_t t, std::size_t i) {
-            CommitScratch& scratch = commit_scratch_[t];
-            EnsureScratch(&scratch);
-            const std::uint64_t offset = scratch.sc_touched.size();
-            CommitOneSlot(slot_begin + i, x, &scratch, &scratch.sc_touched);
-            touched_slices_[i] = {
-                static_cast<std::uint32_t>(t), offset,
-                static_cast<std::uint32_t>(scratch.sc_touched.size() -
-                                           offset)};
-          });
-      for (const ArenaSlice& slice : touched_slices_) {
-        const std::uint64_t* entries =
-            commit_scratch_[slice.worker].sc_touched.data() + slice.offset;
-        sc_touched_.insert(sc_touched_.end(), entries,
-                           entries + slice.count);
-      }
-      for (CommitScratch& scratch : commit_scratch_) {
-        scratch.sc_touched.clear();
-      }
+    for (CommitScratch& scratch : commit_scratch_) {
+      scratch.sc_touched.clear();
     }
+  }
+  // Row erase: x has left the induced subgraph V - S. Nothing reads x's
+  // row of an action after that action's update, so erasing every row
+  // here is Algorithm 5's in-slot erase; no copy is made — the row reads
+  // the shared zero row from now on, and is never written again (a seed
+  // is nobody's live creditor, and is never committed twice).
+  const auto fwd_count = view_->fwd_count();
+  for (std::uint64_t s = slot_begin; s < slot_end; ++s) {
+    if (fwd_count[s] == 0) continue;
+    if (ovl_offset_[s] == kNotOverlaid) ovl_slots_.push_back(s);
+    ovl_offset_[s] = kErased;
   }
   is_seed_[x] = 1;
   committed_.push_back(x);
@@ -394,6 +414,7 @@ void SnapshotQueryEngine::CommitSeed(NodeId x) {
     if (obs_enabled_) {
       const EngineMetrics& m = GetEngineMetrics();
       m.commits->Increment();
+      m.overlay_entries->Add(ovl_buf_.size() - copied_before);
       m.commit_latency->Record(MonotonicNowNs() - obs_t0);
     }
   }
@@ -469,12 +490,12 @@ void SnapshotQueryEngine::ResetSession() {
       // The session's copy-on-write footprint is final here: record it
       // before the rewind clears it.
       const EngineMetrics& m = GetEngineMetrics();
-      m.overlay_actions->Record(ovl_actions_.size());
+      m.overlay_slots->Record(ovl_slots_.size());
       m.overlay_bytes->Record(ovl_buf_.size() * sizeof(double));
     }
   }
-  for (ActionId a : ovl_actions_) ovl_offset_[a] = kNotOverlaid;
-  ovl_actions_.clear();
+  for (std::uint64_t s : ovl_slots_) ovl_offset_[s] = kNotOverlaid;
+  ovl_slots_.clear();
   ovl_buf_.clear();  // keeps capacity: steady-state queries do not allocate
   const auto base_sc = view_->slot_sc();
   for (std::uint64_t s : sc_touched_) {
@@ -505,12 +526,11 @@ std::uint64_t SnapshotQueryEngine::ApproxMemoryBytes() const {
                      bytes_of(scratch.sc_touched);
   }
   return bytes_of(own_quot_) + bytes_of(ovl_offset_) + bytes_of(ovl_buf_) +
-         bytes_of(ovl_actions_) + bytes_of(sc_cur_) + bytes_of(sc_touched_) +
-         bytes_of(sc_dirty_) + bytes_of(is_seed_) + bytes_of(committed_) +
-         scratch_bytes + bytes_of(fresh_actions_) +
-         bytes_of(touched_slices_) + bytes_of(memo_gain_) +
-         bytes_of(memo_stamp_) + bytes_of(heap_) + bytes_of(batch_) +
-         bytes_of(gains_);
+         bytes_of(ovl_slots_) + bytes_of(zero_row_) + bytes_of(sc_cur_) +
+         bytes_of(sc_touched_) + bytes_of(sc_dirty_) + bytes_of(is_seed_) +
+         bytes_of(committed_) + scratch_bytes + bytes_of(touched_slices_) +
+         bytes_of(memo_gain_) + bytes_of(memo_stamp_) + bytes_of(heap_) +
+         bytes_of(batch_) + bytes_of(gains_);
 }
 
 Status IncrementalRescan(const CreditSnapshotView& view, const Graph& graph,

@@ -31,9 +31,11 @@ struct SnapshotSeedSelection {
 /// Where the live model's SelectSeeds() consumes its credit store (one
 /// shot per Build), the engine answers any number of queries against one
 /// immutable snapshot: committed seeds live in a per-engine
-/// copy-on-write overlay (one contiguous credit slice per touched
-/// action) plus an SC shadow array, both rewound in O(touched) by
-/// ResetSession(). The query path is allocation-free in steady state and
+/// copy-on-write overlay plus an SC shadow array, both rewound in
+/// O(touched) by ResetSession(). The overlay is slot-granular: a commit
+/// copies a forward row only when Algorithm 5 is about to write it (the
+/// rows of x's live creditors) and marks x's own rows erased without
+/// copying them. The query path is allocation-free in steady state and
 /// performs no hash-table lookups: node -> slot is an O(log A_u) binary
 /// search over the mmap'd CSR, everything else is direct indexing.
 ///
@@ -106,12 +108,13 @@ class SnapshotQueryEngine {
 
   /// Commits x into the session seed set (Algorithm 5 against the
   /// overlay). No-op when x is already a seed. The per-action updates
-  /// touch disjoint overlay slices and disjoint SC-shadow slots, so they
-  /// fan out over gain_threads() workers (after a serial overlay
-  /// pre-pass), with per-worker touched-slot logs merged in action order
-  /// — bit-identical to the serial commit for any thread count
-  /// (docs/parallelism.md). With the default gain_threads() == 1 the
-  /// serial path runs and no per-worker scratch is ever allocated.
+  /// write disjoint overlay rows and disjoint SC-shadow slots, so they
+  /// fan out over gain_threads() workers (after a serial pre-pass that
+  /// copies the live creditors' rows), with per-worker touched-slot logs
+  /// merged in action order — bit-identical to the serial commit for any
+  /// thread count (docs/parallelism.md). With the default
+  /// gain_threads() == 1 the serial path runs, copies each row as it is
+  /// first written, and never allocates per-worker scratch.
   void CommitSeed(NodeId x);
 
   /// sigma_cd of `seeds` (committed in order over a fresh session; the
@@ -144,10 +147,11 @@ class SnapshotQueryEngine {
   /// both CELF passes, the router's chained fold (src/serve/gain_kernel.h,
   /// docs/gain_kernel.md). kExact (default) keeps the bit-identity
   /// contract; kFastMath vectorizes the per-slot quotient sums within
-  /// kFastMathRelErrorBound. Overlaid actions always take the exact
-  /// divide path (their precomputed quotients are stale), so committed
-  /// sessions stay exact in both modes. Not a concurrent-safe setter:
-  /// set it between queries, like the other session mutations.
+  /// kFastMathRelErrorBound. Slots whose rows this session wrote always
+  /// take the exact divide path (their precomputed quotients are stale);
+  /// every other slot folds the pool in the selected mode. Not a
+  /// concurrent-safe setter: set it between queries, like the other
+  /// session mutations.
   void set_kernel_mode(GainKernelMode mode) { kernel_mode_ = mode; }
   GainKernelMode kernel_mode() const { return kernel_mode_; }
 
@@ -179,8 +183,14 @@ class SnapshotQueryEngine {
       NodeId node;
       double credit;
     };
+    // A live creditor of x, carrying its own slot so Lemma 2 writes the
+    // creditor's row without repeating the SlotOf binary search.
+    struct LiveCreditor {
+      std::uint64_t slot;
+      double credit;
+    };
     std::vector<LiveEntry> credited;
-    std::vector<LiveEntry> creditors;
+    std::vector<LiveCreditor> creditors;
     // Credited-user stamps (epoch-tagged so clearing is free), sized [U]
     // lazily by EnsureScratch.
     std::vector<std::uint64_t> stamp_epoch;
@@ -189,15 +199,26 @@ class SnapshotQueryEngine {
     std::vector<std::uint64_t> sc_touched;  // parallel path: deferred log
   };
 
-  /// Credits of action a, through the overlay when present, indexed by
-  /// (entry - action_entry_begin[a]).
-  const double* CreditsOf(ActionId a) const;
+  /// Credits of slot s's forward row, indexed by (entry - fwd_begin[s]):
+  /// the row's overlay copy when this session wrote it, the shared zero
+  /// row once it was erased, the view's base credits otherwise.
+  const double* RowOf(std::uint64_t s) const;
+
+  /// Slot s's overlay row, copied from the view (and logged for the
+  /// rewind) on first write. Never called on an erased row: an erased
+  /// row reads all 0.0, so its user is never a live creditor.
+  double* WritableRow(std::uint64_t s);
+
+  /// Appends the live creditors of slot s (positive credit to the slot's
+  /// user, read through the overlay) to `*out`, in backward-record order.
+  void CollectLiveCreditors(
+      std::uint64_t s, std::vector<CommitScratch::LiveCreditor>* out) const;
 
   /// Algorithm 5 for one slot of x (one action): Lemma 2 subtractions +
-  /// column erase against the action's (pre-created) overlay, Lemma 3 SC
-  /// folds, row erase. Touched SC slots are logged to `*touched_out`
-  /// (&sc_touched_ on the serial path; the scratch's own log on the
-  /// parallel path, merged in action order afterwards).
+  /// column erase against the creditors' overlay rows, Lemma 3 SC folds.
+  /// Touched SC slots are logged to `*touched_out` (&sc_touched_ on the
+  /// serial path; the scratch's own log on the parallel path, merged in
+  /// action order afterwards). x's own row erase is left to CommitSeed.
   void CommitOneSlot(std::uint64_t s, NodeId x, CommitScratch* scratch,
                      std::vector<std::uint64_t>* touched_out);
 
@@ -227,12 +248,16 @@ class SnapshotQueryEngine {
   GainKernelMode kernel_mode_ = GainKernelMode::kExact;
   bool obs_enabled_ = true;
 
-  // Copy-on-write credit overlay: per-action offset into ovl_buf_
-  // (kNotOverlaid when the action is untouched this session).
+  // Copy-on-write credit overlay, one forward row per written slot:
+  // offset of the row's copy in ovl_buf_, kNotOverlaid while the row
+  // reads from the view, kErased once its user became a seed (the row
+  // then reads zero_row_, sized to the view's largest fwd_count).
   static constexpr std::uint64_t kNotOverlaid = ~0ULL;
-  std::vector<std::uint64_t> ovl_offset_;  // [A]
-  std::vector<double> ovl_buf_;            // bump-allocated slices
-  std::vector<ActionId> ovl_actions_;      // touched, for O(touched) reset
+  static constexpr std::uint64_t kErased = ~0ULL - 1;
+  std::vector<std::uint64_t> ovl_offset_;  // [S]
+  std::vector<double> ovl_buf_;            // bump-allocated row copies
+  std::vector<std::uint64_t> ovl_slots_;   // written, for O(touched) reset
+  std::vector<double> zero_row_;
 
   // SC shadow: base values copied at construction, per-slot undo log.
   std::vector<double> sc_cur_;             // [S]
@@ -244,11 +269,10 @@ class SnapshotQueryEngine {
   std::vector<std::uint8_t> is_seed_;      // [U]
   std::vector<NodeId> committed_;          // session commits, in order
 
-  // CommitSeed workspaces: scratch per worker (see CommitScratch), the
-  // overlay pre-pass's fresh-action list, and the parallel path's
-  // per-action ArenaSlice refs for the deterministic touched-log merge.
+  // CommitSeed workspaces: scratch per worker (see CommitScratch) and
+  // the parallel path's per-action ArenaSlice refs for the
+  // deterministic touched-log merge.
   std::vector<CommitScratch> commit_scratch_;
-  std::vector<ActionId> fresh_actions_;
   std::vector<ArenaSlice> touched_slices_;
 
   // CELF speculation memo (TopKSeeds): gain of a node re-evaluated in a

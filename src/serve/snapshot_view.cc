@@ -210,9 +210,11 @@ Result<CreditSnapshotView> CreditSnapshotView::Open(const std::string& path) {
                   std::to_string(a) + " out of range");
       return cursor.status();
     }
-    // Adjacency ranges must stay inside their action's entry slice: the
-    // engine's copy-on-write overlay indexes credits by (entry - begin of
-    // the slot's action).
+    // Adjacency ranges must stay inside their action's entry slice, so
+    // every index the engine follows stays in bounds. A backward record
+    // is proven to lie in its action's slice only, not in its
+    // creditor's row; the engine, which reads it relative to that row,
+    // skips a record that falls outside.
     const std::uint64_t fb = view.fwd_begin_[s];
     const std::uint64_t fc = view.fwd_count_[s];
     if (fb < aeb[a] || fb > aeb[a + 1] || fc > aeb[a + 1] - fb) {

@@ -24,9 +24,11 @@ namespace influmax {
 /// Invariants the query engine relies on:
 ///  * slots are user-major (user_offsets CSR over users, actions ascending
 ///    within a user — exactly ActionLog::UserActions order);
-///  * entries are action-major (action_entry_begin CSR) so a per-query
-///    copy-on-write overlay can shadow one action's credits as a single
-///    contiguous slice;
+///  * entries are action-major (action_entry_begin CSR) so an action's
+///    credits are one contiguous slice (the shard slicer and the
+///    incremental rescan copy actions whole), and each slot's forward
+///    row is contiguous within it — the unit the query engine's
+///    copy-on-write overlay shadows;
 ///  * forward lists preserve the live ActionCreditTable adjacency order
 ///    (the scan's first-touch order) with stale ids dropped, which keeps
 ///    floating-point summation order — and therefore every marginal gain —

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -285,6 +286,57 @@ TEST(SnapshotTest, RejectsMissingTruncatedAndMangledFiles) {
     std::ofstream(path, std::ios::trunc) << "just some text\n";
     EXPECT_FALSE(CreditSnapshotView::Open(path).ok());
   }
+  std::remove(path.c_str());
+}
+
+// A backward record is validated only against its action's entry slice,
+// not against its creditor's row. The engine reads a creditor's credit
+// relative to that creditor's own row (its overlay copy, or the shared
+// zero row once the creditor is a seed), so a record pointing into
+// another slot of the same action must be skipped, not followed.
+TEST(SnapshotTest, ForgedBackwardRecordIntoAnotherSlotIsSkipped) {
+  auto ex = MakePaperExample();
+  EqualDirectCredit credit;
+  auto model = BuildModel(ex.graph, ex.log, credit);
+  SnapshotData data = BuildSnapshotData(model.store(), ex.graph, ex.log,
+                                        /*truncation_threshold=*/0.0, {});
+  const ActionId a = 0;
+  const std::uint64_t first = data.action_entry_begin[a];
+  const std::uint64_t last = data.action_entry_begin[a + 1] - 1;
+  const std::uint64_t su = data.SlotOf(PaperExample::kU, a);
+  int forged = 0;
+  for (std::uint64_t j = data.bwd_begin[su];
+       j < data.bwd_begin[su] + data.bwd_count[su]; ++j) {
+    const std::uint64_t sv = data.SlotOf(data.bwd_node[j], a);
+    if (data.bwd_node[j] == PaperExample::kT) {
+      // Below t's row: the first entry of the action, in v's row.
+      ASSERT_GT(data.fwd_begin[sv], first);
+      data.bwd_entry[j] = first;
+      ++forged;
+    } else if (data.bwd_node[j] == PaperExample::kV) {
+      // Past v's row, and past the zero row v reads once it is a seed.
+      ASSERT_GE(last, data.fwd_begin[sv] + data.fwd_count[sv]);
+      data.bwd_entry[j] = last;
+      ++forged;
+    }
+  }
+  ASSERT_EQ(forged, 2);
+  const std::string path = TempPath("forged_bwd.snap");
+  ASSERT_TRUE(WriteSnapshotFile(data, path).ok());
+  auto view = CreditSnapshotView::Open(path);
+  ASSERT_TRUE(view.ok()) << view.status().message();
+
+  SnapshotQueryEngine engine(*view);
+  engine.CommitSeed(PaperExample::kV);  // v's row now reads the zero row
+  engine.CommitSeed(PaperExample::kU);  // walks the forged records
+  EXPECT_EQ(engine.session_seeds().size(), 2u);
+  for (NodeId x = 0; x < 6; ++x) {
+    const double gain = engine.MarginalGain(x);
+    EXPECT_TRUE(std::isfinite(gain)) << "node " << x;
+    EXPECT_GE(gain, 0.0) << "node " << x;
+  }
+  engine.ResetSession();
+  EXPECT_TRUE(engine.session_seeds().empty());
   std::remove(path.c_str());
 }
 
