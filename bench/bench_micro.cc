@@ -33,7 +33,6 @@
 #include "probability/em_learner.h"
 #include "probability/time_params.h"
 #include "propagation/monte_carlo.h"
-#include "serve/gain_kernel.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot_view.h"
 #include "shard/generation_manager.h"
@@ -289,17 +288,15 @@ void BM_RebuildTopKSeeds(benchmark::State& state) {
 BENCHMARK(BM_RebuildTopKSeeds)->Arg(500)->Arg(2000);
 
 // ------------------------------------------------- gain-kernel benches
-// The quotient-pool claim (docs/gain_kernel.md): folding the snapshot's
-// precomputed fwd_quotient stream beats the divide-and-gather fold the
-// engine used before the pool existed, and the fast_math kernel
-// vectorizes the per-slot sums on top. BM_GainKernelLegacy replays the
-// old fold verbatim over the raw view arrays (per-entry credit /
-// au[fwd_node[e]] division, skip-if-zero branch); BM_GainKernelExact is
-// the engine's default division-free fold (bit-identical results);
-// BM_GainKernelFast is GainKernelMode::kFastMath. The fixture is one
+// The quotient-pool claim (docs/gain_kernel.md): summing the snapshot's
+// precomputed fixed-point fwd_quotient stream beats the divide-and-gather
+// fold the engine used before the pool existed. BM_GainKernelLegacy
+// replays the old double fold verbatim over the raw view arrays
+// (per-entry credit / au[fwd_node[e]] division, skip-if-zero branch);
+// BM_GainKernelExact is the engine's integer sum. The fixture is one
 // huge action — every node activating in id order under equal credit,
 // lambda 0.001 — so the per-slot forward lists are long enough for the
-// vector sums to dominate.
+// inner sum to dominate.
 
 const std::string& DenseSnapshotPath() {
   static auto* path = new std::string();
@@ -364,11 +361,10 @@ void BM_GainKernelLegacy(benchmark::State& state) {
 }
 BENCHMARK(BM_GainKernelLegacy);
 
-void RunGainKernelBench(benchmark::State& state, GainKernelMode mode) {
+void BM_GainKernelExact(benchmark::State& state) {
   auto view = CreditSnapshotView::Open(DenseSnapshotPath());
   INFLUMAX_CHECK(view.ok());
   SnapshotQueryEngine engine(*view);
-  engine.set_kernel_mode(mode);
   NodeId node = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.MarginalGain(node));
@@ -376,21 +372,12 @@ void RunGainKernelBench(benchmark::State& state, GainKernelMode mode) {
   }
   state.counters["entries"] = static_cast<double>(view->num_entries());
 }
-
-void BM_GainKernelExact(benchmark::State& state) {
-  RunGainKernelBench(state, GainKernelMode::kExact);
-}
 BENCHMARK(BM_GainKernelExact);
-
-void BM_GainKernelFast(benchmark::State& state) {
-  RunGainKernelBench(state, GainKernelMode::kFastMath);
-}
-BENCHMARK(BM_GainKernelFast);
 
 // ---------------------------------------------- sharded-serving benches
 // Sharded serving (docs/sharding.md): BM_ShardRouterGain is the routed
-// marginal gain — the shard-order gain-term fold across one engine per
-// shard — with the shard count as the range argument (the /1 row is the
+// marginal gain — the sum of one engine's partial per shard — with the
+// shard count as the range argument (the /1 row is the
 // single-shard baseline; every row returns the identical bits).
 // BM_GenerationSwap is one full generation swap under a live session:
 // flip CURRENT, RefreshFromDisk (manifest read + blob validation +

@@ -26,10 +26,6 @@ struct BenchJsonRecord {
   double p50_ns = 0.0;
   double p95_ns = 0.0;
   double p99_ns = 0.0;
-  /// Optional gain-kernel label ("exact" | "fast", src/serve/gain_kernel.h),
-  /// emitted when non-empty so the archived perf trajectory distinguishes
-  /// exact from fast_math numbers. tools/bench_compare.py ignores it.
-  std::string mode;
   /// Optional plain value (counters and gauges from the metrics registry
   /// land here via AppendMetricsJsonRecords), emitted when has_value is
   /// set. tools/bench_compare.py ignores it.
@@ -62,9 +58,6 @@ inline int WriteBenchJson(const std::string& path,
       std::fprintf(out,
                    ", \"p50_ns\": %.3f, \"p95_ns\": %.3f, \"p99_ns\": %.3f",
                    records[i].p50_ns, records[i].p95_ns, records[i].p99_ns);
-    }
-    if (!records[i].mode.empty()) {
-      std::fprintf(out, ", \"mode\": \"%s\"", records[i].mode.c_str());
     }
     if (records[i].has_value) {
       std::fprintf(out, ", \"value\": %.3f", records[i].value);

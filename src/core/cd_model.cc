@@ -8,6 +8,7 @@
 #include "actionlog/propagation_dag.h"
 #include "common/parallel.h"
 #include "core/celf.h"
+#include "core/fixed_gain.h"
 
 namespace influmax {
 
@@ -368,24 +369,27 @@ double CreditDistributionModel::MarginalGain(NodeId x) const {
   //   sigma(S+x) - sigma(S) =
   //     sum_a (1 - Gamma_{S,x}(a)) * sum_u Gamma^{V-S}_{x,u}(a) / A_u,
   // where the u = x term contributes 1/A_x for every action x performed.
+  // Each quotient is rounded to the fixed-point grid and every sum is an
+  // integer sum (core/fixed_gain.h), so the adjacency order does not
+  // matter and the snapshot engine reproduces these bits exactly.
   if (is_seed_[x]) return 0.0;  // Theorem 3 assumes x is not in S
   const std::uint32_t ax = log_->ActionsPerformedBy(x);
   if (ax == 0) return 0.0;
-  const double inv_ax = 1.0 / ax;
+  const FixedGain inv_ax = ToFixed(1.0 / ax);
 
-  double mg = 0.0;
+  GainAccum mg = 0;
   for (const UserAction& ua : log_->UserActions(x)) {
     const ActionCreditTable& table = store_.table(ua.action);
-    double mga = inv_ax;
+    GainAccum mga = inv_ax;
     for (NodeId u : table.CreditedUsers(x)) {
       const double credit = table.Credit(x, u);
       if (credit > 0.0) {
-        mga += credit / log_->ActionsPerformedBy(u);
+        mga += ToFixed(credit / log_->ActionsPerformedBy(u));
       }
     }
-    mg += mga * (1.0 - store_.SetCredit(x, ua.action));
+    mg += SlotTerm(mga, store_.SetCredit(x, ua.action));
   }
-  return mg;
+  return FromFixed(mg);
 }
 
 void CreditDistributionModel::CommitSeedOneAction(

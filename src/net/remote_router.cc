@@ -9,12 +9,6 @@
 namespace influmax {
 namespace {
 
-/// CELF initial-pass batch budget in (1 + A_x) units, a sixteenth of the
-/// server's kMaxGainTermsPerRequest refusal line: at 4 slots a per-slot
-/// reply stays near half a MiB, so the prefetch adds little to a shard
-/// server's peak memory.
-constexpr std::uint64_t kPrefetchBatchBudget = kMaxGainTermsPerRequest / 16;
-
 /// Failures that justify trying another replica: the transient-network
 /// class (refused/reset/timed-out/closed, a replica at capacity or past
 /// the deadline) plus Corruption — a torn or fingerprint-mismatched
@@ -88,7 +82,6 @@ Result<std::unique_ptr<RemoteShardRouter>> RemoteShardRouter::Connect(
   }
   std::unique_ptr<RemoteShardRouter> router(new RemoteShardRouter());
   router->options_ = options;
-  router->kernel_mode_ = options.kernel_mode;
   router->slots_.resize(options.replica_sets.size());
   for (std::size_t s = 0; s < options.replica_sets.size(); ++s) {
     router->slots_[s].replicas = options.replica_sets[s];
@@ -158,8 +151,8 @@ Status RemoteShardRouter::ConnectAll(std::uint64_t pin) {
   }
 
   // Topology: one generation/dataset, ranges contiguous ascending and
-  // covering [0, num_actions) — the precondition of the ordered client
-  // fold.
+  // covering [0, num_actions) — so the slots' partials count every
+  // action exactly once.
   ActionId expect = 0;
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     const HelloResponse& h = slots_[s].hello;
@@ -176,7 +169,7 @@ Status RemoteShardRouter::ConnectAll(std::uint64_t pin) {
       return Status::FailedPrecondition(
           "slot " + std::to_string(s) + " covers actions [" +
           std::to_string(h.action_begin) + ", " +
-          std::to_string(h.action_end) + ") but the range-order fold needs "
+          std::to_string(h.action_end) + ") but the range partition needs "
           "it to start at " + std::to_string(expect) +
           " (slots must be listed in ascending range order)");
     }
@@ -294,7 +287,6 @@ Status RemoteShardRouter::SendRequest(Slot& slot, MsgType type,
   rpc->parent_span_id = 0;
   Frame frame;
   frame.header.type = static_cast<std::uint8_t>(type);
-  frame.header.kernel_mode = static_cast<std::uint8_t>(kernel_mode_);
   frame.header.generation = generation_;
   frame.header.deadline_us = deadline.remaining_us();
   frame.payload = request.buffer();
@@ -565,66 +557,47 @@ Status RemoteShardRouter::CheckNotPoisoned() const {
       "); ResetSession() or Refresh() to recover");
 }
 
-Status RemoteShardRouter::FoldGains(std::span<const NodeId> nodes,
-                                    double* gains) {
+Status RemoteShardRouter::SumGains(std::span<const NodeId> nodes,
+                                   double* gains) {
   // Theorem 3 splits a gain into one term per action x performed, and
-  // the slots partition the actions in range order. Adding every slot's
-  // terms in slot order is therefore the exact addition sequence of
-  // ShardRouter::MarginalGain — which process computed a term does not
-  // matter, only the order of the final additions, and that happens
-  // here. A failover re-asks one slot for the same terms.
-  GainTermsRequest request_msg;
+  // the slots partition the actions. Each slot returns its exact
+  // fixed-point partial per node, so adding them in any order — or
+  // re-asking one slot on failover — gives ShardRouter::MarginalGain's
+  // sum. A reply is validated whole before any of it is added, so a
+  // rejected reply leaves nothing behind for its replacement.
+  GainPartialsRequest request_msg;
   request_msg.nodes.assign(nodes.begin(), nodes.end());
   BufferWriter request;
-  EncodeGainTerms(request_msg, &request);
-  term_replies_.resize(slots_.size());
+  EncodeGainPartials(request_msg, &request);
+  partial_sums_.assign(nodes.size(), 0);
   const ReplyFn accept = [&](std::size_t s,
                              std::vector<std::uint8_t>* payload) -> Status {
     BufferReader reader(*payload);
-    Result<GainTermsResponse> reply = DecodeGainTermsOk(&reader);
+    Result<GainPartialsResponse> reply = DecodeGainPartialsOk(&reader);
     if (!reply.ok()) return reply.status();
-    if (reply->counts.size() != nodes.size()) {
+    if (reply->partials.size() != nodes.size()) {
       return Status::Corruption(
-          "gain terms: slot " + std::to_string(s) + " returned " +
-          std::to_string(reply->counts.size()) + " counts for " +
+          "gain partials: slot " + std::to_string(s) + " returned " +
+          std::to_string(reply->partials.size()) + " partials for " +
           std::to_string(nodes.size()) + " nodes");
     }
-    term_replies_[s] = std::move(reply).value();
+    for (std::size_t i = 0; i < nodes.size(); ++i) {
+      partial_sums_[i] += reply->partials[i];
+    }
     return Status::OK();
   };
-  INFLUMAX_RETURN_IF_ERROR(
-      FanOut(MsgType::kGainTerms, request, MsgType::kGainTermsOk, accept,
-             /*fail_over=*/true));
-
-  term_cursor_.assign(slots_.size(), 0);
+  INFLUMAX_RETURN_IF_ERROR(FanOut(MsgType::kGainPartials, request,
+                                  MsgType::kGainPartialsOk, accept,
+                                  /*fail_over=*/true));
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    double acc = 0.0;
-    std::uint64_t count = 0;
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      const GainTermsResponse& reply = term_replies_[s];
-      const std::uint32_t c = reply.counts[i];
-      const double* terms = reply.terms.data() + term_cursor_[s];
-      for (std::uint32_t t = 0; t < c; ++t) acc += terms[t];
-      term_cursor_[s] += c;
-      count += c;
-    }
-    // Each slot returns one term per action x performed in its range, so
-    // the slots' counts must add up to the hello's A_x. No single slot
-    // is to blame when they do not, so the query fails as Corruption.
-    if (count != au_[nodes[i]]) {
-      return Status::Corruption(
-          "gain terms: slots returned " + std::to_string(count) +
-          " terms for node " + std::to_string(nodes[i]) + " with A_x = " +
-          std::to_string(au_[nodes[i]]));
-    }
-    gains[i] = acc;
+    gains[i] = FromFixed(partial_sums_[i]);
   }
   return Status::OK();
 }
 
 Result<double> RemoteShardRouter::RemoteGain(NodeId x) {
   double gain = 0.0;
-  INFLUMAX_RETURN_IF_ERROR(FoldGains(std::span<const NodeId>(&x, 1), &gain));
+  INFLUMAX_RETURN_IF_ERROR(SumGains(std::span<const NodeId>(&x, 1), &gain));
   return gain;
 }
 
@@ -670,28 +643,18 @@ Result<double> RemoteShardRouter::SpreadOf(std::span<const NodeId> seeds) {
 }
 
 Status RemoteShardRouter::PrefetchGains(const std::vector<NodeId>& nodes) {
-  // Batches by reply size, not node count: a node costs one count plus
-  // A_x terms across the slots, so a batch's replies together stay under
-  // kPrefetchBatchBudget units (a single heavier node goes alone).
   std::vector<double> gains;
-  std::size_t begin = 0;
-  while (begin < nodes.size()) {
-    std::size_t end = begin;
-    std::uint64_t cost = 0;
-    while (end < nodes.size()) {
-      const std::uint64_t node_cost = 1 + std::uint64_t{au_[nodes[end]]};
-      if (end > begin && cost + node_cost > kPrefetchBatchBudget) break;
-      cost += node_cost;
-      ++end;
-    }
-    const std::span<const NodeId> batch(nodes.data() + begin, end - begin);
+  for (std::size_t begin = 0; begin < nodes.size();
+       begin += kMaxGainNodesPerRequest) {
+    const std::span<const NodeId> batch(
+        nodes.data() + begin,
+        std::min<std::size_t>(kMaxGainNodesPerRequest, nodes.size() - begin));
     gains.resize(batch.size());
-    INFLUMAX_RETURN_IF_ERROR(FoldGains(batch, gains.data()));
+    INFLUMAX_RETURN_IF_ERROR(SumGains(batch, gains.data()));
     for (std::size_t i = 0; i < batch.size(); ++i) {
       prefetch_gain_[batch[i]] = gains[i];
       prefetch_valid_[batch[i]] = 1;
     }
-    begin = end;
   }
   return Status::OK();
 }
@@ -702,7 +665,7 @@ Result<SnapshotSeedSelection> RemoteShardRouter::TopKSeeds(
 
   // Prefetch the CELF initial pass: every active non-seed's gain, a batch
   // of nodes per fan-out (seeds answer 0.0 from the local guard, as in
-  // ShardRouter). Each node's fold is independent, so batching changes
+  // ShardRouter). Each node's sum is independent, so batching changes
   // round trips, never bits.
   std::vector<NodeId> nodes;
   for (NodeId x = 0; x < num_users_; ++x) {

@@ -41,7 +41,6 @@ struct RemoteRouterOptions {
   /// 0 pins whatever generation the servers currently serve (they must
   /// agree); nonzero demands exactly that generation.
   std::uint64_t generation_pin = 0;
-  GainKernelMode kernel_mode = GainKernelMode::kExact;
   /// Per-RPC deadline; 0 = none. Propagated in every frame header and
   /// enforced server-side too.
   std::uint64_t rpc_deadline_ms = 0;
@@ -69,33 +68,32 @@ struct ReplicaHealth {
 /// replica set of shard_server processes. A gain, a commit, or a reset is
 /// one fan-out: the request goes to every slot first, then every reply
 /// is read, so a query costs the slowest hop rather than the sum of the
-/// hops. For a gain each slot returns its per-action terms
-/// `mg_a(x) * (1 - SC(x, a))`, and the client adds them with `acc += t`
-/// in slot order — the addition sequence of ShardRouter::MarginalGain.
-/// MarginalGain / SpreadOf / CommitSeed / TopKSeeds therefore return
-/// bit-identical seeds, gains, and evaluation counts (docs/sharding.md):
-/// bit identity depends on the order of the final additions, not on
-/// which process computed each term.
+/// hops. For a gain each slot returns one fixed-point partial per node
+/// (core/fixed_gain.h), and the client adds them. Integer addition is
+/// associative, so the sum is ShardRouter::MarginalGain's whatever the
+/// slot order or replica: MarginalGain / SpreadOf / CommitSeed /
+/// TopKSeeds return bit-identical seeds, gains, and evaluation counts
+/// (docs/sharding.md).
 ///
 /// TopKSeeds runs the engine's own RunCelfTopK verbatim (workers = 1,
 /// serial loop) with the initial gain pass answered from batched
-/// fan-outs — each node's terms are independent, so batching changes
-/// round trips, never bits. The consumption loop's stale re-evaluations
-/// go over the wire one fan-out each.
+/// fan-outs of at most kMaxGainNodesPerRequest nodes — each node's
+/// partials are independent, so batching changes round trips, never
+/// bits. The consumption loop's stale re-evaluations go over the wire
+/// one fan-out each.
 ///
 /// Robustness contract:
 ///  * Transport failures (timeout, torn/corrupt frame, connection loss,
-///    a replica at capacity) and rejected replies (counts that do not
-///    match the request) fail over to the next replica of that slot:
-///    the connection is re-dialed under RetryPolicy, the session
-///    re-pinned to the SAME generation, committed seeds replayed in
-///    order, and that slot alone re-asked. The other slots' replies are
-///    drained first, so no stream desyncs; the re-asked terms are the
-///    same terms, so FP order is preserved across the failover.
+///    a replica at capacity) and rejected replies (a partial count that
+///    does not match the request, a partial out of range) fail over to the
+///    next replica of that slot: the connection is re-dialed under
+///    RetryPolicy, the session re-pinned to the SAME generation,
+///    committed seeds replayed in order, and that slot alone re-asked.
+///    The other slots' replies are drained first, so no stream desyncs;
+///    an honest replica returns the same partials, so the sum is
+///    unchanged by the failover.
 ///  * Deterministic errors (InvalidArgument, a generation-pin mismatch)
 ///    surface to the caller unchanged.
-///  * Slots whose term counts for a node do not add up to the hello's
-///    A_x fail the query with Corruption (no single slot is to blame).
 ///  * A slot with no live replica fails the query with Unavailable
 ///    after one bounded retry schedule — fast degradation, never a
 ///    partial answer: queries return values only when every slot
@@ -155,9 +153,6 @@ class RemoteShardRouter {
   ActionId num_actions() const { return num_actions_; }
   std::size_t num_slots() const { return slots_.size(); }
   std::span<const NodeId> session_seeds() const { return committed_; }
-
-  void set_kernel_mode(GainKernelMode mode) { kernel_mode_ = mode; }
-  GainKernelMode kernel_mode() const { return kernel_mode_; }
 
   /// Attaches a trace collector (docs/tracing.md). While the collector
   /// has an active trace, every RPC carries the trace context in its
@@ -263,16 +258,18 @@ class RemoteShardRouter {
 
   void DropConn(Slot& slot);
 
-  /// gains[i] = the gain of nodes[i] from one kGainTerms fan-out, folded
-  /// in slot order. No seed/range guards (callers own them, like
-  /// AccumulateGainTerms); every node must have A_x > 0.
-  Status FoldGains(std::span<const NodeId> nodes, double* gains);
+  /// gains[i] = the gain of nodes[i] from one kGainPartials fan-out: the
+  /// sum of every slot's partial. No seed/range guards (callers own them,
+  /// like SnapshotQueryEngine::PartialGain); at most
+  /// kMaxGainNodesPerRequest nodes.
+  Status SumGains(std::span<const NodeId> nodes, double* gains);
 
-  /// FoldGains for one node.
+  /// SumGains for one node.
   Result<double> RemoteGain(NodeId x);
 
-  /// FoldGains over `nodes` (already filtered to active non-seeds), in
-  /// batches bounded by reply size, into prefetch_gain_/prefetch_valid_.
+  /// SumGains over `nodes` (already filtered to active non-seeds), in
+  /// batches of at most kMaxGainNodesPerRequest nodes, into
+  /// prefetch_gain_/prefetch_valid_.
   Status PrefetchGains(const std::vector<NodeId>& nodes);
 
   Status CheckNotPoisoned() const;
@@ -298,7 +295,6 @@ class RemoteShardRouter {
   std::uint64_t graph_fingerprint_ = 0;
   std::uint64_t log_fingerprint_ = 0;
   std::vector<std::uint32_t> au_;
-  GainKernelMode kernel_mode_ = GainKernelMode::kExact;
   TraceCollector* trace_ = nullptr;  ///< not owned; may be nullptr
 
   std::vector<std::uint8_t> is_seed_;  ///< frozen + session seeds [U]
@@ -306,11 +302,10 @@ class RemoteShardRouter {
   std::vector<NodeId> committed_;      ///< session seeds, commit order
   Status poisoned_;                    ///< non-OK after a failed commit
 
-  // Fan-out scratch, reused across queries: per-slot send/receive state,
-  // each slot's decoded gain terms, and the fold's read cursor per slot.
+  // Fan-out scratch, reused across queries: per-slot send/receive state
+  // and the running sum of the slots' partials per node.
   std::vector<FanOutSlot> fanout_;
-  std::vector<GainTermsResponse> term_replies_;
-  std::vector<std::size_t> term_cursor_;
+  std::vector<GainAccum> partial_sums_;
 
   // TopKSeeds prefetch: prefetch_gain_[x] valid for the seed-set size
   // it was computed at (prefetch_commits_) — exactly the CELF initial

@@ -72,6 +72,13 @@ Result<std::unique_ptr<ShardServer>> ShardServer::Start(
       server->pong_state_.action_begin = manifest.range_begin[options.shard];
       server->pong_state_.action_end = manifest.range_begin[options.shard + 1];
     }
+    // Derive the global-au pools of the shards this server serves now,
+    // at start-up, rather than in the first client's hello.
+    const int begin = options.shard < 0 ? 0 : options.shard;
+    const int end = options.shard < 0 ? num_shards : begin + 1;
+    for (int i = begin; i < end; ++i) {
+      probe.shards().shard_quotient(static_cast<std::size_t>(i));
+    }
   }
 
   auto listener_or = TcpListener::Bind(options.port);
@@ -197,8 +204,7 @@ void ShardServer::HandleConn(Conn* conn) {
   std::size_t shard_end = 0;
   NodeId num_users = 0;
   std::uint32_t session_seeds = 0;
-  GainKernelMode mode = GainKernelMode::kExact;
-  GainTermsResponse terms_reply;  // reused: keeps its capacity
+  GainPartialsResponse partials_reply;  // reused: keeps its capacity
 
   // Tracing state (docs/tracing.md). reply_* is per-request; pending_
   // trace survives across requests until the client's kTraceFetch.
@@ -328,22 +334,14 @@ void ShardServer::HandleConn(Conn* conn) {
       continue;
     }
 
-    if (frame.header.kernel_mode > 1) {
+    if (frame.header.reserved != 0) {
       if (!send_error(Status::InvalidArgument(
-                          "unknown kernel mode " +
-                          std::to_string(frame.header.kernel_mode)),
+                          "header byte 6 is reserved and must be zero, got " +
+                          std::to_string(frame.header.reserved)),
                       deadline)) {
         break;
       }
       continue;
-    }
-    const auto requested_mode =
-        static_cast<GainKernelMode>(frame.header.kernel_mode);
-    if (session.has_value() && requested_mode != mode) {
-      mode = requested_mode;
-      for (SnapshotQueryEngine& engine : engines) {
-        engine.set_kernel_mode(mode);
-      }
     }
 
     const auto type = static_cast<MsgType>(frame.header.type);
@@ -352,7 +350,7 @@ void ShardServer::HandleConn(Conn* conn) {
     // generation — a client that reconnected around a swap finds out
     // here, not from silently different bits. (kTraceFetch stays
     // outside this list: retrieving parked spans needs no session.)
-    if (type == MsgType::kGainTerms || type == MsgType::kCommit ||
+    if (type == MsgType::kGainPartials || type == MsgType::kCommit ||
         type == MsgType::kReset) {
       const std::uint64_t pin_t0 = reply_traced ? MonotonicNowNs() : 0;
       if (!session.has_value()) {
@@ -452,13 +450,10 @@ void ShardServer::HandleConn(Conn* conn) {
         engines.reserve(shard_end - shard_begin);
         for (std::size_t i = shard_begin; i < shard_end; ++i) {
           // The same construction ShardRouter performs: global A_u and
-          // the global-au quotient pool, so every fold term matches the
+          // the global-au quotient pool, so every partial matches the
           // in-process router bit for bit.
           engines.emplace_back(shards.views[i], manifest.au,
                                shards.shard_quotient(i));
-          if (mode != GainKernelMode::kExact) {
-            engines.back().set_kernel_mode(mode);
-          }
         }
         session_seeds = 0;
 
@@ -480,43 +475,36 @@ void ShardServer::HandleConn(Conn* conn) {
         break;
       }
 
-      case MsgType::kGainTerms: {
+      case MsgType::kGainPartials: {
         const std::uint64_t decode_t0 = reply_traced ? MonotonicNowNs() : 0;
-        auto request_or = DecodeGainTerms(&reader);
+        auto request_or = DecodeGainPartials(&reader);
         if (!request_or.ok()) {
           sent = send_error(request_or.status(), deadline);
           break;
         }
         trace_child(kSpanServerDecode, decode_t0, frame.payload.size());
         const std::vector<NodeId>& nodes = request_or->nodes;
-        // Validate every node and bound the reply BEFORE any fold work:
-        // each node costs one count plus one term per action it
-        // performed (global A_x bounds this server's share).
-        const std::vector<std::uint32_t>& au = session->shards().manifest.au;
+        // Validate the node count and every node BEFORE any gain work,
+        // so a refused request costs no folding.
         Status invalid;
-        std::uint64_t cost = 0;
-        for (const NodeId node : nodes) {
-          if (node >= num_users) {
+        if (nodes.size() > kMaxGainNodesPerRequest) {
+          invalid = Status::InvalidArgument(
+              "gain partials request of " + std::to_string(nodes.size()) +
+              " nodes exceeds the cap of " +
+              std::to_string(kMaxGainNodesPerRequest));
+        }
+        for (std::size_t i = 0; invalid.ok() && i < nodes.size(); ++i) {
+          if (nodes[i] >= num_users) {
             invalid = Status::InvalidArgument(
-                "node " + std::to_string(node) + " >= num_users " +
+                "node " + std::to_string(nodes[i]) + " >= num_users " +
                 std::to_string(num_users));
-            break;
-          }
-          cost += 1 + std::uint64_t{au[node]};
-          if (cost > kMaxGainTermsPerRequest) {
-            invalid = Status::InvalidArgument(
-                "gain terms request of " + std::to_string(nodes.size()) +
-                " nodes exceeds the reply budget of " +
-                std::to_string(kMaxGainTermsPerRequest) + " (1 + A_x) units");
-            break;
           }
         }
         if (!invalid.ok()) {
           sent = send_error(invalid, deadline);
           break;
         }
-        terms_reply.counts.assign(nodes.size(), 0);
-        terms_reply.terms.clear();
+        partials_reply.partials.assign(nodes.size(), 0);
         bool dropped = false;
         bool too_late = false;
         // Per-engine fold attribution for traced requests: one span per
@@ -534,24 +522,21 @@ void ShardServer::HandleConn(Conn* conn) {
             too_late = true;
             break;
           }
-          const std::size_t before = terms_reply.terms.size();
           for (std::size_t e = 0; e < engines.size(); ++e) {
             // The mid-fold crash site: a server dying between two
-            // shards' term segments.
+            // shards' partials.
             if (EvalDropSite("net.server.fold_step") ==
                 SiteOutcome::kDropConn) {
               dropped = true;
               break;
             }
             const std::uint64_t fold_t0 = reply_traced ? MonotonicNowNs() : 0;
-            engines[e].AppendGainTerms(nodes[i], &terms_reply.terms);
+            partials_reply.partials[i] += engines[e].PartialGain(nodes[i]);
             if (reply_traced) {
               if (fold_start[e] == 0) fold_start[e] = fold_t0;
               fold_ns[e] += MonotonicNowNs() - fold_t0;
             }
           }
-          terms_reply.counts[i] =
-              static_cast<std::uint32_t>(terms_reply.terms.size() - before);
         }
         if (dropped) {
           sent = false;
@@ -573,9 +558,9 @@ void ShardServer::HandleConn(Conn* conn) {
           break;
         }
         BufferWriter payload;
-        EncodeGainTermsOk(terms_reply, &payload);
-        sent =
-            send_response(MsgType::kGainTermsOk, std::move(payload), deadline);
+        EncodeGainPartialsOk(partials_reply, &payload);
+        sent = send_response(MsgType::kGainPartialsOk, std::move(payload),
+                             deadline);
         break;
       }
 
@@ -628,8 +613,10 @@ void ShardServer::HandleConn(Conn* conn) {
       }
 
       default: {
-        // Includes the retired chained-fold ids 5-8.
-        const bool retired = frame.header.type >= 5 && frame.header.type <= 8;
+        // Includes the retired chained-fold ids 5-8 and the retired
+        // per-action term ids 15-16.
+        const std::uint8_t t = frame.header.type;
+        const bool retired = (t >= 5 && t <= 8) || t == 15 || t == 16;
         sent = send_error(
             Status::InvalidArgument(
                 std::string(retired ? "retired" : "unexpected") +
@@ -644,6 +631,10 @@ void ShardServer::HandleConn(Conn* conn) {
     if (!sent) break;
   }
 
+  // Unpin before giving the slot back: a client admitted into the freed
+  // slot must find a free reader session in the manager, not this one.
+  engines.clear();
+  session.reset();
   if (holds_session_slot) {
     std::lock_guard<std::mutex> lock(conns_mu_);
     --sessions_active_;

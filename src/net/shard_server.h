@@ -44,8 +44,8 @@ struct ShardServerOptions {
 /// Per-connection state: a GenerationManager::Session (the pin) plus
 /// one SnapshotQueryEngine per served shard built against the pinned
 /// generation with the manifest's GLOBAL A_u and quotient pool — the
-/// same construction ShardRouter performs, so a fold step here computes
-/// bit-identical terms. Session capacity is enforced before the Session
+/// same construction ShardRouter performs, so the partials computed here
+/// are bit-identical to the in-process router's. Session capacity is enforced before the Session
 /// is constructed (the manager CHECK-aborts on slot exhaustion; the
 /// server refuses with Unavailable instead).
 ///

@@ -26,7 +26,7 @@ void EncodeHeader(const FrameHeader& header,
   std::memcpy(out + 0, &header.payload_len, 4);
   out[4] = header.version;
   out[5] = header.type;
-  out[6] = header.kernel_mode;
+  out[6] = header.reserved;
   out[7] = header.flags;
   std::memcpy(out + 8, &header.generation, 8);
   std::memcpy(out + 16, &header.deadline_us, 8);
@@ -38,7 +38,7 @@ FrameHeader DecodeHeader(const std::uint8_t in[kWireHeaderBytes]) {
   std::memcpy(&header.payload_len, in + 0, 4);
   header.version = in[4];
   header.type = in[5];
-  header.kernel_mode = in[6];
+  header.reserved = in[6];
   header.flags = in[7];
   std::memcpy(&header.generation, in + 8, 8);
   std::memcpy(&header.deadline_us, in + 16, 8);
@@ -349,43 +349,30 @@ Result<FoldResponse> DecodeFoldOk(BufferReader* in) {
   return msg;
 }
 
-void EncodeGainTerms(const GainTermsRequest& msg, BufferWriter* out) {
+void EncodeGainPartials(const GainPartialsRequest& msg, BufferWriter* out) {
   out->WriteVector(msg.nodes);
 }
 
-Result<GainTermsRequest> DecodeGainTerms(BufferReader* in) {
-  GainTermsRequest msg;
+Result<GainPartialsRequest> DecodeGainPartials(BufferReader* in) {
+  GainPartialsRequest msg;
   msg.nodes = in->ReadVector<NodeId>(kMaxWireElements);
   INFLUMAX_RETURN_IF_ERROR(in->Finish());
   return msg;
 }
 
-void EncodeGainTermsOk(const GainTermsResponse& msg, BufferWriter* out) {
-  out->WriteVector(msg.counts);
-  out->WriteVector(msg.terms);
+void EncodeGainPartialsOk(const GainPartialsResponse& msg, BufferWriter* out) {
+  out->WriteVector(msg.partials);
 }
 
-Result<GainTermsResponse> DecodeGainTermsOk(BufferReader* in) {
-  GainTermsResponse msg;
-  msg.counts = in->ReadVector<std::uint32_t>(kMaxWireElements);
-  msg.terms = in->ReadVector<double>(kMaxWireElements);
+Result<GainPartialsResponse> DecodeGainPartialsOk(BufferReader* in) {
+  GainPartialsResponse msg;
+  msg.partials = in->ReadVector<GainAccum>(kMaxGainNodesPerRequest);
   INFLUMAX_RETURN_IF_ERROR(in->Finish());
-  // The client slices terms by these counts, so they must tile the term
-  // array exactly. Stop as soon as the running sum passes terms.size():
-  // it never grows past that plus one u32, so it cannot overflow.
-  std::uint64_t total = 0;
-  for (const std::uint32_t count : msg.counts) {
-    total += count;
-    if (total > msg.terms.size()) break;
-  }
-  if (total > msg.terms.size()) {
-    return Status::Corruption("gain terms: counts overrun the " +
-                              std::to_string(msg.terms.size()) + " terms");
-  }
-  if (total != msg.terms.size()) {
-    return Status::Corruption("gain terms: counts sum to " +
-                              std::to_string(total) + " for " +
-                              std::to_string(msg.terms.size()) + " terms");
+  for (std::size_t i = 0; i < msg.partials.size(); ++i) {
+    if (msg.partials[i] < 0 || msg.partials[i] >= kMaxGainPartial) {
+      return Status::Corruption("gain partials: partial " +
+                                std::to_string(i) + " is out of range");
+    }
   }
   return msg;
 }

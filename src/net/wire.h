@@ -10,6 +10,7 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "common/types.h"
+#include "core/fixed_gain.h"
 #include "net/socket.h"
 #include "obs/trace.h"
 
@@ -28,7 +29,9 @@ namespace influmax {
 ///                        still parse (the flags byte below was v1's
 ///                        always-zero reserved byte)
 ///   u8  type             MsgType
-///   u8  kernel_mode      GainKernelMode for this request (requests only)
+///   u8  reserved         zero; a server refuses a request that sets it
+///                        (it carried a kernel mode before fixed-point
+///                        gains)
 ///   u8  flags            kFrameFlag* bits; v2 (docs/tracing.md). A set
 ///                        kFrameFlagTraced means the payload begins with
 ///                        a trace-context prefix (requests) or a
@@ -69,18 +72,19 @@ inline constexpr std::uint64_t kMaxWireSpans = 4096;
 inline constexpr std::uint8_t kFrameFlagTraced = 1u << 0;
 inline constexpr std::uint8_t kFrameFlagTraceOverflow = 1u << 1;
 
-/// Caps one kGainTerms request by the size of its reply: the sum over
-/// its nodes of (1 + A_x), one u32 count plus one f64 term per action x
-/// performed. A server refuses a request over the cap with
-/// InvalidArgument before it folds anything, so no reply carries more
-/// than ~8 bytes per unit (32 MiB, an eighth of kMaxFramePayloadBytes);
-/// the client splits the CELF initial pass into batches under it.
-inline constexpr std::uint64_t kMaxGainTermsPerRequest = 1u << 22;
+/// Caps the nodes of one kGainPartials request so its reply — 16 bytes
+/// per node — fills at most half of kMaxFramePayloadBytes. A server
+/// refuses a longer node list before any gain work, and a client
+/// refuses a longer reply; the client splits the CELF initial pass into
+/// batches under it.
+inline constexpr std::uint64_t kMaxGainNodesPerRequest =
+    kMaxFramePayloadBytes / (2 * sizeof(GainAccum));
 
 /// Type ids are wire contract: retired ids are never reused. 5-8 were
-/// the chained fold (kFold/kFoldOk, kFoldBatch/kFoldBatchOk), replaced
-/// by the kGainTerms fan-out; a server answers them with an
-/// InvalidArgument error frame like any unknown type.
+/// the chained fold (kFold/kFoldOk, kFoldBatch/kFoldBatchOk), 15-16 the
+/// per-action term reply (kGainTerms/kGainTermsOk), both replaced by
+/// kGainPartials; a server answers a retired id with an InvalidArgument
+/// error frame, like any unknown type.
 enum class MsgType : std::uint8_t {
   kError = 0,
   kHello = 1,
@@ -95,17 +99,17 @@ enum class MsgType : std::uint8_t {
   // behind. Session-free and generation-free, like kPing.
   kTraceFetch = 13,
   kTraceFetchOk = 14,
-  // The fan-out gain request: every slot's per-action gain terms, folded
-  // by the client in range order (docs/networking.md).
-  kGainTerms = 15,
-  kGainTermsOk = 16,
+  // The fan-out gain request: one fixed-point partial per node from
+  // every slot, summed by the client (docs/networking.md).
+  kGainPartials = 17,
+  kGainPartialsOk = 18,
 };
 
 struct FrameHeader {
   std::uint32_t payload_len = 0;
   std::uint8_t version = kWireVersion;
   std::uint8_t type = 0;
-  std::uint8_t kernel_mode = 0;
+  std::uint8_t reserved = 0;
   std::uint8_t flags = 0;
   std::uint64_t generation = 0;
   std::uint64_t deadline_us = Deadline::kNoDeadlineUs;
@@ -217,20 +221,23 @@ struct PongResponse {
   std::int32_t metrics_port = -1;
 };
 
-/// The per-slot gain terms of `nodes` over this server's shards.
-struct GainTermsRequest {
+/// The partial gains of `nodes` over this server's shards. A server
+/// refuses more than kMaxGainNodesPerRequest nodes with InvalidArgument.
+struct GainPartialsRequest {
   std::vector<NodeId> nodes;
 };
 
-/// counts[i] terms belong to nodes[i]; the terms of all nodes follow one
-/// another in request order, and each node's terms are its per-action
-/// `mg_a(x) * (1 - SC(x, a))` values in ascending action order — the
-/// exact addends of SnapshotQueryEngine::AccumulateGainTerms. One term
-/// per action x performed in this server's range, so across every slot
-/// a node's counts sum to its global A_x.
-struct GainTermsResponse {
-  std::vector<std::uint32_t> counts;
-  std::vector<double> terms;
+/// partials[i] is nodes[i]'s fixed-point partial gain over this server's
+/// shards — the sum of their SnapshotQueryEngine::PartialGain values,
+/// shipped as 16-byte little-endian integers. Every term is a
+/// non-negative FixedGain (< 2^63) and a node has fewer than 2^32
+/// actions, so an honest partial lies in [0, kMaxGainPartial); anything
+/// else marks a corrupt reply, and the bound keeps the client's sum over
+/// slots from overflowing.
+inline constexpr GainAccum kMaxGainPartial = GainAccum{1} << 95;
+
+struct GainPartialsResponse {
+  std::vector<GainAccum> partials;
 };
 
 /// The retired chained-fold step (type ids 5/6). No longer on the wire;
@@ -270,11 +277,12 @@ void EncodeFold(const FoldRequest& msg, BufferWriter* out);
 Result<FoldRequest> DecodeFold(BufferReader* in);
 void EncodeFoldOk(const FoldResponse& msg, BufferWriter* out);
 Result<FoldResponse> DecodeFoldOk(BufferReader* in);
-void EncodeGainTerms(const GainTermsRequest& msg, BufferWriter* out);
-Result<GainTermsRequest> DecodeGainTerms(BufferReader* in);
-void EncodeGainTermsOk(const GainTermsResponse& msg, BufferWriter* out);
-/// Rejects (Corruption) a reply whose counts do not sum to terms.size().
-Result<GainTermsResponse> DecodeGainTermsOk(BufferReader* in);
+void EncodeGainPartials(const GainPartialsRequest& msg, BufferWriter* out);
+Result<GainPartialsRequest> DecodeGainPartials(BufferReader* in);
+void EncodeGainPartialsOk(const GainPartialsResponse& msg, BufferWriter* out);
+/// Rejects (Corruption) a reply holding a partial outside
+/// [0, kMaxGainPartial).
+Result<GainPartialsResponse> DecodeGainPartialsOk(BufferReader* in);
 void EncodeCommit(const CommitRequest& msg, BufferWriter* out);
 Result<CommitRequest> DecodeCommit(BufferReader* in);
 void EncodeCommitOk(const CommitResponse& msg, BufferWriter* out);

@@ -35,8 +35,8 @@ inline constexpr bool kObsEnabled = true;
 /// and flushes counters in units of kObsSampleEvery, amortizing the
 /// ~40 ns of two steady_clock reads down to well under 1% of the ~250 ns
 /// gain query (see BM_MetricsOverhead and docs/observability.md). 256
-/// keeps the probe under ~2 ns even for the dense fast_math fixture's
-/// ~16 ns gains (BM_GainKernelFast). Consequence: counters fed by
+/// keeps the probe under ~2 ns even for gains of a few tens of ns
+/// (BM_GainKernelExact's dense fixture). Consequence: counters fed by
 /// sampled probes have a granularity of kObsSampleEvery - 1 per
 /// recording thread.
 inline constexpr std::uint64_t kObsSampleEvery = 256;

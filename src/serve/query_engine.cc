@@ -22,8 +22,6 @@ namespace {
 struct EngineMetrics {
   Counter* gain_queries;
   Timer* gain_latency;
-  Counter* kernel_exact;
-  Counter* kernel_fast;
   Counter* topk_queries;
   Timer* topk_latency;
   Counter* commits;
@@ -42,8 +40,6 @@ const EngineMetrics& GetEngineMetrics() {
     return EngineMetrics{
         reg.FindOrCreateCounter("serve.gain.queries"),
         reg.FindOrCreateTimer("serve.gain.latency"),
-        reg.FindOrCreateCounter("serve.kernel.exact_calls"),
-        reg.FindOrCreateCounter("serve.kernel.fast_calls"),
         reg.FindOrCreateCounter("serve.topk.queries"),
         reg.FindOrCreateTimer("serve.topk.latency"),
         reg.FindOrCreateCounter("serve.commit.count"),
@@ -73,37 +69,14 @@ SnapshotQueryEngine::SnapshotQueryEngine(const CreditSnapshotView& view)
     : SnapshotQueryEngine(view, view.au(), view.fwd_quotient()) {}
 
 SnapshotQueryEngine::SnapshotQueryEngine(
-    const CreditSnapshotView& view, std::span<const std::uint32_t> au_override)
-    : SnapshotQueryEngine(view, au_override, {}) {}
-
-SnapshotQueryEngine::SnapshotQueryEngine(
     const CreditSnapshotView& view, std::span<const std::uint32_t> au_override,
-    std::span<const double> quotient_override)
+    std::span<const FixedGain> quotient_override)
     : view_(&view), au_(au_override), quot_(quotient_override) {
   // Register the metric names up front so scrapes see them from the
   // first query, not only once the sampled probe first fires.
   (void)GetEngineMetrics();
   INFLUMAX_CHECK(au_.size() >= view.num_users());
-  INFLUMAX_CHECK(quot_.empty() || quot_.size() == view.num_entries());
-  if (quot_.empty()) {
-    // An au override redefines every divisor, so the snapshot's stored
-    // pool does not apply; reuse it only when the override's divisors
-    // match, otherwise derive an engine-owned pool once (the shard
-    // router shares one via the quotient_override constructor instead).
-    const auto view_au = view.au();
-    if (au_.size() == view_au.size() &&
-        std::equal(au_.begin(), au_.end(), view_au.begin())) {
-      quot_ = view.fwd_quotient();
-    } else {
-      const auto credit = view.fwd_credit();
-      const auto node = view.fwd_node();
-      own_quot_.resize(view.num_entries());
-      for (std::uint64_t e = 0; e < own_quot_.size(); ++e) {
-        own_quot_[e] = credit[e] / au_[node[e]];
-      }
-      quot_ = own_quot_;
-    }
-  }
+  INFLUMAX_CHECK(quot_.size() == view.num_entries());
   ovl_offset_.assign(view.num_slots(), kNotOverlaid);
   if (view.num_slots() > 0) {
     zero_row_.assign(std::ranges::max(view.fwd_count()), 0.0);
@@ -171,60 +144,41 @@ void SnapshotQueryEngine::CollectLiveCreditors(
   }
 }
 
-template <typename TermFn>
-void SnapshotQueryEngine::ForEachGainTerm(NodeId x, TermFn&& term) const {
-  // Algorithm 4 / Theorem 3, replayed over the flat arrays. The entry
-  // iteration order equals the live adjacency order (the snapshot
-  // preserves it), and in exact mode each slot folds the precomputed
-  // quotient run serially — the same additions as credit / au[node] in
-  // the same order (each q[e] bit-equals its division, view-validated) —
-  // so every returned gain is bit-identical to
-  // CreditDistributionModel::MarginalGain. Fast mode reassociates the
-  // per-slot sums within kFastMathRelErrorBound (docs/gain_kernel.md).
-  // Rows this session wrote carry mutated credits the pool does not
-  // reflect, so they divide on the fly in both modes — exact always.
-  // Unwritten rows fold the pool even when a sibling row of the same
-  // action was written: their credits are the base credits, all above
-  // kZeroEpsilon, so the divide path would add the same quotients.
+GainAccum SnapshotQueryEngine::PartialGain(NodeId x) const {
+  // Algorithm 4 / Theorem 3 over the flat arrays, in fixed point
+  // (core/fixed_gain.h): each slot's mg_a(x) is an exact int64 sum of
+  // rounded quotients, rounded once into its term, and the terms add
+  // exactly — the live model's bits, whatever the entry order. An
+  // unwritten row sums the pool; a row this session wrote divides its
+  // overlay credits on the fly, with the same rounding, so an entry the
+  // session left untouched adds the same integer either way.
   const auto au = au_;
   const std::uint32_t ax = au[x];
-  if (ax == 0) return;
-  const double inv_ax = 1.0 / ax;
+  if (ax == 0) return 0;
+  const FixedGain inv_ax = ToFixed(1.0 / ax);
 
   const auto uo = view_->user_offsets();
-  const std::uint64_t slot_begin = uo[x];
-  const std::uint64_t slot_end = uo[x + 1];
   const auto fwd_begin = view_->fwd_begin();
   const auto fwd_count = view_->fwd_count();
   const auto fwd_node = view_->fwd_node();
-  const double* quot = quot_.data();
-  const bool fast = kernel_mode_ == GainKernelMode::kFastMath;
+  const FixedGain* quot = quot_.data();
 
-  for (std::uint64_t s = slot_begin; s < slot_end; ++s) {
-    const double sc_term = 1.0 - sc_cur_[s];
-    const std::uint32_t fc = fwd_count[s];
-    if (fc == 0) {  // x credits nobody for this action: mg_a(x) = 1/A_x
-      term(inv_ax * sc_term);
-      continue;
-    }
+  GainAccum gain = 0;
+  for (std::uint64_t s = uo[x]; s < uo[x + 1]; ++s) {
     const std::uint64_t fb = fwd_begin[s];
-    double mga;
-    if (ovl_offset_[s] != kNotOverlaid) {
-      const double* credits = RowOf(s);
-      mga = inv_ax;
-      for (std::uint32_t i = 0; i < fc; ++i) {
-        const double credit = credits[i];
-        if (credit > 0.0) {
-          mga += credit / au[fwd_node[fb + i]];
-        }
-      }
-    } else if (fast) {
-      mga = inv_ax + SumQuotientsFast(quot + fb, fc);
+    const std::uint32_t fc = fwd_count[s];
+    FixedGain mga = inv_ax;
+    if (ovl_offset_[s] == kNotOverlaid) {
+      for (std::uint32_t i = 0; i < fc; ++i) mga += quot[fb + i];
     } else {
-      mga = FoldQuotientsExact(inv_ax, quot + fb, fc);
+      const double* credits = RowOf(s);
+      for (std::uint32_t i = 0; i < fc; ++i) {
+        mga += ToFixed(credits[i] / au[fwd_node[fb + i]]);
+      }
     }
-    term(mga * sc_term);
+    gain += SlotTerm(mga, sc_cur_[s]);
   }
+  return gain;
 }
 
 double SnapshotQueryEngine::MarginalGain(NodeId x) const {
@@ -232,32 +186,23 @@ double SnapshotQueryEngine::MarginalGain(NodeId x) const {
     if (obs_enabled_ && GainTickFires()) return TimedMarginalGain(x);
   }
   if (x >= view_->num_users() || is_seed_[x]) return 0.0;
-  return AccumulateGainTerms(x, 0.0);
+  return FromFixed(PartialGain(x));
 }
 
 double SnapshotQueryEngine::TimedMarginalGain(NodeId x) const {
   const std::uint64_t t0 = MonotonicNowNs();
   double gain = 0.0;
   if (x < view_->num_users() && !is_seed_[x]) {
-    gain = AccumulateGainTerms(x, 0.0);
+    gain = FromFixed(PartialGain(x));
   }
   const EngineMetrics& m = GetEngineMetrics();
   m.gain_latency->Record(MonotonicNowNs() - t0);
   m.gain_queries->Add(kObsSampleEvery);
-  Counter* kernel = kernel_mode_ == GainKernelMode::kFastMath ? m.kernel_fast
-                                                              : m.kernel_exact;
-  kernel->Add(kObsSampleEvery);
   return gain;
 }
 
 double SnapshotQueryEngine::AccumulateGainTerms(NodeId x, double acc) const {
-  ForEachGainTerm(x, [&acc](double term) { acc += term; });
-  return acc;
-}
-
-void SnapshotQueryEngine::AppendGainTerms(NodeId x,
-                                          std::vector<double>* out) const {
-  ForEachGainTerm(x, [out](double term) { out->push_back(term); });
+  return acc + FromFixed(PartialGain(x));
 }
 
 void SnapshotQueryEngine::CommitOneSlot(
@@ -525,7 +470,7 @@ std::uint64_t SnapshotQueryEngine::ApproxMemoryBytes() const {
                      bytes_of(scratch.stamp_credit) +
                      bytes_of(scratch.sc_touched);
   }
-  return bytes_of(own_quot_) + bytes_of(ovl_offset_) + bytes_of(ovl_buf_) +
+  return bytes_of(ovl_offset_) + bytes_of(ovl_buf_) +
          bytes_of(ovl_slots_) + bytes_of(zero_row_) + bytes_of(sc_cur_) +
          bytes_of(sc_touched_) + bytes_of(sc_dirty_) + bytes_of(is_seed_) +
          bytes_of(committed_) + scratch_bytes + bytes_of(touched_slices_) +

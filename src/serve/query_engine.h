@@ -11,7 +11,7 @@
 #include "common/types.h"
 #include "core/cd_model.h"
 #include "core/celf.h"
-#include "serve/gain_kernel.h"
+#include "core/fixed_gain.h"
 #include "serve/snapshot_view.h"
 
 namespace influmax {
@@ -39,11 +39,11 @@ struct SnapshotSeedSelection {
 /// performs no hash-table lookups: node -> slot is an O(log A_u) binary
 /// search over the mmap'd CSR, everything else is direct indexing.
 ///
-/// Results are bit-identical to the live model because the snapshot
-/// preserves forward-adjacency order (floating-point summation order),
-/// the overlay replicates SubtractCredit's epsilon-erase (entries at 0.0
-/// are "erased"), and the greedy replays Algorithm 3's exact queue
-/// discipline including tie-breaks.
+/// Results are bit-identical to the live model because both sum gains in
+/// the same fixed point (core/fixed_gain.h), where addition order does
+/// not matter; the overlay replicates SubtractCredit's epsilon-erase
+/// (entries at 0.0 are "erased"); and the greedy replays Algorithm 3's
+/// exact queue discipline including tie-breaks.
 ///
 /// Concurrency contract: one engine per thread. The underlying view is
 /// shared freely; an engine's session state is neither locked nor
@@ -60,23 +60,17 @@ class SnapshotQueryEngine {
   explicit SnapshotQueryEngine(const CreditSnapshotView& view);
 
   /// Shard-serving constructor (docs/sharding.md): `au_override` (length
-  /// >= the view's user count, outliving the engine) replaces the view's
-  /// own A_u array in every gain formula. An action-range shard stores
-  /// only the slots of its own actions, so its local au says "actions in
-  /// this shard" — but Theorem 3 divides by the user's *global* action
-  /// count, which the ShardRouter supplies from the shard manifest.
-  SnapshotQueryEngine(const CreditSnapshotView& view,
-                      std::span<const std::uint32_t> au_override);
-
-  /// Like the au-override constructor, but with the matching quotient
-  /// pool (q[e] = fwd_credit[e] / au_override[fwd_node[e]], length ==
-  /// the view's entry count, outliving the engine) supplied by the
-  /// caller — OpenShardedSnapshot derives one per shard so every router
-  /// session shares it instead of re-deriving O(E) doubles per engine.
-  /// An empty span makes the engine derive (and own) the pool itself.
+  /// >= the view's user count) replaces the view's own A_u array in every
+  /// gain formula, and `quotient_override` (length == the view's entry
+  /// count) is the matching pool, ToFixed(fwd_credit[e] /
+  /// au_override[fwd_node[e]]). An action-range shard stores only the
+  /// slots of its own actions, so its local au says "actions in this
+  /// shard" — but Theorem 3 divides by the user's *global* action count,
+  /// which ShardedSnapshot::shard_quotient supplies with its derived
+  /// pool. Both spans must outlive the engine.
   SnapshotQueryEngine(const CreditSnapshotView& view,
                       std::span<const std::uint32_t> au_override,
-                      std::span<const double> quotient_override);
+                      std::span<const FixedGain> quotient_override);
 
   /// Marginal gain sigma_cd(S + x) - sigma_cd(S) of x against the
   /// current session seed set S (Algorithm 4 / Theorem 3); 0 when x is
@@ -87,24 +81,19 @@ class SnapshotQueryEngine {
   /// passes below rely on.
   double MarginalGain(NodeId x) const;
 
-  /// The gain fold underneath MarginalGain, exposed for the ShardRouter
-  /// (docs/sharding.md): folds x's per-slot terms
-  /// `mg_a(x) * (1 - SC(x, a))` into `acc` in ascending-action order and
-  /// returns the result — MarginalGain(x) is AccumulateGainTerms(x, 0.0)
-  /// behind the seed/inactive checks. Because a router's shards cover
-  /// contiguous ascending action ranges, chaining the fold through every
-  /// shard's engine replays the monolithic engine's floating-point
-  /// addition sequence exactly; summing per-shard partials instead would
-  /// reassociate it. Const like MarginalGain, same concurrency contract.
-  /// The caller owns the seed/range checks (the router keeps its own
-  /// global seed set).
-  double AccumulateGainTerms(NodeId x, double acc) const;
+  /// The fixed-point sum underneath MarginalGain: x's per-slot terms
+  /// `mg_a(x) * (1 - SC(x, a))` over this engine's slots, exact
+  /// (core/fixed_gain.h) — MarginalGain(x) is FromFixed(PartialGain(x))
+  /// behind the seed/inactive checks. A router adds its shards' partials
+  /// in any order and gets the monolithic engine's bits
+  /// (docs/sharding.md). Const like MarginalGain, same concurrency
+  /// contract. The caller owns the seed/range checks (the router keeps
+  /// its own global seed set).
+  GainAccum PartialGain(NodeId x) const;
 
-  /// Appends x's per-slot gain terms to `*out` (same terms the fold
-  /// above adds, in the same order) so a router can compute shards'
-  /// terms in parallel and fold the buffered terms serially — identical
-  /// bits, fan-out latency (docs/sharding.md).
-  void AppendGainTerms(NodeId x, std::vector<double>* out) const;
+  /// `acc` + this engine's partial gain of x, as a double: the per-shard
+  /// pass of perfbench's gain-layer probe.
+  double AccumulateGainTerms(NodeId x, double acc) const;
 
   /// Commits x into the session seed set (Algorithm 5 against the
   /// overlay). No-op when x is already a seed. The per-action updates
@@ -142,18 +131,6 @@ class SnapshotQueryEngine {
   /// docs/parallelism.md.
   void set_gain_threads(std::size_t threads) { gain_threads_ = threads; }
   std::size_t gain_threads() const { return gain_threads_; }
-
-  /// Gain kernel for every query this engine answers — MarginalGain,
-  /// both CELF passes, the router's chained fold (src/serve/gain_kernel.h,
-  /// docs/gain_kernel.md). kExact (default) keeps the bit-identity
-  /// contract; kFastMath vectorizes the per-slot quotient sums within
-  /// kFastMathRelErrorBound. Slots whose rows this session wrote always
-  /// take the exact divide path (their precomputed quotients are stale);
-  /// every other slot folds the pool in the selected mode. Not a
-  /// concurrent-safe setter: set it between queries, like the other
-  /// session mutations.
-  void set_kernel_mode(GainKernelMode mode) { kernel_mode_ = mode; }
-  GainKernelMode kernel_mode() const { return kernel_mode_; }
 
   /// Telemetry switch (src/obs/, docs/observability.md): when on (the
   /// default), queries record into MetricsRegistry::Global() —
@@ -225,11 +202,6 @@ class SnapshotQueryEngine {
   /// Sizes a scratch's stamp arrays to [U] on first use.
   void EnsureScratch(CommitScratch* scratch);
 
-  /// Calls `term(value)` for each of x's slots in ascending-action
-  /// order; shared by the fold, the term buffer, and MarginalGain.
-  template <typename TermFn>
-  void ForEachGainTerm(NodeId x, TermFn&& term) const;
-
   /// MarginalGain's sampled slow path: the same gain, clock-timed, with
   /// the deferred counters flushed in units of kObsSampleEvery.
   double TimedMarginalGain(NodeId x) const;
@@ -240,12 +212,9 @@ class SnapshotQueryEngine {
   // router-supplied global override (see the sharding constructor).
   std::span<const std::uint32_t> au_;
 
-  // Precomputed q[e] = fwd_credit[e] / au_[fwd_node[e]] ([E], matching
-  // au_): the view's stored pool, a caller-shared override, or own_quot_
-  // when the engine had to derive it (au override without a pool).
-  std::span<const double> quot_;
-  std::vector<double> own_quot_;
-  GainKernelMode kernel_mode_ = GainKernelMode::kExact;
+  // Precomputed q[e] = ToFixed(fwd_credit[e] / au_[fwd_node[e]]) ([E],
+  // matching au_): the view's stored pool or the caller's override.
+  std::span<const FixedGain> quot_;
   bool obs_enabled_ = true;
 
   // Copy-on-write credit overlay, one forward row per written slot:

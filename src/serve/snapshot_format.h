@@ -26,10 +26,10 @@ namespace influmax {
 ///     then zero padding to the next 8-byte boundary, so every u64/double
 ///     payload is 8-byte aligned within the (page-aligned) mapping.
 inline constexpr std::uint64_t kSnapshotMagic = 0x584D464C50414E53ULL;
-/// Version 2 added kFwdQuotient, the derived division-free gain pool
-/// (docs/gain_kernel.md). Version 1 files have no quotient section and
-/// are rejected; rebuild or rescan to upgrade.
-inline constexpr std::uint32_t kSnapshotVersion = 2;
+/// Version 3 stores kFwdQuotient as fixed-point integers (core/
+/// fixed_gain.h, docs/gain_kernel.md). Version 2 stored it as doubles,
+/// version 1 not at all; both are rejected — rebuild to upgrade.
+inline constexpr std::uint32_t kSnapshotVersion = 3;
 inline constexpr std::uint64_t kSnapshotPreludeBytes = 64;
 
 /// Section order. Element types and expected counts (in terms of the
@@ -45,11 +45,10 @@ inline constexpr std::uint64_t kSnapshotPreludeBytes = 64;
 ///   kBwdCount        u32[S]    slot -> creditor record count
 ///   kFwdNode         u32[E]    credited user of each entry
 ///   kFwdCredit       f64[E]    Gamma_{v,u}(a) of each entry
-///   kFwdQuotient     f64[E]    fwd_credit[e] / au[fwd_node[e]], derived
-///                              at write time so the exact gain fold needs
+///   kFwdQuotient     i64[E]    ToFixed(fwd_credit[e] / au[fwd_node[e]]),
+///                              derived at write time so the gain sum needs
 ///                              no division or gather (docs/gain_kernel.md);
-///                              validated bit-for-bit against the division
-///                              at open (IEEE division is deterministic)
+///                              re-derived and compared at open
 ///   kBwdNode         u32[E]    creditor node of each backward record
 ///   kBwdEntry        u64[E]    forward-entry index of the same (v, u) pair
 ///   kActionSize      u32[A]    scanned trace length per action

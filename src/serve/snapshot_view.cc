@@ -1,8 +1,9 @@
 #include "serve/snapshot_view.h"
 
 #include <algorithm>
-#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "serve/snapshot_format.h"
 
@@ -101,7 +102,43 @@ class SectionCursor {
   Status status_;
 };
 
+/// Whether `pool` is ToFixed(q) for a quotient q inside the headroom.
+/// Out of line: the validation loop calls it only for the rare quotient
+/// its inline rounding does not settle.
+[[gnu::noinline]] bool QuotientMatches(double q, FixedGain pool) {
+  return q >= 0.0 && q < kGainHeadroom && pool == ToFixed(q);
+}
+
 }  // namespace
+
+std::uint64_t FindSlotPastGainHeadroom(
+    std::span<const std::uint32_t> au,
+    std::span<const std::uint64_t> user_offsets,
+    std::span<const std::uint64_t> fwd_begin,
+    std::span<const std::uint32_t> fwd_count,
+    std::span<const FixedGain> pool, FixedGain max_q) {
+  // Every term of a slot's sum is at most the larger of max_q and
+  // 1/A_x <= 1, and a slot adds fwd_count quotients plus 1/A_x, so when
+  // (largest count + 1) * max(max_q, 1) fits, every slot does — the
+  // common case, settled without a pass over the pool. Otherwise sum
+  // each slot.
+  const std::uint64_t max_count =
+      fwd_count.empty() ? 0 : std::ranges::max(fwd_count);
+  if (GainAccum{max_count + 1} * std::max(max_q, ToFixed(1.0)) <=
+      std::numeric_limits<FixedGain>::max()) {
+    return CreditSnapshotView::kNoSlot;
+  }
+  for (std::size_t x = 0; x + 1 < user_offsets.size(); ++x) {
+    for (std::uint64_t s = user_offsets[x]; s < user_offsets[x + 1]; ++s) {
+      FixedGain mga = ToFixed(1.0 / au[x]);
+      for (std::uint64_t e = fwd_begin[s]; e < fwd_begin[s] + fwd_count[s];
+           ++e) {
+        if (__builtin_add_overflow(mga, pool[e], &mga)) return s;
+      }
+    }
+  }
+  return CreditSnapshotView::kNoSlot;
+}
 
 std::uint64_t CreditSnapshotView::SlotOf(NodeId u, ActionId a) const {
   const ActionId* begin = slot_action_.data() + user_offsets_[u];
@@ -126,9 +163,10 @@ Result<CreditSnapshotView> CreditSnapshotView::Open(const std::string& path) {
   }
   const std::uint32_t version = cursor.ReadU32();
   if (cursor.status().ok() && version != kSnapshotVersion) {
-    return Status::Corruption("snapshot '" + path +
-                              "': unsupported version " +
-                              std::to_string(version));
+    return Status::Corruption(
+        "snapshot '" + path + "': unsupported version " +
+        std::to_string(version) +
+        (version < kSnapshotVersion ? " (rebuild to upgrade)" : ""));
   }
   cursor.ReadU32();  // prelude padding
   view.graph_fingerprint_ = cursor.ReadU64();
@@ -160,7 +198,8 @@ Result<CreditSnapshotView> CreditSnapshotView::Open(const std::string& path) {
   view.bwd_count_ = cursor.ReadSection<std::uint32_t>("bwd_count", S, S);
   view.fwd_node_ = cursor.ReadSection<NodeId>("fwd_node", E, E);
   view.fwd_credit_ = cursor.ReadSection<double>("fwd_credit", E, E);
-  view.fwd_quotient_ = cursor.ReadSection<double>("fwd_quotient", E, E);
+  view.fwd_quotient_ =
+      cursor.ReadSection<FixedGain>("fwd_quotient", E, E);
   view.bwd_node_ = cursor.ReadSection<NodeId>("bwd_node", E, E);
   view.bwd_entry_ = cursor.ReadSection<std::uint64_t>("bwd_entry", E, E);
   view.action_size_ = cursor.ReadSection<std::uint32_t>("action_size", A, A);
@@ -210,6 +249,10 @@ Result<CreditSnapshotView> CreditSnapshotView::Open(const std::string& path) {
                   std::to_string(a) + " out of range");
       return cursor.status();
     }
+    if (!std::isfinite(view.slot_sc_[s])) {
+      cursor.Fail("slot " + std::to_string(s) + " has a non-finite SC");
+      return cursor.status();
+    }
     // Adjacency ranges must stay inside their action's entry slice, so
     // every index the engine follows stays in bounds. A backward record
     // is proven to lie in its action's slice only, not in its
@@ -238,24 +281,53 @@ Result<CreditSnapshotView> CreditSnapshotView::Open(const std::string& path) {
       }
     }
   }
-  for (std::uint64_t e = 0; e < E; ++e) {
-    if (view.fwd_node_[e] >= U || view.bwd_node_[e] >= U) {
-      cursor.Fail("entry " + std::to_string(e) +
-                  " references a user out of range");
-      return cursor.status();
+  // The fixed-point gain converts every quotient to an integer, so a
+  // value it cannot hold is refused here rather than reaching a
+  // conversion: credits are non-negative and finite, quotients inside
+  // the headroom, and the pool exactly the rounding the writer derives.
+  // The loop only finds the first bad entry; the message is built after.
+  const auto fwd_node = view.fwd_node_;
+  const auto bwd_node = view.bwd_node_;
+  const auto credit = view.fwd_credit_;
+  const auto pool = view.fwd_quotient_;
+  const auto au = view.au_;
+  FixedGain max_q = 0;
+  std::uint64_t e = 0;
+  for (; e < E; ++e) {
+    if (fwd_node[e] >= U || bwd_node[e] >= U) break;
+    const double q = credit[e] / au[fwd_node[e]];
+    // The branch-free rounding settles every quotient below 8 — all of
+    // Algorithm 2's, whose credits are shares — and keeps this O(E) loop
+    // as cheap as the division it needs; the rest take the full check.
+    if ((pool[e] != ToFixedSmall(q) || !(q >= 0.0 && q < 8.0)) &&
+        !QuotientMatches(q, pool[e])) {
+      break;
     }
-    // The derived quotient pool must bit-equal the on-the-fly division —
-    // IEEE division is correctly rounded, so the writer's bits are the
-    // only valid ones. Compared bitwise (not ==) so a NaN smuggled into
-    // either side is rejected rather than trivially unequal-but-ignored.
-    const double expected =
-        view.fwd_credit_[e] / view.au_[view.fwd_node_[e]];
-    if (std::bit_cast<std::uint64_t>(view.fwd_quotient_[e]) !=
-        std::bit_cast<std::uint64_t>(expected)) {
-      cursor.Fail("entry " + std::to_string(e) +
-                  " quotient disagrees with fwd_credit / au");
-      return cursor.status();
+    max_q |= pool[e];  // >= the largest quotient, all being non-negative
+  }
+  if (e < E) {
+    const std::string entry = "entry " + std::to_string(e);
+    if (fwd_node[e] >= U || bwd_node[e] >= U) {
+      cursor.Fail(entry + " references a user out of range");
+    } else if (!(credit[e] >= 0.0) || !std::isfinite(credit[e])) {
+      cursor.Fail(entry + " has a negative or non-finite credit");
+    } else if (!(credit[e] / au[fwd_node[e]] < kGainHeadroom)) {
+      cursor.Fail(entry + " quotient exceeds the fixed-point headroom");
+    } else {
+      cursor.Fail(entry + " quotient is not ToFixed(fwd_credit / au)");
     }
+    return cursor.status();
+  }
+  // Every slot's mg_a(x) — 1/A_x plus its quotients — must fit a
+  // FixedGain, so the engine's int64 slot sums cannot overflow. A
+  // session only lowers credits, so its sums stay inside too.
+  const std::uint64_t slot = FindSlotPastGainHeadroom(
+      view.au_, uo, view.fwd_begin_, view.fwd_count_, view.fwd_quotient_,
+      max_q);
+  if (slot != kNoSlot) {
+    cursor.Fail("slot " + std::to_string(slot) +
+                " gain exceeds the fixed-point headroom");
+    return cursor.status();
   }
   for (NodeId seed : view.seeds_) {
     if (seed >= U) {

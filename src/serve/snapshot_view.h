@@ -8,6 +8,7 @@
 #include "common/memory.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/fixed_gain.h"
 
 namespace influmax {
 
@@ -36,7 +37,10 @@ class CreditSnapshotView {
   CreditSnapshotView& operator=(CreditSnapshotView&&) = default;
 
   /// Maps and validates `path`. Corruption with the failing byte offset
-  /// when the file is truncated, mis-typed, or internally inconsistent.
+  /// when the file is truncated, mis-typed, or internally inconsistent,
+  /// including any value the fixed-point gain cannot hold: a negative or
+  /// non-finite credit, a non-finite SC, a quotient that is not the
+  /// rounding of its credit / au, or a slot past the gain headroom.
   static Result<CreditSnapshotView> Open(const std::string& path);
 
   NodeId num_users() const { return num_users_; }
@@ -65,11 +69,11 @@ class CreditSnapshotView {
   std::span<const std::uint32_t> bwd_count() const { return bwd_count_; }
   std::span<const NodeId> fwd_node() const { return fwd_node_; }
   std::span<const double> fwd_credit() const { return fwd_credit_; }
-  /// Derived division-free gain pool: fwd_quotient()[e] bit-equals
-  /// fwd_credit()[e] / au()[fwd_node()[e]] (validated at Open; IEEE
-  /// division is deterministic). The gain kernel folds this stream
-  /// instead of dividing and gathering per entry (docs/gain_kernel.md).
-  std::span<const double> fwd_quotient() const { return fwd_quotient_; }
+  /// Derived division-free gain pool: fwd_quotient()[e] equals
+  /// ToFixed(fwd_credit()[e] / au()[fwd_node()[e]]) (core/fixed_gain.h;
+  /// validated at Open). The gain sum adds this stream instead of
+  /// dividing and gathering per entry (docs/gain_kernel.md).
+  std::span<const FixedGain> fwd_quotient() const { return fwd_quotient_; }
   std::span<const NodeId> bwd_node() const { return bwd_node_; }
   std::span<const std::uint64_t> bwd_entry() const { return bwd_entry_; }
   std::span<const std::uint32_t> action_size() const { return action_size_; }
@@ -112,13 +116,26 @@ class CreditSnapshotView {
   std::span<const std::uint32_t> bwd_count_;
   std::span<const NodeId> fwd_node_;
   std::span<const double> fwd_credit_;
-  std::span<const double> fwd_quotient_;
+  std::span<const FixedGain> fwd_quotient_;
   std::span<const NodeId> bwd_node_;
   std::span<const std::uint64_t> bwd_entry_;
   std::span<const std::uint32_t> action_size_;
   std::span<const std::uint64_t> action_trace_hash_;
   std::span<const NodeId> seeds_;
 };
+
+/// The first slot whose mg_a(x) — ToFixed(1/A_x) plus its non-negative
+/// pool quotients, none of them above `max_q` — would overflow a
+/// FixedGain, in user-major slot order, or kNoSlot. Shared by the
+/// snapshot writer, which refuses to write such a slot, and
+/// CreditSnapshotView::Open, which refuses to serve one
+/// (docs/gain_kernel.md). Ranges must be in bounds.
+std::uint64_t FindSlotPastGainHeadroom(
+    std::span<const std::uint32_t> au,
+    std::span<const std::uint64_t> user_offsets,
+    std::span<const std::uint64_t> fwd_begin,
+    std::span<const std::uint32_t> fwd_count,
+    std::span<const FixedGain> pool, FixedGain max_q);
 
 }  // namespace influmax
 

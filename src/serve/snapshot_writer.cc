@@ -8,7 +8,9 @@
 #include "common/binary_io.h"
 #include "common/failpoint.h"
 #include "common/flat_hash.h"
+#include "core/fixed_gain.h"
 #include "serve/snapshot_format.h"
+#include "serve/snapshot_view.h"
 
 namespace influmax {
 namespace {
@@ -187,8 +189,44 @@ SnapshotData BuildSnapshotData(const UserCreditStore& store,
 
 namespace {
 
+/// ToFixed(credit / au) per entry, refusing what Open would refuse: a
+/// negative or non-finite credit, a quotient past the headroom, and a
+/// slot whose mg_a(x) would overflow a FixedGain (docs/gain_kernel.md).
+Status DeriveQuotientPool(const SnapshotData& data,
+                          std::vector<FixedGain>* pool) {
+  pool->resize(data.fwd_node.size());
+  FixedGain max_q = 0;
+  for (std::size_t e = 0; e < pool->size(); ++e) {
+    const double q = data.fwd_credit[e] / data.au[data.fwd_node[e]];
+    if (!(q >= 0.0 && q < kGainHeadroom)) {
+      return Status::InvalidArgument(
+          "snapshot write: entry " + std::to_string(e) +
+          " credit is negative, non-finite or past the fixed-point headroom");
+    }
+    (*pool)[e] = ToFixed(q);
+    max_q = std::max(max_q, (*pool)[e]);
+  }
+  const std::uint64_t slot = FindSlotPastGainHeadroom(
+      data.au, data.user_offsets, data.fwd_begin, data.fwd_count, *pool,
+      max_q);
+  if (slot != CreditSnapshotView::kNoSlot) {
+    return Status::InvalidArgument("snapshot write: slot " +
+                                   std::to_string(slot) +
+                                   " gain exceeds the fixed-point headroom");
+  }
+  return Status::OK();
+}
+
 Status WriteSnapshotFileImpl(const SnapshotData& data,
                              const std::string& path) {
+  // kFwdQuotient is derived here rather than carried in SnapshotData, so
+  // every producer — full build, incremental rescan, shard slicer — gets
+  // a pool consistent with its own au section by construction; the view
+  // re-derives it at open. Note a shard blob's pool divides by its
+  // *local* au; engines serving shards under a global-au override get a
+  // derived pool from ShardedSnapshot::shard_quotient instead.
+  std::vector<FixedGain> fwd_quot;
+  INFLUMAX_RETURN_IF_ERROR(DeriveQuotientPool(data, &fwd_quot));
   BinaryWriter writer(path, kSnapshotMagic, kSnapshotVersion);
   INFLUMAX_RETURN_IF_ERROR(writer.status());
   writer.set_failpoint("snapshot.write");
@@ -218,19 +256,6 @@ Status WriteSnapshotFileImpl(const SnapshotData& data,
   WriteSection(&writer, data.bwd_count);
   WriteSection(&writer, data.fwd_node);
   WriteSection(&writer, data.fwd_credit);
-  // kFwdQuotient is derived here rather than carried in SnapshotData, so
-  // every producer — full build, incremental rescan, shard slicer — gets
-  // a pool consistent with its own au section by construction. IEEE
-  // division is correctly rounded, hence deterministic: the view re-checks
-  // these exact bits at open, and the engine's exact fold over them
-  // replays the live model's additions bit for bit (docs/gain_kernel.md).
-  // Note a shard blob's pool divides by its *local* au; engines serving
-  // shards under a global-au override get a derived pool from
-  // OpenShardedSnapshot instead.
-  std::vector<double> fwd_quot(data.fwd_node.size());
-  for (std::size_t e = 0; e < fwd_quot.size(); ++e) {
-    fwd_quot[e] = data.fwd_credit[e] / data.au[data.fwd_node[e]];
-  }
   WriteSection(&writer, fwd_quot);
   WriteSection(&writer, data.bwd_node);
   WriteSection(&writer, data.bwd_entry);

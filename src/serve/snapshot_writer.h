@@ -30,9 +30,10 @@ namespace influmax {
 ///    row is contiguous within it — the unit the query engine's
 ///    copy-on-write overlay shadows;
 ///  * forward lists preserve the live ActionCreditTable adjacency order
-///    (the scan's first-touch order) with stale ids dropped, which keeps
-///    floating-point summation order — and therefore every marginal gain —
-///    bit-identical to the live model;
+///    (the scan's first-touch order) with stale ids dropped. Gains do not
+///    depend on it — they are fixed-point sums (core/fixed_gain.h) — but
+///    the full build and the incremental rescan both emit it, so their
+///    bytes agree;
 ///  * backward lists are canonicalized to ascending creditor id (the live
 ///    backward order is insertion-dependent but never affects results),
 ///    which makes snapshots reproducible byte-for-byte across full builds

@@ -547,8 +547,14 @@ GenerationManager::Session::Session(GenerationManager& manager,
   INFLUMAX_CHECK(slot_ != nullptr &&
                  "GenerationManager: all reader sessions are in use");
   generation_ = manager.published_.load();
-  router_ = std::make_unique<ShardRouter>(generation_->shards, pool_);
   GetGenMetrics().pinned_sessions->Add(1);
+}
+
+ShardRouter& GenerationManager::Session::router() {
+  if (router_ == nullptr) {
+    router_ = std::make_unique<ShardRouter>(generation_->shards, pool_);
+  }
+  return *router_;
 }
 
 GenerationManager::Session::~Session() {
@@ -576,7 +582,6 @@ bool GenerationManager::Session::Refresh() {
   }
   router_.reset();
   generation_ = latest;
-  router_ = std::make_unique<ShardRouter>(generation_->shards, pool_);
   return true;
 }
 

@@ -176,7 +176,10 @@ class GenerationManager {
   /// A pinned serving session: one ShardRouter over one generation. The
   /// pinned generation never changes (or unmaps) under the session;
   /// Refresh() re-pins to the latest one, discarding session seeds when
-  /// the generation moved. One thread at a time per session.
+  /// the generation moved. The router is built on first use, so a caller
+  /// that needs only the pin — a shard server, which builds engines for
+  /// its own shards — never pays for engines over every shard. One
+  /// thread at a time per session.
   class Session {
    public:
     explicit Session(GenerationManager& manager, WorkerPool* pool = nullptr);
@@ -189,7 +192,7 @@ class GenerationManager {
       return generation_->shards.manifest.generation;
     }
     const ShardedSnapshot& shards() const { return generation_->shards; }
-    ShardRouter& router() { return *router_; }
+    ShardRouter& router();
 
     /// Re-pins the latest generation; true (and a fresh router) when it
     /// differs from the pinned one.

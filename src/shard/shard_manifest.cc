@@ -259,29 +259,45 @@ Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path) {
     }
     sharded.views.push_back(std::move(view).value());
   }
-  // Derive each shard's global-au quotient pool once per open. A blob's
-  // stored pool divides by its local au (the blob must self-validate),
-  // which equals the global divisors only when the shard spans every
-  // action — then the stored pool is reused (empty marker, see
-  // shard_quotient()). One O(E) pass per generation, amortized across
-  // all sessions and their engines.
-  sharded.global_quotients.resize(m.num_shards());
+  // A blob's stored pool divides by its local au (the blob must
+  // self-validate), which equals the global divisors only when the shard
+  // spans every action; any other shard gets a global-au pool from
+  // shard_quotient(). A user's global A_u counts at least the actions
+  // the shard saw, so every global quotient is at most the blob's
+  // validated local one: the derived pool keeps the blob's headroom.
+  sharded.global_pools.resize(m.num_shards());
   for (std::size_t i = 0; i < m.num_shards(); ++i) {
-    const CreditSnapshotView& view = sharded.views[i];
-    const auto local_au = view.au();
+    sharded.global_pools[i] = std::make_unique<ShardedSnapshot::GlobalPool>();
+    const auto local_au = sharded.views[i].au();
     if (std::equal(local_au.begin(), local_au.end(), m.au.begin(),
                    m.au.end())) {
       continue;
     }
-    const auto credit = view.fwd_credit();
-    const auto node = view.fwd_node();
-    std::vector<double>& quot = sharded.global_quotients[i];
-    quot.resize(view.num_entries());
-    for (std::uint64_t e = 0; e < quot.size(); ++e) {
-      quot[e] = credit[e] / m.au[node[e]];
+    for (NodeId u = 0; u < m.num_users; ++u) {
+      if (m.au[u] < local_au[u]) {
+        return Status::Corruption(
+            "shard " + std::to_string(i) + " credits user " +
+            std::to_string(u) + " with more actions than the manifest's A_u");
+      }
     }
+    sharded.global_pools[i]->derive = true;
   }
   return sharded;
+}
+
+std::span<const FixedGain> ShardedSnapshot::shard_quotient(
+    std::size_t i) const {
+  GlobalPool& pool = *global_pools[i];
+  if (!pool.derive) return views[i].fwd_quotient();
+  std::call_once(pool.once, [&] {
+    const auto credit = views[i].fwd_credit();
+    const auto node = views[i].fwd_node();
+    pool.quotients.resize(views[i].num_entries());
+    for (std::uint64_t e = 0; e < pool.quotients.size(); ++e) {
+      pool.quotients[e] = ToFixed(credit[e] / manifest.au[node[e]]);
+    }
+  });
+  return pool.quotients;
 }
 
 Result<std::string> ReadCurrentManifestName(const std::string& dir) {

@@ -2,6 +2,8 @@
 #define INFLUMAX_SHARD_SHARD_MANIFEST_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -95,21 +97,24 @@ struct ShardedSnapshot {
   ShardManifest manifest;
   std::vector<CreditSnapshotView> views;  // [N], manifest order
 
-  /// Per-shard quotient pools divided by the manifest's *global* au —
-  /// the divisors Theorem 3 actually uses. A shard blob's stored
-  /// kFwdQuotient section divides by its local au, so it only serves a
-  /// router when the shard covers every action; otherwise the pool here
-  /// (derived once per open, shared by every session's engines) stands
-  /// in. Empty inner vector == "the blob's stored pool is already
-  /// global"; shard_quotient() resolves the choice.
-  std::vector<std::vector<double>> global_quotients;  // [N]
+  /// Shard i's quotient pool under the manifest's *global* au — the
+  /// divisors Theorem 3 actually uses. A shard blob's stored
+  /// kFwdQuotient section divides by its local au, so it serves only
+  /// when the shard covers every action; otherwise a global-au pool is
+  /// derived on the first call for that shard, once per open, and shared
+  /// by every session's engines — a process serving one shard derives
+  /// one pool. Open checks global A_u >= local A_u, so the derived pools
+  /// inherit the blobs' headroom. Thread-safe.
+  std::span<const FixedGain> shard_quotient(std::size_t i) const;
 
-  /// Shard i's quotient pool under the manifest's global au.
-  std::span<const double> shard_quotient(std::size_t i) const {
-    return global_quotients[i].empty()
-               ? views[i].fwd_quotient()
-               : std::span<const double>(global_quotients[i]);
-  }
+  /// Per shard [N]: whether its pool must be derived, and the derived
+  /// pool once shard_quotient() has filled it.
+  struct GlobalPool {
+    bool derive = false;
+    std::once_flag once;
+    std::vector<FixedGain> quotients;
+  };
+  std::vector<std::unique_ptr<GlobalPool>> global_pools;
 };
 
 /// Opens `manifest_path` and every shard blob it names (relative to the

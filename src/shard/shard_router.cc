@@ -12,7 +12,7 @@ namespace {
 
 // Router telemetry (docs/observability.md). Gain metrics come from the
 // sampled TimedMarginalGain path (counters move in units of
-// kObsSampleEvery); commit/topk record exactly. Per-shard chained-fold
+// kObsSampleEvery); commit/topk record exactly. Per-shard partial
 // timers exist for the first kPerShardTimers shard indices — folds of
 // higher shards still land in the aggregate shard.fold timer.
 constexpr std::size_t kPerShardTimers = 8;
@@ -20,7 +20,7 @@ constexpr std::size_t kPerShardTimers = 8;
 struct RouterMetrics {
   Counter* gain_queries;
   Timer* gain_latency;
-  Timer* shard_fold;  // every shard's fold segment, aggregated
+  Timer* shard_fold;  // every shard's partial, aggregated
   std::array<Timer*, kPerShardTimers> shard_fold_by_index;
   Counter* commits;
   Timer* commit_latency;
@@ -75,7 +75,6 @@ ShardRouter::ShardRouter(const ShardedSnapshot& shards, WorkerPool* pool)
     // session.
     engines_.emplace_back(shards.views[i], au_, shards.shard_quotient(i));
   }
-  term_buf_.resize(shards.views.size());
   is_seed_.assign(num_users_, 0);
   // Frozen seeds agree across shards (OpenShardedSnapshot checks).
   for (NodeId s : shards.views[0].seeds()) is_seed_[s] = 1;
@@ -97,29 +96,27 @@ double ShardRouter::MarginalGain(NodeId x) const {
     if (obs_enabled_ && RouterTickFires()) return TimedMarginalGain(x);
   }
   if (x >= num_users_ || is_seed_[x] || au_[x] == 0) return 0.0;
-  // The gain-merge fold (docs/sharding.md): shards cover contiguous
-  // ascending action ranges, so chaining the per-slot term fold through
-  // the engines in shard order replays the monolithic engine's exact
-  // floating-point addition sequence. Summing per-shard partials would
-  // reassociate the sum and drift in the last bits.
-  double mg = 0.0;
+  // The gain merge (docs/sharding.md): each shard's partial is an exact
+  // fixed-point sum, so their sum is the monolithic engine's, bit for
+  // bit, in any order.
+  GainAccum mg = 0;
   for (const SnapshotQueryEngine& engine : engines_) {
-    mg = engine.AccumulateGainTerms(x, mg);
+    mg += engine.PartialGain(x);
   }
-  return mg;
+  return FromFixed(mg);
 }
 
 double ShardRouter::TimedMarginalGain(NodeId x) const {
   const RouterMetrics& m = GetRouterMetrics();
   const std::uint64_t q0 = MonotonicNowNs();
-  double mg = 0.0;
+  GainAccum mg = 0;
   if (x < num_users_ && !is_seed_[x] && au_[x] != 0) {
-    // Same chained fold as the fast path, with each shard's segment
-    // timed: the per-shard cost is the skew signal that tells an
-    // operator which action range is hot.
+    // Same sum as the fast path, with each shard's partial timed: the
+    // per-shard cost is the skew signal that tells an operator which
+    // action range is hot.
     std::uint64_t t0 = q0;
     for (std::size_t i = 0; i < engines_.size(); ++i) {
-      mg = engines_[i].AccumulateGainTerms(x, mg);
+      mg += engines_[i].PartialGain(x);
       const std::uint64_t t1 = MonotonicNowNs();
       const std::uint64_t dt = t1 - t0;
       m.shard_fold->Record(dt);
@@ -134,24 +131,7 @@ double ShardRouter::TimedMarginalGain(NodeId x) const {
   m.gain_latency->Record(q1 - q0);
   m.gain_queries->Add(kObsSampleEvery);
   if (ring_ != nullptr) ring_->Push({kSpanRouterGain, 0, 0, q0, q1 - q0, x});
-  return mg;
-}
-
-double ShardRouter::MarginalGainParallel(NodeId x) {
-  if (x >= num_users_ || is_seed_[x] || au_[x] == 0) return 0.0;
-  if (pool_ == nullptr) return MarginalGain(x);
-  // Terms are computed per shard in parallel, then folded serially in
-  // shard order — the same additions as the serial fold, in the same
-  // order, so the result is bit-identical to MarginalGain.
-  pool_->ParallelFor(engines_.size(), [&](std::size_t, std::size_t i) {
-    term_buf_[i].clear();
-    engines_[i].AppendGainTerms(x, &term_buf_[i]);
-  });
-  double mg = 0.0;
-  for (const std::vector<double>& terms : term_buf_) {
-    for (double term : terms) mg += term;
-  }
-  return mg;
+  return FromFixed(mg);
 }
 
 void ShardRouter::CommitSeed(NodeId x) {
@@ -179,7 +159,7 @@ double ShardRouter::SpreadOf(std::span<const NodeId> seeds) {
 }
 
 SnapshotSeedSelection ShardRouter::TopKSeeds(NodeId k, double spread_budget) {
-  // The monolithic engine's TopKSeeds with the router's gain fold and
+  // The monolithic engine's TopKSeeds with the router's gain merge and
   // fan-out commit plugged into the shared CELF driver: same initial
   // pass over active users, same heap build order, same consumption
   // discipline (RunCelfGreedyWith), so seeds, gains, and evaluation
@@ -221,9 +201,6 @@ std::uint64_t ShardRouter::ApproxMemoryBytes() const {
   std::uint64_t total = 0;
   for (const SnapshotQueryEngine& engine : engines_) {
     total += engine.ApproxMemoryBytes();
-  }
-  for (const std::vector<double>& terms : term_buf_) {
-    total += bytes_of(terms);
   }
   return total + bytes_of(is_seed_) + bytes_of(committed_) + bytes_of(heap_) +
          bytes_of(batch_) + bytes_of(memo_gain_) + bytes_of(memo_stamp_) +

@@ -22,12 +22,10 @@ namespace influmax {
 /// Bit-identity contract — the reason this router can replace the
 /// monolithic engine transparently: credit in the CD model is additive
 /// over actions (Goyal et al., Algorithm 2/4), so a user's marginal gain
-/// is a fold of per-slot terms in ascending-action order. Shards cover
-/// contiguous ascending action ranges, so that global order is the
-/// concatenation of the shards' local orders: chaining
-/// AccumulateGainTerms through the shard engines in manifest order
-/// replays the monolithic engine's floating-point addition sequence
-/// exactly — gains, TopKSeeds (built on the shared RunCelfGreedyWith),
+/// is a sum of per-slot terms, and every engine sums them in fixed point
+/// (core/fixed_gain.h). Integer addition is associative, so adding the
+/// shard engines' PartialGain values in any order gives the monolithic
+/// engine's sum — gains, TopKSeeds (built on the shared RunCelfTopK),
 /// and gain_evaluations are all bit-identical to SnapshotQueryEngine on
 /// the unsharded snapshot (tested for shard counts {1, 2, 3, 7}).
 /// CommitSeed decomposes the same way: Algorithm 5's updates for one
@@ -37,8 +35,8 @@ namespace influmax {
 /// Concurrency contract: like the engine, one router per serving thread;
 /// const queries (MarginalGain) may run concurrently with each other but
 /// not with mutating calls. The optional WorkerPool accelerates
-/// CommitSeed fan-out, TopKSeeds gain passes, and MarginalGainParallel;
-/// with a persistent pool, steady-state queries spawn zero threads. The
+/// CommitSeed fan-out and TopKSeeds gain passes; with a persistent
+/// pool, steady-state queries spawn zero threads. The
 /// pool must not be shared with another router running concurrently.
 class ShardRouter {
  public:
@@ -46,17 +44,10 @@ class ShardRouter {
   explicit ShardRouter(const ShardedSnapshot& shards,
                        WorkerPool* pool = nullptr);
 
-  /// Marginal gain of x against the session seed set: the serial
-  /// shard-order fold. Const and safe to call concurrently (the CELF
-  /// passes do); identical bits to the monolithic engine.
+  /// Marginal gain of x against the session seed set: the sum of the
+  /// shard engines' partials. Const and safe to call concurrently (the
+  /// CELF passes do); identical bits to the monolithic engine.
   double MarginalGain(NodeId x) const;
-
-  /// The same gain with the per-shard term computation fanned out over
-  /// the pool (terms buffered per shard, folded serially in shard
-  /// order — same additions, same bits). Falls back to the serial fold
-  /// without a pool. Mutating (uses the router-owned term buffers), so
-  /// do not call it concurrently.
-  double MarginalGainParallel(NodeId x);
 
   /// Commits x in every shard (Algorithm 5 against each shard's
   /// overlay), fanned out over the pool. No-op when x is already a seed.
@@ -78,18 +69,6 @@ class ShardRouter {
   std::size_t num_shards() const { return engines_.size(); }
   NodeId num_users() const { return num_users_; }
 
-  /// Gain kernel for every shard engine (src/serve/gain_kernel.h):
-  /// kExact keeps the chained fold bit-identical to the monolithic
-  /// engine; kFastMath vectorizes each shard's per-slot quotient sums
-  /// within kFastMathRelErrorBound. Set between queries, not during.
-  void set_kernel_mode(GainKernelMode mode) {
-    kernel_mode_ = mode;
-    for (SnapshotQueryEngine& engine : engines_) {
-      engine.set_kernel_mode(mode);
-    }
-  }
-  GainKernelMode kernel_mode() const { return kernel_mode_; }
-
   /// Per-shard engine, for per-shard benchmarking/diagnostics.
   const SnapshotQueryEngine& shard_engine(std::size_t i) const {
     return engines_[i];
@@ -100,7 +79,7 @@ class ShardRouter {
   /// shard, CommitSeed/TopKSeeds push always-on spans. Not owned;
   /// nullptr (the default) disables span capture. A Session::Refresh
   /// rebuilds the router, so re-attach after a generation swap (the
-  /// serving CLIs do, alongside the kernel mode).
+  /// serving CLIs do).
   void set_span_ring(SpanRing* ring) { ring_ = ring; }
   SpanRing* span_ring() const { return ring_; }
 
@@ -117,8 +96,8 @@ class ShardRouter {
   /// Runs body(i) over shards: pool fan-out when available, else serial.
   void ForEachShard(const std::function<void(std::size_t)>& body);
 
-  /// MarginalGain's sampled slow path: the same chained fold with each
-  /// shard's segment clock-timed (shard.fold.* timers + span ring).
+  /// MarginalGain's sampled slow path: the same sum with each shard's
+  /// partial clock-timed (shard.fold.* timers + span ring).
   double TimedMarginalGain(NodeId x) const;
 
   const ShardedSnapshot* shards_;
@@ -127,7 +106,6 @@ class ShardRouter {
   std::span<const std::uint32_t> au_;  // manifest global A_u
 
   std::vector<SnapshotQueryEngine> engines_;  // one per shard
-  GainKernelMode kernel_mode_ = GainKernelMode::kExact;
   SpanRing* ring_ = nullptr;
   bool obs_enabled_ = true;
 
@@ -135,9 +113,6 @@ class ShardRouter {
   // checks never touch a shard).
   std::vector<std::uint8_t> is_seed_;  // [U]
   std::vector<NodeId> committed_;
-
-  // MarginalGainParallel term buffers, one per shard (reused).
-  std::vector<std::vector<double>> term_buf_;
 
   // CELF scratch, mirroring SnapshotQueryEngine's (docs/parallelism.md).
   std::vector<CelfQueueEntry> heap_;

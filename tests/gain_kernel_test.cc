@@ -1,9 +1,11 @@
-// Gain kernel (src/serve/gain_kernel.h, docs/gain_kernel.md): the
-// quotient-pool exactness contract — fwd_quotient[e] bit-equals
-// fwd_credit[e] / au[fwd_node[e]] in every snapshot producer (full
-// build, IncrementalRescan, SliceShardData) — and the fast_math kernel's
-// bounded-error contract against the exact fold, on both dispatch
-// backends and through the sharded router's global-au pools.
+// Fixed-point gain arithmetic (src/core/fixed_gain.h, docs/gain_kernel.md):
+// the quotient-pool contract — fwd_quotient[e] equals
+// ToFixed(fwd_credit[e] / au[fwd_node[e]]) in every snapshot producer
+// (full build, IncrementalRescan, SliceShardData) — the error bound
+// against the real-valued Theorem 3 sum, and the associativity the
+// contract rests on: gains, TopKSeeds and what-if gains are bit-equal
+// whatever order the shards' partials are summed in, and every gain of
+// the seeded fixture hashes to one golden checksum on any build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,16 +14,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/cd_model.h"
 #include "core/direct_credit.h"
+#include "core/fixed_gain.h"
 #include "datagen/cascade_generator.h"
-#include "serve/gain_kernel.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot_view.h"
 #include "serve/snapshot_writer.h"
@@ -80,33 +84,17 @@ ActionLog PrefixLog(const ActionLog& full, double keep_fraction) {
   return std::move(log).value();
 }
 
-/// Asserts the tentpole invariant on an open view: every stored quotient
-/// bit-equals the on-the-fly division it replaces (IEEE double division
-/// is correctly rounded, so this is deterministic across machines).
-void ExpectQuotientPoolBitExact(const CreditSnapshotView& view) {
+/// Asserts the pool contract on an open view: every stored quotient is
+/// the rounding of the division it replaces.
+void ExpectQuotientPoolExact(const CreditSnapshotView& view) {
   const auto credit = view.fwd_credit();
   const auto node = view.fwd_node();
   const auto au = view.au();
   const auto quot = view.fwd_quotient();
   ASSERT_EQ(quot.size(), view.num_entries());
   for (std::uint64_t e = 0; e < view.num_entries(); ++e) {
-    const double expected = credit[e] / au[node[e]];
-    ASSERT_EQ(std::bit_cast<std::uint64_t>(quot[e]),
-              std::bit_cast<std::uint64_t>(expected))
-        << "entry " << e;
+    ASSERT_EQ(quot[e], ToFixed(credit[e] / au[node[e]])) << "entry " << e;
   }
-}
-
-/// |fast - exact| within the documented relative bound. Gain terms are
-/// non-negative, so the bound is a clean relative one; an exactly-zero
-/// gain (seed / inactive user) must stay exactly zero.
-void ExpectWithinFastMathBound(double exact, double fast) {
-  if (exact == 0.0) {
-    ASSERT_EQ(fast, 0.0);
-    return;
-  }
-  ASSERT_LE(std::abs(fast - exact), kFastMathRelErrorBound * std::abs(exact))
-      << "exact " << exact << " fast " << fast;
 }
 
 SyntheticDataset MakeDataset(double scale = 0.1) {
@@ -115,86 +103,56 @@ SyntheticDataset MakeDataset(double scale = 0.1) {
   return std::move(data).value();
 }
 
-/// Restores the auto-dispatched backend when a test forced one.
-struct BackendGuard {
-  ~BackendGuard() { ForceGainKernelBackend(GainKernelBackend::kAuto); }
-};
-
-// ------------------------------------------------------- kernel basics
-
-TEST(GainKernelTest, ModeParsingAndNames) {
-  auto exact = ParseGainKernelMode("exact");
-  ASSERT_TRUE(exact.ok());
-  EXPECT_EQ(*exact, GainKernelMode::kExact);
-  for (const char* alias : {"fast", "fast_math"}) {
-    auto fast = ParseGainKernelMode(alias);
-    ASSERT_TRUE(fast.ok());
-    EXPECT_EQ(*fast, GainKernelMode::kFastMath);
-  }
-  EXPECT_FALSE(ParseGainKernelMode("exactish").ok());
-  EXPECT_FALSE(ParseGainKernelMode("").ok());
-  EXPECT_STREQ(GainKernelModeName(GainKernelMode::kExact), "exact");
-  EXPECT_STREQ(GainKernelModeName(GainKernelMode::kFastMath), "fast");
+bool SameBits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-TEST(GainKernelTest, ForcedBackendsResolveAndRestore) {
-  BackendGuard guard;
-  ForceGainKernelBackend(GainKernelBackend::kScalar);
-  EXPECT_EQ(ActiveGainKernelBackend(), GainKernelBackend::kScalar);
-  // Forcing AVX2 either takes effect or degrades to scalar on hardware
-  // without it — it never leaves the dispatcher unset.
-  ForceGainKernelBackend(GainKernelBackend::kAvx2);
-  const GainKernelBackend forced = ActiveGainKernelBackend();
-  EXPECT_TRUE(forced == GainKernelBackend::kAvx2 ||
-              forced == GainKernelBackend::kScalar);
-  ForceGainKernelBackend(GainKernelBackend::kAuto);
-  EXPECT_NE(ActiveGainKernelBackend(), GainKernelBackend::kAuto);
+// ----------------------------------------------------- rounding points
+
+TEST(GainKernelTest, FixedPointRoundingAndSlotTermClamp) {
+  // One unit is 2^-48; halves round to even.
+  EXPECT_EQ(ToFixed(1.0), FixedGain{1} << 48);
+  EXPECT_EQ(ToFixed(0x1p-49), 0);          // 0.5 units -> 0
+  EXPECT_EQ(ToFixed(3 * 0x1p-49), 2);      // 1.5 units -> 2
+  EXPECT_EQ(ToFixed(0.0), 0);
+  EXPECT_EQ(FromFixed(GainAccum{1} << 48), 1.0);
+  EXPECT_EQ(FromFixed(GainAccum{1} << 100), 0x1p52);
+  // Past the branch-free range the library rounding takes over.
+  EXPECT_EQ(ToFixed(8.0), FixedGain{1} << 51);
+  EXPECT_EQ(ToFixed(1000.5), (FixedGain{2001} << 47));
+  EXPECT_EQ(ToFixed(-0.5), -(FixedGain{1} << 47));
+
+  const FixedGain mga = ToFixed(0.75);
+  EXPECT_EQ(SlotTerm(mga, 0.0), mga);
+  EXPECT_EQ(SlotTerm(mga, 0.5), ToFixed(0.375));
+  // (1 - SC) is clamped to [0, 1]: no negative term, none above mga.
+  EXPECT_EQ(SlotTerm(mga, 1.0), 0);
+  EXPECT_EQ(SlotTerm(mga, 1.0 + 0x1p-52), 0);
+  EXPECT_EQ(SlotTerm(mga, -0.5), mga);
+  EXPECT_EQ(SlotTerm(mga, std::nan("")), 0);
 }
 
-TEST(GainKernelTest, FastSumMatchesExactFoldAcrossLengthsAndBackends) {
-  BackendGuard guard;
-  Rng rng(4242);
-  std::vector<double> values(1031);
-  for (double& v : values) v = rng.NextDouble();
-  for (const GainKernelBackend backend :
-       {GainKernelBackend::kScalar, GainKernelBackend::kAvx2}) {
-    ForceGainKernelBackend(backend);
-    // Sweep every length through the unrolled-block and tail boundaries.
-    for (std::size_t n = 0; n <= values.size(); ++n) {
-      const double exact = FoldQuotientsExact(0.0, values.data(), n);
-      const double fast = SumQuotientsFast(values.data(), n);
-      if (n == 0) {
-        EXPECT_EQ(fast, 0.0);
-        continue;
-      }
-      ASSERT_LE(std::abs(fast - exact), kFastMathRelErrorBound * exact)
-          << "n " << n << " backend "
-          << GainKernelBackendName(ActiveGainKernelBackend());
-    }
-  }
-}
+// -------------------------------------------------- producer exactness
 
-// --------------------------------------------- producer bit-exactness
-
-TEST(GainKernelTest, SnapshotRoundTripStoresBitExactQuotients) {
+TEST(GainKernelTest, SnapshotRoundTripStoresExactQuotients) {
   auto ex = testing_fixtures::MakePaperExample();
   EqualDirectCredit credit;
   const auto model = BuildModel(ex.graph, ex.log, credit);
   const std::string path = TempPath("quot_paper.snap");
   auto view = WriteAndOpen(model, path);
   EXPECT_GT(view.num_entries(), 0u);
-  ExpectQuotientPoolBitExact(view);
+  ExpectQuotientPoolExact(view);
   std::remove(path.c_str());
 }
 
-TEST(GainKernelTest, RandomizedSnapshotStoresBitExactQuotients) {
+TEST(GainKernelTest, RandomizedSnapshotStoresExactQuotients) {
   auto data = MakeDataset();
   EqualDirectCredit credit;
   const auto model = BuildModel(data.graph, data.log, credit, 0.001);
   const std::string path = TempPath("quot_random.snap");
   auto view = WriteAndOpen(model, path);
   EXPECT_GT(view.num_entries(), 0u);
-  ExpectQuotientPoolBitExact(view);
+  ExpectQuotientPoolExact(view);
   std::remove(path.c_str());
 }
 
@@ -216,7 +174,7 @@ TEST(GainKernelTest, IncrementalRescanRegeneratesQuotients) {
                   .ok());
   auto delta = CreditSnapshotView::Open(delta_path);
   ASSERT_TRUE(delta.ok());
-  ExpectQuotientPoolBitExact(*delta);
+  ExpectQuotientPoolExact(*delta);
   std::remove(old_path.c_str());
   std::remove(delta_path.c_str());
 }
@@ -241,85 +199,67 @@ TEST(GainKernelTest, SliceShardDataRegeneratesQuotients) {
     ASSERT_TRUE(shard.ok());
     // The shard's pool divides by its *local* au — the self-consistency
     // Open validates; global-au pools are the router's job.
-    ExpectQuotientPoolBitExact(*shard);
+    ExpectQuotientPoolExact(*shard);
   }
   std::filesystem::remove_all(dir);
 }
 
-// ------------------------------------------- engine differential tests
+// --------------------------------------------------------- error bound
 
-TEST(GainKernelTest, FastMathGainsWithinBoundAcrossStoreShapes) {
-  BackendGuard guard;
-  EqualDirectCredit credit;
-  struct Shape {
-    double scale;
-    double lambda;
-  };
-  for (const Shape shape : {Shape{0.05, 0.0}, Shape{0.1, 0.001}}) {
-    auto data = MakeDataset(shape.scale);
-    const auto model =
-        BuildModel(data.graph, data.log, credit, shape.lambda);
-    const std::string path = TempPath("quot_diff.snap");
-    auto view = WriteAndOpen(model, path);
-    SnapshotQueryEngine exact(view);
-    SnapshotQueryEngine fast(view);
-    fast.set_kernel_mode(GainKernelMode::kFastMath);
-    for (const GainKernelBackend backend :
-         {GainKernelBackend::kScalar, GainKernelBackend::kAvx2}) {
-      ForceGainKernelBackend(backend);
-      for (NodeId x = 0; x < view.num_users(); ++x) {
-        ExpectWithinFastMathBound(exact.MarginalGain(x),
-                                  fast.MarginalGain(x));
-      }
-    }
-    std::remove(path.c_str());
-  }
-}
-
-TEST(GainKernelTest, FastMathWithinBoundAfterCommitSeedOverlays) {
+TEST(GainKernelTest, GainsWithinDocumentedBoundOfRealValuedSum) {
+  // docs/gain_kernel.md: with E_x credit entries over x's A_x slots and
+  // M_x the sum of x's per-slot mg_a(x),
+  //   |gain - Theorem 3 sum| <= (E_x + 2 A_x) 2^-49 + 2^-51 M_x
+  //                             + 2^-53 |gain|.
+  // The reference sums the same doubles in long double, before and after
+  // a few commits (overlay rows take the divide-and-round path).
   auto data = MakeDataset();
   EqualDirectCredit credit;
   const auto model = BuildModel(data.graph, data.log, credit, 0.001);
-  const std::string path = TempPath("quot_overlay.snap");
+  const std::string path = TempPath("quot_bound.snap");
   auto view = WriteAndOpen(model, path);
-  SnapshotQueryEngine exact(view);
-  SnapshotQueryEngine fast(view);
-  fast.set_kernel_mode(GainKernelMode::kFastMath);
-  // Commit the same seeds into both sessions; overlaid actions fall back
-  // to the on-the-fly division path in both modes, untouched actions
-  // keep the pooled fold.
-  const auto seeds = exact.TopKSeeds(3).seeds;
-  ASSERT_EQ(seeds.size(), 3u);
-  exact.ResetSession();
-  for (const NodeId seed : seeds) {
-    exact.CommitSeed(seed);
-    fast.CommitSeed(seed);
-  }
-  for (NodeId x = 0; x < view.num_users(); ++x) {
-    ExpectWithinFastMathBound(exact.MarginalGain(x), fast.MarginalGain(x));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(GainKernelTest, ExactModeTopKBitIdenticalToFreshEngine) {
-  // The default engine already folds the pool; an engine explicitly set
-  // to exact after serving fast queries must return to identical bits.
-  auto data = MakeDataset(0.05);
-  EqualDirectCredit credit;
-  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
-  const std::string path = TempPath("quot_modeswap.snap");
-  auto view = WriteAndOpen(model, path);
-  SnapshotQueryEngine reference(view);
-  const auto expected = reference.TopKSeeds(8);
   SnapshotQueryEngine engine(view);
-  engine.set_kernel_mode(GainKernelMode::kFastMath);
-  (void)engine.TopKSeeds(8);
-  engine.ResetSession();
-  engine.set_kernel_mode(GainKernelMode::kExact);
-  const auto swapped = engine.TopKSeeds(8);
-  EXPECT_EQ(swapped.seeds, expected.seeds);
-  EXPECT_EQ(swapped.marginal_gains, expected.marginal_gains);
-  EXPECT_EQ(swapped.gain_evaluations, expected.gain_evaluations);
+  const auto au = view.au();
+  const auto uo = view.user_offsets();
+  const auto fwd_begin = view.fwd_begin();
+  const auto fwd_count = view.fwd_count();
+  const auto fwd_node = view.fwd_node();
+  const auto fwd_credit = view.fwd_credit();
+  const auto sc = view.slot_sc();
+  double worst = 0.0;
+  for (NodeId x = 0; x < view.num_users(); ++x) {
+    if (au[x] == 0) continue;
+    long double real = 0.0L;
+    long double mga_sum = 0.0L;
+    std::uint64_t entries = 0;
+    for (std::uint64_t s = uo[x]; s < uo[x + 1]; ++s) {
+      long double mga = 1.0L / au[x];
+      for (std::uint64_t e = fwd_begin[s]; e < fwd_begin[s] + fwd_count[s];
+           ++e) {
+        mga += static_cast<long double>(fwd_credit[e]) / au[fwd_node[e]];
+      }
+      entries += fwd_count[s];
+      mga_sum += mga;
+      real += mga * (1.0L - sc[s]);
+    }
+    const double gain = engine.MarginalGain(x);
+    const long double bound =
+        (entries + 2.0L * au[x]) * 0x1p-49L + 0x1p-51L * mga_sum +
+        0x1p-53L * std::fabs(static_cast<long double>(gain));
+    const long double err = std::fabs(gain - real);
+    ASSERT_LE(err, bound) << "node " << x;
+    worst = std::max(worst, static_cast<double>(err));
+  }
+  EXPECT_LT(worst, 1e-12);
+
+  // After commits the engine and the live model still agree bit for bit.
+  auto live = BuildModel(data.graph, data.log, credit, 0.001);
+  const auto seeds = engine.TopKSeeds(5).seeds;
+  for (const NodeId seed : seeds) live.CommitSeed(seed);
+  for (NodeId x = 0; x < view.num_users(); ++x) {
+    ASSERT_TRUE(SameBits(engine.MarginalGain(x), live.MarginalGain(x)))
+        << "node " << x;
+  }
   std::remove(path.c_str());
 }
 
@@ -340,27 +280,156 @@ TEST(GainKernelTest, RouterGlobalPoolsKeepExactBitIdentity) {
     ASSERT_TRUE(writer.WriteFromView(*mono, shards).ok());
     auto sharded = OpenShardedSnapshot(dir + "/" + ManifestFileName(shards));
     ASSERT_TRUE(sharded.ok());
-    // Multi-shard blobs store local-au pools, so the open derives
-    // global-au replacements for every shard.
+    // Multi-shard blobs store local-au pools, so every shard gets a
+    // derived global-au replacement.
     for (std::size_t i = 0; i < sharded->views.size(); ++i) {
-      ASSERT_FALSE(sharded->global_quotients[i].empty()) << "shard " << i;
-      EXPECT_EQ(sharded->shard_quotient(i).size(),
-                sharded->views[i].num_entries());
+      const auto pool = sharded->shard_quotient(i);
+      EXPECT_NE(pool.data(), sharded->views[i].fwd_quotient().data())
+          << "shard " << i;
+      EXPECT_EQ(pool.size(), sharded->views[i].num_entries());
     }
     ShardRouter router(*sharded);
     for (NodeId x = 0; x < mono->num_users(); ++x) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(router.MarginalGain(x)),
-                std::bit_cast<std::uint64_t>(engine.MarginalGain(x)))
+      ASSERT_TRUE(SameBits(router.MarginalGain(x), engine.MarginalGain(x)))
           << "shards " << shards << " node " << x;
-    }
-    router.set_kernel_mode(GainKernelMode::kFastMath);
-    EXPECT_EQ(router.kernel_mode(), GainKernelMode::kFastMath);
-    for (NodeId x = 0; x < mono->num_users(); ++x) {
-      ExpectWithinFastMathBound(engine.MarginalGain(x),
-                                router.MarginalGain(x));
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+// ----------------------------------------------------- associativity
+
+/// `src` with its shards in `order`: a router over the result sums the
+/// shards' partials in that order.
+ShardedSnapshot PermuteShards(ShardedSnapshot src,
+                              const std::vector<std::size_t>& order) {
+  ShardedSnapshot out;
+  out.dir = src.dir;
+  out.manifest = src.manifest;
+  for (const std::size_t i : order) {
+    out.views.push_back(std::move(src.views[i]));
+    out.global_pools.push_back(std::move(src.global_pools[i]));
+  }
+  return out;
+}
+
+TEST(GainKernelTest, ShardPartialsSumToTheSameBitsInAnyOrder) {
+  auto data = MakeDataset();
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("quot_order");
+  const std::string mono_path = dir + "/mono.snap";
+  ASSERT_TRUE(model.WriteSnapshot(mono_path).ok());
+  auto mono = CreditSnapshotView::Open(mono_path);
+  ASSERT_TRUE(mono.ok());
+  const NodeId users = mono->num_users();
+  constexpr NodeId kTopK = 50;
+  constexpr std::size_t kWhatIf = 5;
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SnapshotQueryEngine engine(*mono);
+    engine.set_gain_threads(threads);
+    const auto expected = engine.TopKSeeds(kTopK);
+    ASSERT_EQ(expected.seeds.size(), kTopK);
+    const std::vector<NodeId> what_if(expected.seeds.begin(),
+                                      expected.seeds.begin() + kWhatIf);
+    engine.ResetSession();
+    std::vector<double> fresh(users);
+    for (NodeId x = 0; x < users; ++x) fresh[x] = engine.MarginalGain(x);
+    for (const NodeId seed : what_if) engine.CommitSeed(seed);
+    std::vector<double> committed(users);
+    for (NodeId x = 0; x < users; ++x) committed[x] = engine.MarginalGain(x);
+
+    for (const std::size_t shards : {1, 2, 3, 7}) {
+      const std::string sub = dir + "/s" + std::to_string(shards);
+      std::filesystem::create_directories(sub);
+      ShardedSnapshotWriter writer(sub, shards);
+      ASSERT_TRUE(writer.WriteFromView(*mono, 1).ok());
+      const std::string manifest = sub + "/" + ManifestFileName(1);
+      std::vector<std::size_t> forward(
+          OpenShardedSnapshot(manifest)->views.size());
+      std::iota(forward.begin(), forward.end(), 0);
+      std::vector<std::size_t> reversed(forward.rbegin(), forward.rend());
+      std::vector<std::size_t> shuffled = forward;
+      Rng rng(shards * 31 + threads);
+      for (std::size_t i = shuffled.size(); i > 1; --i) {
+        std::swap(shuffled[i - 1], shuffled[rng.NextBounded(i)]);
+      }
+      for (const auto& order : {forward, reversed, shuffled}) {
+        SCOPED_TRACE("shards " + std::to_string(shards) + " threads " +
+                     std::to_string(threads) + " first shard " +
+                     std::to_string(order[0]));
+        auto opened = OpenShardedSnapshot(manifest);
+        ASSERT_TRUE(opened.ok());
+        const ShardedSnapshot permuted =
+            PermuteShards(std::move(opened).value(), order);
+        std::unique_ptr<WorkerPool> pool;
+        if (threads > 1) pool = std::make_unique<WorkerPool>(threads);
+        ShardRouter router(permuted, pool.get());
+
+        for (NodeId x = 0; x < users; ++x) {
+          ASSERT_TRUE(SameBits(router.MarginalGain(x), fresh[x]))
+              << "node " << x;
+        }
+        const auto selection = router.TopKSeeds(kTopK);
+        EXPECT_EQ(selection.seeds, expected.seeds);
+        EXPECT_EQ(selection.marginal_gains, expected.marginal_gains);
+        EXPECT_EQ(selection.cumulative_spread, expected.cumulative_spread);
+        EXPECT_EQ(selection.gain_evaluations, expected.gain_evaluations);
+        router.ResetSession();
+        for (const NodeId seed : what_if) router.CommitSeed(seed);
+        for (NodeId x = 0; x < users; ++x) {
+          ASSERT_TRUE(SameBits(router.MarginalGain(x), committed[x]))
+              << "what-if node " << x;
+        }
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// ----------------------------------------------------- golden checksum
+
+/// FNV-1a over the bit patterns of `gains`, continuing from `h`.
+std::uint64_t HashGains(std::uint64_t h, const std::vector<double>& gains) {
+  for (const double g : gains) {
+    const std::uint64_t bits = std::bit_cast<std::uint64_t>(g);
+    for (int i = 0; i < 8; ++i) {
+      h ^= (bits >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+TEST(GainKernelTest, EveryGainMatchesGoldenChecksum) {
+  // Every gain of the seeded fixture — fresh, along TopKSeeds(20), and
+  // after five what-if commits — hashed bit for bit. Integer sums and
+  // -ffp-contract=off make the value independent of the compiler's
+  // vectorization and ISA choices, so a default build and a
+  // -march=native build must both reproduce it.
+  constexpr std::uint64_t kGolden = 0x9f7b3c90ed5ec115ULL;
+  auto data = MakeDataset();
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string path = TempPath("quot_golden.snap");
+  auto view = WriteAndOpen(model, path);
+  SnapshotQueryEngine engine(view);
+  std::vector<double> gains(view.num_users());
+  for (NodeId x = 0; x < view.num_users(); ++x) {
+    gains[x] = engine.MarginalGain(x);
+  }
+  std::uint64_t h = HashGains(0xcbf29ce484222325ULL, gains);
+  const auto selection = engine.TopKSeeds(20);
+  h = HashGains(h, selection.marginal_gains);
+  engine.ResetSession();
+  for (std::size_t i = 0; i < 5; ++i) engine.CommitSeed(selection.seeds[i]);
+  for (NodeId x = 0; x < view.num_users(); ++x) {
+    gains[x] = engine.MarginalGain(x);
+  }
+  h = HashGains(h, gains);
+  EXPECT_EQ(h, kGolden) << "checksum 0x" << std::hex << h;
+  std::remove(path.c_str());
 }
 
 }  // namespace

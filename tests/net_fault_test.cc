@@ -1,10 +1,10 @@
 // Network chaos suite (docs/networking.md): arm the wire-level
 // failpoints at every protocol step — a replica dying before handling,
 // tearing its response at an exact byte offset, dying between two
-// shards' term segments, the client's own request stream tearing — and
+// shards' partials, the client's own request stream tearing — and
 // assert the two failover invariants: with a live replica remaining,
 // every query still returns bit-identical answers (the failed slot alone
-// is re-asked for the same terms while the other slots' replies are
+// is re-asked for the same partials while the other slots' replies are
 // drained), and with no live replica the router degrades to a fast
 // Unavailable, never a partial answer. Built against the
 // failpoint-enabled mirror (influmax_fp), so this suite runs in the
@@ -319,7 +319,7 @@ TEST(NetChaosTest, KilledReplicaFailsOverWithCommitReplay) {
   const std::uint64_t replays = CounterValue("net.commit_replays");
   // Kill the active replica of each slot; the next query re-dials the
   // surviving replica, replays both commits, and re-asks that slot for
-  // its terms — same bits as if nothing happened.
+  // its partials — same bits as if nothing happened.
   fleet.servers[0]->Kill();
   fleet.servers[2]->Kill();
   for (NodeId x = 0; x < (*remote)->num_users(); x += 5) {
@@ -340,8 +340,8 @@ TEST(NetChaosTest, NoLiveReplicaDegradesFastNeverPartial) {
   ASSERT_TRUE(remote.ok()) << remote.status().ToString();
 
   // Kill BOTH replicas of slot 1 only: slot 0 still answers, but the
-  // chained fold cannot complete — the query must fail whole, not
-  // return slot 0's partial accumulator.
+  // sum misses slot 1's partial — the query must fail whole, not return
+  // slot 0's partial alone.
   fleet.servers[2]->Kill();
   fleet.servers[3]->Kill();
   auto gain = (*remote)->MarginalGain(0);

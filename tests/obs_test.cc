@@ -491,11 +491,9 @@ TEST(EngineObsTest, SampledGainProbeCountsQueriesExactly) {
 
   const std::uint64_t queries_before =
       GlobalCounterValue("serve.gain.queries");
-  const std::uint64_t exact_before =
-      GlobalCounterValue("serve.kernel.exact_calls");
   // The probe's tick is thread-local, so a fresh thread starts at zero:
-  // exactly 512 / kObsSampleEvery probes fire and the counters (flushed
-  // in units of kObsSampleEvery) advance by exactly 512.
+  // exactly 512 / kObsSampleEvery probes fire and the counter (flushed
+  // in units of kObsSampleEvery) advances by exactly 512.
   static_assert(512 % kObsSampleEvery == 0);
   std::thread([&engine] {
     for (int i = 0; i < 512; ++i) {
@@ -504,8 +502,6 @@ TEST(EngineObsTest, SampledGainProbeCountsQueriesExactly) {
     }
   }).join();
   EXPECT_EQ(GlobalCounterValue("serve.gain.queries") - queries_before, 512u);
-  EXPECT_EQ(GlobalCounterValue("serve.kernel.exact_calls") - exact_before,
-            512u);
   std::remove(path.c_str());
 }
 

@@ -230,7 +230,6 @@ TEST(ShardRouterTest, WorkerPoolDoesNotChangeAnyBit) {
   for (NodeId x = 0; x < data.log.num_users(); x += 5) {
     const double want = serial_router.MarginalGain(x);
     ASSERT_EQ(pooled_router.MarginalGain(x), want) << "node " << x;
-    ASSERT_EQ(pooled_router.MarginalGainParallel(x), want) << "node " << x;
   }
   std::filesystem::remove_all(dir);
 }
@@ -264,6 +263,35 @@ TEST(ShardRouterTest, SpreadBudgetAndDegenerateQueriesMatchEngine) {
 }
 
 // ------------------------------------------------ manifest validation
+
+TEST(ShardManifestTest, GlobalAuBelowAShardsLocalAuIsRefused) {
+  // The global-au quotient pools inherit the blobs' fixed-point headroom
+  // only because a user's global A_u counts at least the actions any
+  // shard saw; a manifest claiming fewer is refused at open.
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("manifest_low_au");
+  const ShardedSnapshot sharded = SplitAndOpen(model, dir, 3);
+  ASSERT_GT(sharded.views.size(), 1u);
+  const auto local_au = sharded.views[0].au();
+  NodeId user = 0;
+  while (user < local_au.size() && local_au[user] == 0) ++user;
+  ASSERT_LT(user, local_au.size());
+
+  ShardManifest manifest = sharded.manifest;
+  manifest.au[user] = local_au[user] - 1;
+  const std::string path = dir + "/" + ManifestFileName(1);
+  ASSERT_TRUE(WriteShardManifest(manifest, path).ok());
+  auto reopened = OpenShardedSnapshot(path);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(reopened.status().message().find("more actions than the "
+                                             "manifest's A_u"),
+            std::string::npos)
+      << reopened.status().ToString();
+  std::filesystem::remove_all(dir);
+}
 
 TEST(ShardManifestTest, RejectsTruncatedAndMangledManifests) {
   auto data = MakeDataset(0.05);

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
+#include <iterator>
+#include <limits>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -10,6 +14,7 @@
 #include "common/logging.h"
 #include "core/cd_model.h"
 #include "core/direct_credit.h"
+#include "core/fixed_gain.h"
 #include "datagen/cascade_generator.h"
 #include "probability/time_params.h"
 #include "serve/query_engine.h"
@@ -338,6 +343,198 @@ TEST(SnapshotTest, ForgedBackwardRecordIntoAnotherSlotIsSkipped) {
   engine.ResetSession();
   EXPECT_TRUE(engine.session_seeds().empty());
   std::remove(path.c_str());
+}
+
+// ------------------------------------------------- hostile gain values
+// The fixed-point gain converts every quotient, and every slot's sum of
+// them, to an integer; Open refuses a file whose values it cannot hold
+// before any conversion runs. Each forgery patches a written file in
+// place — a consistent quotient included where the case needs one — so
+// nothing but the forged value differs.
+
+/// Element size of each SnapshotSection, in section order.
+constexpr std::size_t kSectionElementBytes[] = {4, 8, 4, 8, 8, 8, 4, 8, 4,
+                                                4, 8, 8, 4, 8, 4, 8, 4};
+static_assert(std::size(kSectionElementBytes) ==
+              static_cast<std::size_t>(SnapshotSection::kNumSections));
+
+/// Byte offset of `section`'s payload in a snapshot file's bytes.
+std::size_t PayloadOffset(const std::string& bytes, SnapshotSection section) {
+  std::size_t offset = kSnapshotPreludeBytes;
+  for (std::size_t i = 0;; ++i) {
+    std::uint64_t count = 0;
+    std::memcpy(&count, bytes.data() + offset, 8);
+    if (i == static_cast<std::size_t>(section)) return offset + 8;
+    offset += 8 + count * kSectionElementBytes[i];
+    offset = (offset + 7) / 8 * 8;
+  }
+}
+
+template <typename T>
+void Poke(std::string* bytes, SnapshotSection section, std::size_t index,
+          T value) {
+  std::memcpy(bytes->data() + PayloadOffset(*bytes, section) +
+                  index * sizeof(T),
+              &value, sizeof(T));
+}
+
+/// The paper example's snapshot bytes, plus its view for the indices.
+/// Forgeries go to a second path, so the view's mapping stays intact.
+struct ForgeFixture {
+  std::string path = TempPath("forge_source.snap");
+  std::string forged_path = TempPath("forged_value.snap");
+  std::string bytes;
+  CreditSnapshotView view;
+
+  ForgeFixture() {
+    auto ex = MakePaperExample();
+    EqualDirectCredit credit;
+    auto model = BuildModel(ex.graph, ex.log, credit);
+    view = WriteAndOpen(model, path);
+    bytes = ReadFileBytes(path);
+  }
+  ~ForgeFixture() {
+    std::remove(path.c_str());
+    std::remove(forged_path.c_str());
+  }
+
+  /// Writes `forged` and opens it; the refusal's message.
+  std::string OpenRefusal(const std::string& forged) const {
+    std::ofstream(forged_path, std::ios::binary | std::ios::trunc)
+        .write(forged.data(), static_cast<std::streamsize>(forged.size()));
+    auto opened = CreditSnapshotView::Open(forged_path);
+    if (opened.ok()) return "opened";
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+    return opened.status().message();
+  }
+
+  /// Sets entry e's credit and its matching quotient (when it has one).
+  std::string WithCredit(std::uint64_t e, double credit) const {
+    std::string forged = bytes;
+    Poke(&forged, SnapshotSection::kFwdCredit, e, credit);
+    const double q = credit / view.au()[view.fwd_node()[e]];
+    if (std::fabs(q) < kGainHeadroom) {
+      Poke(&forged, SnapshotSection::kFwdQuotient, e, ToFixed(q));
+    }
+    return forged;
+  }
+};
+
+bool Mentions(const std::string& message, const std::string& what) {
+  return message.find(what) != std::string::npos;
+}
+
+TEST(SnapshotTest, ForgedNegativeOrNonFiniteCreditIsRefused) {
+  ForgeFixture f;
+  ASSERT_GT(f.view.num_entries(), 0u);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double credit : {-0.25, -1e-300, inf, -inf, std::nan("")}) {
+    const std::string refusal = f.OpenRefusal(f.WithCredit(0, credit));
+    EXPECT_TRUE(Mentions(refusal, "negative or non-finite credit"))
+        << credit << ": " << refusal;
+  }
+  // A finite credit whose quotient no FixedGain can hold.
+  const std::string refusal = f.OpenRefusal(f.WithCredit(0, 1e300));
+  EXPECT_TRUE(Mentions(refusal, "headroom")) << refusal;
+}
+
+TEST(SnapshotTest, ForgedNonFiniteSetCreditIsRefused) {
+  ForgeFixture f;
+  ASSERT_GT(f.view.num_slots(), 0u);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double sc : {std::nan(""), inf, -inf}) {
+    std::string forged = f.bytes;
+    Poke(&forged, SnapshotSection::kSlotSc, f.view.num_slots() - 1, sc);
+    const std::string refusal = f.OpenRefusal(forged);
+    EXPECT_TRUE(Mentions(refusal, "non-finite SC")) << sc << ": " << refusal;
+  }
+}
+
+TEST(SnapshotTest, ForgedQuotientPoolEntryIsRefused) {
+  ForgeFixture f;
+  ASSERT_GT(f.view.num_entries(), 0u);
+  const std::uint64_t e = f.view.num_entries() - 1;
+  for (const FixedGain delta : {FixedGain{1}, FixedGain{-1}}) {
+    std::string forged = f.bytes;
+    Poke(&forged, SnapshotSection::kFwdQuotient, e,
+         f.view.fwd_quotient()[e] + delta);
+    const std::string refusal = f.OpenRefusal(forged);
+    EXPECT_TRUE(Mentions(refusal, "is not ToFixed")) << refusal;
+  }
+}
+
+/// A slot with two credit entries, each forged to a quotient of 0.75 of
+/// the headroom: each fits a FixedGain, their sum does not.
+std::uint64_t SlotWithTwoEntries(const CreditSnapshotView& view) {
+  for (std::uint64_t s = 0; s < view.num_slots(); ++s) {
+    if (view.fwd_count()[s] >= 2) return s;
+  }
+  return CreditSnapshotView::kNoSlot;
+}
+
+TEST(SnapshotTest, ForgedSlotPastTheGainHeadroomIsRefused) {
+  ForgeFixture f;
+  const std::uint64_t s = SlotWithTwoEntries(f.view);
+  ASSERT_NE(s, CreditSnapshotView::kNoSlot);
+  std::string forged = f.bytes;
+  for (std::uint64_t e = f.view.fwd_begin()[s];
+       e < f.view.fwd_begin()[s] + 2; ++e) {
+    const double credit =
+        0.75 * kGainHeadroom * f.view.au()[f.view.fwd_node()[e]];
+    Poke(&forged, SnapshotSection::kFwdCredit, e, credit);
+    Poke(&forged, SnapshotSection::kFwdQuotient, e,
+         ToFixed(0.75 * kGainHeadroom));
+  }
+  const std::string refusal = f.OpenRefusal(forged);
+  EXPECT_TRUE(Mentions(refusal, "slot " + std::to_string(s)) &&
+              Mentions(refusal, "headroom"))
+      << refusal;
+
+  // One such entry alone fits: the slot-by-slot sum, not a coarse bound,
+  // decides.
+  std::string one = f.bytes;
+  const std::uint64_t e = f.view.fwd_begin()[s];
+  Poke(&one, SnapshotSection::kFwdCredit, e,
+       0.75 * kGainHeadroom * f.view.au()[f.view.fwd_node()[e]]);
+  Poke(&one, SnapshotSection::kFwdQuotient, e, ToFixed(0.75 * kGainHeadroom));
+  EXPECT_EQ(f.OpenRefusal(one), "opened");
+}
+
+TEST(SnapshotTest, WriterRefusesSlotPastTheGainHeadroom) {
+  auto ex = MakePaperExample();
+  EqualDirectCredit credit;
+  auto model = BuildModel(ex.graph, ex.log, credit);
+  SnapshotData data = BuildSnapshotData(model.store(), ex.graph, ex.log,
+                                        /*truncation_threshold=*/0.0, {});
+  std::uint64_t s = 0;
+  while (s < data.fwd_count.size() && data.fwd_count[s] < 2) ++s;
+  ASSERT_LT(s, data.fwd_count.size());
+  for (std::uint64_t e = data.fwd_begin[s]; e < data.fwd_begin[s] + 2; ++e) {
+    data.fwd_credit[e] = 0.75 * kGainHeadroom * data.au[data.fwd_node[e]];
+  }
+  const std::string path = TempPath("writer_headroom.snap");
+  std::remove(path.c_str());
+  const Status status = WriteSnapshotFile(data, path);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(Mentions(status.message(), "headroom")) << status.ToString();
+  EXPECT_FALSE(std::filesystem::exists(path));
+}
+
+TEST(SnapshotTest, OlderFormatVersionsAskForARebuild) {
+  ForgeFixture f;
+  for (const std::uint32_t version : {1u, 2u}) {
+    std::string forged = f.bytes;
+    std::memcpy(forged.data() + 8, &version, 4);
+    const std::string refusal = f.OpenRefusal(forged);
+    EXPECT_TRUE(Mentions(refusal, "rebuild to upgrade")) << refusal;
+  }
+  std::string forged = f.bytes;
+  const std::uint32_t future = kSnapshotVersion + 1;
+  std::memcpy(forged.data() + 8, &future, 4);
+  const std::string refusal = f.OpenRefusal(forged);
+  EXPECT_TRUE(Mentions(refusal, "unsupported version")) << refusal;
+  EXPECT_FALSE(Mentions(refusal, "rebuild")) << refusal;
 }
 
 // --------------------------------------------------- incremental rescan

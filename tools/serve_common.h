@@ -97,16 +97,14 @@ inline void PrintPercentiles(const char* label, const LatencyHistogram& hist,
 /// The engine/router gain probes are sampled (1 in kObsSampleEvery), so
 /// a short interactive session may never trip them; these timers wrap
 /// every REPL query exactly, which is cheap at REPL rate and guarantees
-/// a live session's scrape carries query-latency percentiles and
-/// kernel-dispatch counts (docs/observability.md).
+/// a live session's scrape carries query-latency percentiles
+/// (docs/observability.md).
 struct ServeQueryMetrics {
   Timer* gain;
   Timer* topk;
   Timer* commit;
   Timer* spread;
   Timer* reset;
-  Counter* kernel_exact;  // REPL queries answered in exact mode
-  Counter* kernel_fast;   // ... and in fast_math mode
 };
 
 inline const ServeQueryMetrics& GetServeQueryMetrics() {
@@ -118,8 +116,6 @@ inline const ServeQueryMetrics& GetServeQueryMetrics() {
     m.commit = reg.FindOrCreateTimer("serve.query.commit");
     m.spread = reg.FindOrCreateTimer("serve.query.spread");
     m.reset = reg.FindOrCreateTimer("serve.query.reset");
-    m.kernel_exact = reg.FindOrCreateCounter("serve.query.kernel_exact");
-    m.kernel_fast = reg.FindOrCreateCounter("serve.query.kernel_fast");
     return m;
   }();
   return metrics;

@@ -52,7 +52,6 @@
 #include "core/direct_credit.h"
 #include "graph/graph_io.h"
 #include "probability/time_params.h"
-#include "serve/gain_kernel.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot_view.h"
 #include "serve/snapshot_writer.h"
@@ -140,23 +139,20 @@ void PrintSelection(const SnapshotSeedSelection& selection) {
 }
 
 int RunServe(const std::string& snapshot_path, std::size_t gain_threads,
-             GainKernelMode kernel_mode, const MetricsDump& dump) {
+             const MetricsDump& dump) {
   WallTimer timer;
   auto view = CreditSnapshotView::Open(snapshot_path);
   if (!view.ok()) return Fail(view.status());
   SnapshotQueryEngine engine(*view);
   engine.set_gain_threads(gain_threads);
-  engine.set_kernel_mode(kernel_mode);
   const ServeQueryMetrics& qm = GetServeQueryMetrics();
   SpanRing ring(256);
   std::fprintf(stderr,
                "serving %s: %u users, %u actions, %llu entries, %s mapped, "
-               "kernel %s (%s), loaded in %.1fms\n",
+               "loaded in %.1fms\n",
                snapshot_path.c_str(), view->num_users(), view->num_actions(),
                static_cast<unsigned long long>(view->num_entries()),
                FormatBytes(view->ApproxMemoryBytes()).c_str(),
-               GainKernelModeName(kernel_mode),
-               GainKernelBackendName(ActiveGainKernelBackend()),
                timer.ElapsedSeconds() * 1e3);
 
   std::string line;
@@ -180,9 +176,6 @@ int RunServe(const std::string& snapshot_path, std::size_t gain_threads,
         ObsSpan span(&ring, kSpanQueryTopk, k, qm.topk);
         selection = engine.TopKSeeds(k, budget);
       }
-      (engine.kernel_mode() == GainKernelMode::kFastMath ? qm.kernel_fast
-                                                         : qm.kernel_exact)
-          ->Increment();
       PrintSelection(selection);
     } else if (command == "gain" || command == "commit") {
       // A failed extraction writes 0, not the sentinel — committing
@@ -199,9 +192,6 @@ int RunServe(const std::string& snapshot_path, std::size_t gain_threads,
           ObsSpan span(&ring, kSpanQueryGain, x, qm.gain);
           gain = engine.MarginalGain(x);
         }
-        (engine.kernel_mode() == GainKernelMode::kFastMath ? qm.kernel_fast
-                                                           : qm.kernel_exact)
-            ->Increment();
         std::printf("%.6f\n", gain);
       } else {
         {
@@ -219,9 +209,6 @@ int RunServe(const std::string& snapshot_path, std::size_t gain_threads,
         ObsSpan span(&ring, kSpanQuerySpread, seeds.size(), qm.spread);
         spread = engine.SpreadOf(seeds);
       }
-      (engine.kernel_mode() == GainKernelMode::kFastMath ? qm.kernel_fast
-                                                         : qm.kernel_exact)
-          ->Increment();
       std::printf("%.6f\n", spread);
     } else if (command == "reset") {
       {
@@ -367,8 +354,8 @@ int RunServeThreadsBench(const CreditSnapshotView& view,
 int RunBench(const std::string& snapshot_path, const std::string& graph_path,
              const std::string& log_path, const std::string& credit_name,
              int k, std::size_t gain_threads, std::size_t serve_threads,
-             std::size_t topk_samples, GainKernelMode kernel_mode,
-             const std::string& json_path, const MetricsDump& dump) {
+             std::size_t topk_samples, const std::string& json_path,
+             const MetricsDump& dump) {
   std::vector<BenchRecord> records;
   WallTimer timer;
   auto view = CreditSnapshotView::Open(snapshot_path);
@@ -376,48 +363,24 @@ int RunBench(const std::string& snapshot_path, const std::string& graph_path,
   const double load_ms = timer.ElapsedSeconds() * 1e3;
   SnapshotQueryEngine engine(*view);
   engine.set_gain_threads(gain_threads);
-  std::printf("kernel: %s (backend %s)\n", GainKernelModeName(kernel_mode),
-              GainKernelBackendName(ActiveGainKernelBackend()));
 
-  // Marginal-gain latency over every active user in *both* kernel modes,
-  // every query timed into a histogram (the mean hides tail behavior;
-  // serving SLOs are p99s) — the archived trajectory keeps exact and
-  // fast_math numbers apart. --kernel picks which mode the headline
-  // marginal_gain record and the topk section run in.
-  struct GainPhase {
-    LatencyHistogram hist;
-    double us_per_query = 0.0;
-    double checksum = 0.0;
-    std::uint64_t gains = 0;
-  };
+  // Marginal-gain latency over every active user, every query timed into
+  // a histogram (the mean hides tail behavior; serving SLOs are p99s).
+  LatencyHistogram gain_hist;
+  double sink = 0.0;
+  std::uint64_t gains = 0;
   WallTimer query_timer;
-  const auto run_gain_phase = [&](GainKernelMode mode) {
-    GainPhase phase;
-    engine.set_kernel_mode(mode);
-    timer.Reset();
-    for (NodeId x = 0; x < view->num_users(); ++x) {
-      if (view->au()[x] == 0) continue;
-      query_timer.Reset();
-      phase.checksum += engine.MarginalGain(x);
-      phase.hist.Record(query_timer.ElapsedSeconds() * 1e9);
-      ++phase.gains;
-    }
-    if (phase.gains > 0) {
-      phase.us_per_query = timer.ElapsedSeconds() * 1e6 /
-                           static_cast<double>(phase.gains);
-    }
-    return phase;
-  };
-  const GainPhase exact_phase = run_gain_phase(GainKernelMode::kExact);
-  const GainPhase fast_phase = run_gain_phase(GainKernelMode::kFastMath);
-  const GainPhase& selected = kernel_mode == GainKernelMode::kFastMath
-                                  ? fast_phase
-                                  : exact_phase;
-  engine.set_kernel_mode(kernel_mode);
-  const LatencyHistogram& gain_hist = selected.hist;
-  const double gain_us = selected.us_per_query;
-  const double sink = selected.checksum;
-  const std::uint64_t gains = selected.gains;
+  timer.Reset();
+  for (NodeId x = 0; x < view->num_users(); ++x) {
+    if (view->au()[x] == 0) continue;
+    query_timer.Reset();
+    sink += engine.MarginalGain(x);
+    gain_hist.Record(query_timer.ElapsedSeconds() * 1e9);
+    ++gains;
+  }
+  const double gain_us =
+      gains > 0 ? timer.ElapsedSeconds() * 1e6 / static_cast<double>(gains)
+                : 0.0;
 
   // Top-k: `topk_samples` full queries for a latency distribution (cheap
   // next to the per-gain loop above; the first selection is the one the
@@ -442,13 +405,6 @@ int RunBench(const std::string& snapshot_path, const std::string& graph_path,
               "(checksum %.3f)\n",
               gain_us, static_cast<unsigned long long>(gains), sink);
   PrintPercentiles("gain", gain_hist, 1e3, "us");
-  std::printf("  exact %.3f us/query, fast %.3f us/query (%.2fx)\n",
-              exact_phase.us_per_query, fast_phase.us_per_query,
-              fast_phase.us_per_query > 0
-                  ? exact_phase.us_per_query / fast_phase.us_per_query
-                  : 0.0);
-  PrintPercentiles("gain_exact", exact_phase.hist, 1e3, "us");
-  PrintPercentiles("gain_fast", fast_phase.hist, 1e3, "us");
   std::printf("topk(%d): %.2f ms, %llu gain evaluations, %zu gain "
               "threads, engine %s\n",
               k, topk_ms,
@@ -458,26 +414,12 @@ int RunBench(const std::string& snapshot_path, const std::string& graph_path,
   PrintPercentiles("topk", topk_hist, 1e6, "ms");
   records.push_back(
       {"snapshot_load", load_ms * 1e6, view->ApproxMemoryBytes(), 1});
-  BenchRecord gain_record =
-      WithPercentiles({"marginal_gain", gain_us * 1e3, 0, 1}, gain_hist);
-  gain_record.mode = GainKernelModeName(kernel_mode);
-  records.push_back(std::move(gain_record));
-  BenchRecord exact_record = WithPercentiles(
-      {"marginal_gain_exact", exact_phase.us_per_query * 1e3, 0, 1},
-      exact_phase.hist);
-  exact_record.mode = GainKernelModeName(GainKernelMode::kExact);
-  records.push_back(std::move(exact_record));
-  BenchRecord fast_record = WithPercentiles(
-      {"marginal_gain_fast", fast_phase.us_per_query * 1e3, 0, 1},
-      fast_phase.hist);
-  fast_record.mode = GainKernelModeName(GainKernelMode::kFastMath);
-  records.push_back(std::move(fast_record));
-  BenchRecord topk_record = WithPercentiles(
+  records.push_back(
+      WithPercentiles({"marginal_gain", gain_us * 1e3, 0, 1}, gain_hist));
+  records.push_back(WithPercentiles(
       {"topk", topk_ms * 1e6, engine.ApproxMemoryBytes(),
        EffectiveThreadCount(gain_threads)},
-      topk_hist);
-  topk_record.mode = GainKernelModeName(kernel_mode);
-  records.push_back(std::move(topk_record));
+      topk_hist));
 
   if (serve_threads > 1) {
     if (const int status = RunServeThreadsBench(*view, serve_threads,
@@ -510,10 +452,7 @@ int RunBench(const std::string& snapshot_path, const std::string& graph_path,
                 rebuild_ms, topk_ms > 0 ? rebuild_ms / topk_ms : 0.0);
     records.push_back({"rebuild_topk", rebuild_ms * 1e6,
                        model->ApproxMemoryBytes(), 1});
-    // Bit-identity to the live model is only promised by the exact
-    // kernel; under fast_math a near-tie may legitimately flip a pick.
-    if (kernel_mode == GainKernelMode::kExact &&
-        live->seeds != selection.seeds) {
+    if (live->seeds != selection.seeds) {
       std::printf("! seed mismatch between snapshot and rebuild\n");
       return 1;
     }
@@ -538,7 +477,6 @@ int Main(int argc, char** argv) {
   int gain_threads = 0;
   int serve_threads = 1;
   int topk_samples = 3;
-  std::string kernel_name = "exact";
   bool build = false;
   bool rescan = false;
   bool bench = false;
@@ -556,9 +494,6 @@ int Main(int argc, char** argv) {
                "--bench only: concurrent serving engines over one view");
   flags.AddInt("topk_samples", &topk_samples,
                "--bench only: topk queries per latency distribution");
-  flags.AddString("kernel", &kernel_name,
-                  "gain kernel: exact (bit-identical, default) | fast "
-                  "(vectorized, bounded error; docs/gain_kernel.md)");
   flags.AddString("json", &json_path,
                   "--bench only: write machine-readable results here");
   flags.AddString("metrics_json", &metrics_json,
@@ -606,22 +541,15 @@ int Main(int argc, char** argv) {
                  flags.Usage(argv[0]).c_str());
     return 1;
   }
-  auto kernel_mode = ParseGainKernelMode(kernel_name);
-  if (!kernel_mode.ok()) {
-    std::fprintf(stderr, "%s\n%s", kernel_mode.status().ToString().c_str(),
-                 flags.Usage(argv[0]).c_str());
-    return 1;
-  }
   const MetricsDump dump{metrics_json, metrics_prom};
   if (bench) {
     return RunBench(snapshot_path, graph_path, log_path, credit_name, k,
                     static_cast<std::size_t>(gain_threads),
                     static_cast<std::size_t>(serve_threads),
-                    static_cast<std::size_t>(topk_samples), *kernel_mode,
-                    json_path, dump);
+                    static_cast<std::size_t>(topk_samples), json_path, dump);
   }
   return RunServe(snapshot_path, static_cast<std::size_t>(gain_threads),
-                  *kernel_mode, dump);
+                  dump);
 }
 
 }  // namespace

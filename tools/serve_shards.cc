@@ -12,8 +12,7 @@
 //   serve_shards --dir=D [--pool_threads=4]
 // one query per stdin line:
 //   topk K [BUDGET]   CELF greedy seeds across all shards
-//   gain X            routed marginal gain (serial shard fold)
-//   pgain X           same gain, per-shard terms computed on the pool
+//   gain X            routed marginal gain (sum of per-shard partials)
 //   commit X          commit X in every shard
 //   spread X Y Z ...  sigma_cd of the given set
 //   reset             rewind every shard session
@@ -89,7 +88,6 @@
 #include "net/shard_server.h"
 #include "obs/trace.h"
 #include "probability/time_params.h"
-#include "serve/gain_kernel.h"
 #include "serve_common.h"
 #include "shard/generation_manager.h"
 #include "shard/recovery.h"
@@ -282,21 +280,17 @@ void PrintSelection(const SnapshotSeedSelection& selection) {
 }
 
 int RunServe(GenerationManager& manager, WorkerPool* pool,
-             GainKernelMode kernel_mode, const MetricsDump& dump) {
+             const MetricsDump& dump) {
   const ServeQueryMetrics& qm = GetServeQueryMetrics();
   SpanRing ring(256);
   GenerationManager::Session session(manager, pool);
-  session.router().set_kernel_mode(kernel_mode);
   session.router().set_span_ring(&ring);
   {
     const ShardManifest& m = session.shards().manifest;
     PrintManifest(m, "serving");
-    std::fprintf(stderr, "%u users, lambda %g, pool %zu workers, "
-                 "kernel %s (%s)\n",
+    std::fprintf(stderr, "%u users, lambda %g, pool %zu workers\n",
                  m.num_users, m.truncation_threshold,
-                 pool == nullptr ? 1 : pool->num_workers(),
-                 GainKernelModeName(kernel_mode),
-                 GainKernelBackendName(ActiveGainKernelBackend()));
+                 pool == nullptr ? 1 : pool->num_workers());
   }
   std::string line;
   while (std::getline(std::cin, line)) {
@@ -321,12 +315,8 @@ int RunServe(GenerationManager& manager, WorkerPool* pool,
         ObsSpan span(&ring, kSpanQueryTopk, k, qm.topk);
         selection = router.TopKSeeds(k, budget);
       }
-      (router.kernel_mode() == GainKernelMode::kFastMath ? qm.kernel_fast
-                                                         : qm.kernel_exact)
-          ->Increment();
       PrintSelection(selection);
-    } else if (command == "gain" || command == "pgain" ||
-               command == "commit") {
+    } else if (command == "gain" || command == "commit") {
       // A failed extraction writes 0, not the sentinel — committing
       // node 0 on a typo would silently poison the session.
       NodeId x = kInvalidNode;
@@ -345,12 +335,8 @@ int RunServe(GenerationManager& manager, WorkerPool* pool,
         double gain = 0.0;
         {
           ObsSpan span(&ring, kSpanQueryGain, x, qm.gain);
-          gain = command == "gain" ? router.MarginalGain(x)
-                                   : router.MarginalGainParallel(x);
+          gain = router.MarginalGain(x);
         }
-        (router.kernel_mode() == GainKernelMode::kFastMath ? qm.kernel_fast
-                                                           : qm.kernel_exact)
-            ->Increment();
         std::printf("%.6f\n", gain);
       }
     } else if (command == "spread") {
@@ -362,9 +348,6 @@ int RunServe(GenerationManager& manager, WorkerPool* pool,
         ObsSpan span(&ring, kSpanQuerySpread, seeds.size(), qm.spread);
         spread = router.SpreadOf(seeds);
       }
-      (router.kernel_mode() == GainKernelMode::kFastMath ? qm.kernel_fast
-                                                         : qm.kernel_exact)
-          ->Increment();
       std::printf("%.6f\n", spread);
     } else if (command == "reset") {
       {
@@ -374,12 +357,8 @@ int RunServe(GenerationManager& manager, WorkerPool* pool,
       std::printf("# session reset\n");
     } else if (command == "refresh") {
       const bool moved = session.Refresh();
-      // A swap builds a fresh router (default kernel, no span ring);
-      // re-apply both.
-      if (moved) {
-        session.router().set_kernel_mode(kernel_mode);
-        session.router().set_span_ring(&ring);
-      }
+      // A swap builds a fresh router (no span ring); re-attach it.
+      if (moved) session.router().set_span_ring(&ring);
       std::printf("# generation %llu%s\n",
                   static_cast<unsigned long long>(session.generation()),
                   moved ? " (swapped)" : " (unchanged)");
@@ -401,10 +380,7 @@ int RunServe(GenerationManager& manager, WorkerPool* pool,
         continue;
       }
       const bool moved = session.Refresh();
-      if (moved) {
-        session.router().set_kernel_mode(kernel_mode);
-        session.router().set_span_ring(&ring);
-      }
+      if (moved) session.router().set_span_ring(&ring);
       std::printf("# generation %llu%s\n",
                   static_cast<unsigned long long>(session.generation()),
                   moved ? " (swapped)" : " (unchanged)");
@@ -414,7 +390,7 @@ int RunServe(GenerationManager& manager, WorkerPool* pool,
       HandleMetricsCommand(in, ring, dump);
     } else {
       if (command != "stats") {
-        std::printf("! unknown command '%s' (topk | gain | pgain | commit | "
+        std::printf("! unknown command '%s' (topk | gain | commit | "
                     "spread | reset | refresh | recover | failpoint ... | "
                     "stats | metrics [prom|spans] | quit)\n",
                     command.c_str());
@@ -492,14 +468,12 @@ int RunServe(GenerationManager& manager, WorkerPool* pool,
 /// (per-thread LatencyHistograms merged with Merge(), never a shared
 /// locked histogram), per-shard gain-term percentiles, and routed topk.
 int RunBench(GenerationManager& manager, std::size_t threads, int k,
-             std::size_t samples, GainKernelMode kernel_mode,
-             const std::string& json_path, const MetricsDump& dump) {
+             std::size_t samples, const std::string& json_path,
+             const MetricsDump& dump) {
   std::vector<BenchJsonRecord> records;
   GenerationManager::Session main_session(manager);
   const ShardManifest& m = main_session.shards().manifest;
   PrintManifest(m, "bench");
-  std::printf("kernel: %s (backend %s)\n", GainKernelModeName(kernel_mode),
-              GainKernelBackendName(ActiveGainKernelBackend()));
 
   std::vector<NodeId> active;
   for (NodeId x = 0; x < m.num_users; ++x) {
@@ -521,27 +495,17 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
 
   // Routed gains, `threads` sessions each working a stripe of the active
   // users; per-thread digests merged at the end (Merge is
-  // order-independent, so the merged percentiles are deterministic). Run
-  // in both kernel modes so the archived trajectory keeps exact and
-  // fast_math numbers apart; --kernel picks the headline record and the
-  // mode the per-shard + topk sections below run in.
+  // order-independent, so the merged percentiles are deterministic).
   std::vector<std::unique_ptr<GenerationManager::Session>> sessions;
   for (std::size_t t = 0; t < threads; ++t) {
     sessions.push_back(
         std::make_unique<GenerationManager::Session>(manager));
   }
-  struct RoutedPhase {
-    LatencyHistogram hist;
-    double ns_per_query = 0.0;
-    double checksum = 0.0;
-  };
-  const auto run_routed_phase = [&](GainKernelMode mode) {
-    RoutedPhase phase;
+  LatencyHistogram routed_hist;
+  double checksum = 0.0;
+  {
     std::vector<LatencyHistogram> gain_hist(threads);
     std::vector<double> partial(threads, 0.0);
-    for (auto& session : sessions) {
-      session->router().set_kernel_mode(mode);
-    }
     WallTimer timer;
     ParallelForChunked(
         active.size(), threads,
@@ -556,45 +520,19 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
           }
           partial[tid] = sum;
         });
-    phase.ns_per_query =
+    const double ns_per_query =
         timer.ElapsedSeconds() * 1e9 / static_cast<double>(active.size());
     for (std::size_t t = 0; t < threads; ++t) {
-      phase.hist.Merge(gain_hist[t]);
-      phase.checksum += partial[t];
+      routed_hist.Merge(gain_hist[t]);
+      checksum += partial[t];
     }
-    return phase;
-  };
-  const RoutedPhase exact_phase = run_routed_phase(GainKernelMode::kExact);
-  const RoutedPhase fast_phase = run_routed_phase(GainKernelMode::kFastMath);
-  const RoutedPhase& selected = kernel_mode == GainKernelMode::kFastMath
-                                    ? fast_phase
-                                    : exact_phase;
-  std::printf("routed gain: %.3f us/query over %zu active users x %zu "
-              "sessions (checksum %.3f)\n",
-              selected.ns_per_query / 1e3, active.size(), threads,
-              selected.checksum);
-  std::printf("  exact %.3f us/query, fast %.3f us/query (%.2fx)\n",
-              exact_phase.ns_per_query / 1e3, fast_phase.ns_per_query / 1e3,
-              fast_phase.ns_per_query > 0
-                  ? exact_phase.ns_per_query / fast_phase.ns_per_query
-                  : 0.0);
-  print_hist("routed_gain_exact", exact_phase.hist);
-  print_hist("routed_gain_fast", fast_phase.hist);
-  BenchJsonRecord routed_record = WithPercentiles(
-      {"shard_gain_routed", selected.ns_per_query, 0, threads},
-      selected.hist);
-  routed_record.mode = GainKernelModeName(kernel_mode);
-  records.push_back(std::move(routed_record));
-  BenchJsonRecord routed_exact = WithPercentiles(
-      {"shard_gain_routed_exact", exact_phase.ns_per_query, 0, threads},
-      exact_phase.hist);
-  routed_exact.mode = GainKernelModeName(GainKernelMode::kExact);
-  records.push_back(std::move(routed_exact));
-  BenchJsonRecord routed_fast = WithPercentiles(
-      {"shard_gain_routed_fast", fast_phase.ns_per_query, 0, threads},
-      fast_phase.hist);
-  routed_fast.mode = GainKernelModeName(GainKernelMode::kFastMath);
-  records.push_back(std::move(routed_fast));
+    std::printf("routed gain: %.3f us/query over %zu active users x %zu "
+                "sessions (checksum %.3f)\n",
+                ns_per_query / 1e3, active.size(), threads, checksum);
+    print_hist("routed_gain", routed_hist);
+    records.push_back(WithPercentiles(
+        {"shard_gain_routed", ns_per_query, 0, threads}, routed_hist));
+  }
 
   // Per-shard gain-term latency: where each query's time actually goes,
   // one histogram (and one --json record with p50/p95/p99) per shard.
@@ -758,24 +696,22 @@ void HandleTraceCommand(std::istringstream& in,
 /// slot; `stats` adds the client-side net.rpc.* counters. With
 /// --fleet_port the process also serves one fleet-merged Prometheus
 /// endpoint federating every replica's /metrics.
-int RunConnect(const std::string& spec, GainKernelMode kernel_mode,
-               int rpc_deadline_ms, int slow_query_ms, int fleet_port,
+int RunConnect(const std::string& spec, int rpc_deadline_ms,
+               int slow_query_ms, int fleet_port,
                const std::string& trace_json, const MetricsDump& dump) {
   auto endpoints = ParseEndpointSpec(spec);
   if (!endpoints.ok()) return Fail(endpoints.status());
   RemoteRouterOptions options;
   options.replica_sets = *endpoints;  // fleet discovery reuses the hosts
-  options.kernel_mode = kernel_mode;
   options.rpc_deadline_ms = static_cast<std::uint64_t>(rpc_deadline_ms);
   auto router_or = RemoteShardRouter::Connect(options);
   if (!router_or.ok()) return Fail(router_or.status());
   RemoteShardRouter& router = **router_or;
   std::fprintf(stderr,
                "connected: generation %llu, %u users, %u actions over %zu "
-               "range slot(s), kernel %s\n",
+               "range slot(s)\n",
                static_cast<unsigned long long>(router.generation()),
-               router.num_users(), router.num_actions(), router.num_slots(),
-               GainKernelModeName(kernel_mode));
+               router.num_users(), router.num_actions(), router.num_slots());
 
   TraceCollectorOptions trace_options;
   trace_options.slow_query_ns =
@@ -949,13 +885,11 @@ int RunConnect(const std::string& spec, GainKernelMode kernel_mode,
 /// answer is not bit-identical, so the archived BENCH_net.json numbers
 /// always describe a correct configuration.
 int RunBenchNet(GenerationManager& manager, const std::string& dir, int k,
-                std::size_t samples, GainKernelMode kernel_mode,
-                int rpc_deadline_ms, int slow_query_ms,
+                std::size_t samples, int rpc_deadline_ms, int slow_query_ms,
                 const std::string& trace_json, const std::string& json_path,
                 const MetricsDump& dump) {
   std::vector<BenchJsonRecord> records;
   GenerationManager::Session local_session(manager);
-  local_session.router().set_kernel_mode(kernel_mode);
   ShardRouter& local = local_session.router();
   const ShardManifest& m = local_session.shards().manifest;
   PrintManifest(m, "bench_net");
@@ -980,13 +914,11 @@ int RunBenchNet(GenerationManager& manager, const std::string& dir, int k,
   if (!endpoints.ok()) return Fail(endpoints.status());
   RemoteRouterOptions options;
   options.replica_sets = std::move(*endpoints);
-  options.kernel_mode = kernel_mode;
   options.rpc_deadline_ms = static_cast<std::uint64_t>(rpc_deadline_ms);
   auto router_or = RemoteShardRouter::Connect(options);
   if (!router_or.ok()) return Fail(router_or.status());
   RemoteShardRouter& remote = **router_or;
-  std::printf("%zu loopback shard server(s), kernel %s\n", servers.size(),
-              GainKernelModeName(kernel_mode));
+  std::printf("%zu loopback shard server(s)\n", servers.size());
 
   // Every bench query traced (sample_every defaults to 1) so the run
   // doubles as the tracing acceptance check: the validation block below
@@ -1061,14 +993,10 @@ int RunBenchNet(GenerationManager& manager, const std::string& dir, int k,
                  "in-process router\n", gain_mismatches, active.size());
     return 1;
   }
-  BenchJsonRecord local_record =
-      WithPercentiles({"net_gain_local", local_ns, 0, 1}, local_hist);
-  local_record.mode = GainKernelModeName(kernel_mode);
-  records.push_back(std::move(local_record));
-  BenchJsonRecord remote_record =
-      WithPercentiles({"net_gain_remote", remote_ns, 0, 1}, remote_hist);
-  remote_record.mode = GainKernelModeName(kernel_mode);
-  records.push_back(std::move(remote_record));
+  records.push_back(
+      WithPercentiles({"net_gain_local", local_ns, 0, 1}, local_hist));
+  records.push_back(
+      WithPercentiles({"net_gain_remote", remote_ns, 0, 1}, remote_hist));
 
   // Topk, remote timed over `samples` runs, first run bit-compared
   // against the in-process selection (seeds, gains, spreads, and the
@@ -1224,7 +1152,6 @@ int Main(int argc, char** argv) {
   std::string graph_path;
   std::string log_path;
   std::string credit_name = "equal";
-  std::string kernel_name = "exact";
   std::string json_path;
   std::string metrics_json;
   std::string metrics_prom;
@@ -1257,9 +1184,6 @@ int Main(int argc, char** argv) {
   flags.AddString("graph", &graph_path, "graph file (.tsv or .bin)");
   flags.AddString("log", &log_path, "action log file (.tsv or .bin)");
   flags.AddString("credit", &credit_name, "equal | timedecay");
-  flags.AddString("kernel", &kernel_name,
-                  "gain kernel: exact (bit-identical fold) | fast "
-                  "(vectorized, bounded error)");
   flags.AddDouble("lambda", &lambda, "CD truncation threshold (--build)");
   flags.AddInt("shards", &shards, "target shard count for --split");
   flags.AddInt("generation", &generation, "generation number for --split");
@@ -1347,12 +1271,6 @@ int Main(int argc, char** argv) {
                  flags.Usage(argv[0]).c_str());
     return 1;
   }
-  const auto kernel_mode = ParseGainKernelMode(kernel_name);
-  if (!kernel_mode.ok()) {
-    std::fprintf(stderr, "%s\n%s", kernel_mode.status().ToString().c_str(),
-                 flags.Usage(argv[0]).c_str());
-    return 1;
-  }
   // Arm failpoints before anything touches --dir so injected faults cover
   // --split and the recovery scan itself. A non-failpoint build refuses
   // loudly rather than silently serving a healthy binary under a chaos
@@ -1363,8 +1281,8 @@ int Main(int argc, char** argv) {
     }
   }
   if (!connect_spec.empty()) {
-    return RunConnect(connect_spec, *kernel_mode, rpc_deadline_ms,
-                      slow_query_ms, fleet_port, trace_json,
+    return RunConnect(connect_spec, rpc_deadline_ms, slow_query_ms,
+                      fleet_port, trace_json,
                       MetricsDump{metrics_json, metrics_prom});
   }
   if (split) {
@@ -1399,13 +1317,12 @@ int Main(int argc, char** argv) {
   const MetricsDump dump{metrics_json, metrics_prom};
   if (bench_net) {
     return RunBenchNet(**manager, dir, k, static_cast<std::size_t>(samples),
-                       *kernel_mode, rpc_deadline_ms, slow_query_ms,
-                       trace_json, json_path, dump);
+                       rpc_deadline_ms, slow_query_ms, trace_json, json_path,
+                       dump);
   }
   if (bench) {
     return RunBench(**manager, static_cast<std::size_t>(threads), k,
-                    static_cast<std::size_t>(samples), *kernel_mode,
-                    json_path, dump);
+                    static_cast<std::size_t>(samples), json_path, dump);
   }
 
   std::unique_ptr<WorkerPool> pool;
@@ -1462,7 +1379,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "watching %s every %d ms\n", log_path.c_str(),
                  poll_ms);
   }
-  const int status = RunServe(**manager, pool.get(), *kernel_mode, dump);
+  const int status = RunServe(**manager, pool.get(), dump);
   (*manager)->StopWatch();
   return status;
 }

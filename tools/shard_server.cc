@@ -12,7 +12,7 @@
 // (default) serves every shard of the generation — the single-process
 // fallback; a scale-out deployment runs one process per shard and a
 // RemoteShardRouter (serve_shards --connect) fans each query out to
-// them and folds their gain terms in range order.
+// them and adds their fixed-point partial gains.
 //
 // The daemon then reads commands from stdin (EOF stops the server —
 // killing the parent pipe is a clean shutdown):
