@@ -22,6 +22,7 @@
 #include "actionlog/propagation_dag.h"
 #include "common/bench_json.h"
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/cd_evaluator.h"
 #include "core/cd_model.h"
@@ -157,8 +158,9 @@ BENCHMARK(BM_CommitSeed)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // ------------------------------------------------- serving-layer benches
 // The serving claim: a mmap'd snapshot answers top-k / marginal-gain
 // queries without rebuilding the model from the log. BM_SnapshotLoad /
-// BM_SnapshotTopKSeeds measure the served path; BM_RebuildTopKSeeds is
-// the per-query cost it replaces.
+// BM_SnapshotTopKSeeds (a 1-shard router: monolithic serving) measure
+// the served path; BM_RebuildTopKSeeds is the per-query cost it
+// replaces.
 
 // One snapshot file per fixture size, written once.
 const std::string& SnapshotPath(NodeId nodes) {
@@ -175,6 +177,26 @@ const std::string& SnapshotPath(NodeId nodes) {
     INFLUMAX_CHECK(model->WriteSnapshot(path).ok());
   }
   return path;
+}
+
+// One sharded generation directory per (nodes, shards), written once
+// from the monolithic snapshot fixture.
+const std::string& ShardDir(NodeId nodes, std::size_t shards) {
+  static auto* dirs =
+      new std::map<std::pair<NodeId, std::size_t>, std::string>();
+  std::string& dir = (*dirs)[{nodes, shards}];
+  if (dir.empty()) {
+    dir = "/tmp/influmax_bench_shards_" + std::to_string(nodes) + "_" +
+          std::to_string(shards);
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    auto view = CreditSnapshotView::Open(SnapshotPath(nodes));
+    INFLUMAX_CHECK(view.ok());
+    ShardedSnapshotWriter writer(dir, shards);
+    INFLUMAX_CHECK(writer.WriteFromView(*view, 1).ok());
+    INFLUMAX_CHECK(WriteCurrentManifestName(dir, ManifestFileName(1)).ok());
+  }
+  return dir;
 }
 
 void BM_SnapshotLoad(benchmark::State& state) {
@@ -225,12 +247,14 @@ void BM_MetricsOverhead(benchmark::State& state) {
 BENCHMARK(BM_MetricsOverhead)->Arg(0)->Arg(1);
 
 void BM_SnapshotTopKSeeds(benchmark::State& state) {
-  const std::string& path = SnapshotPath(static_cast<NodeId>(state.range(0)));
-  auto view = CreditSnapshotView::Open(path);
-  INFLUMAX_CHECK(view.ok());
-  SnapshotQueryEngine engine(*view);
+  // Monolithic serving: a 1-shard generation of the snapshot fixture.
+  const std::string& dir =
+      ShardDir(static_cast<NodeId>(state.range(0)), /*shards=*/1);
+  auto sharded = OpenShardedSnapshot(dir + "/" + ManifestFileName(1));
+  INFLUMAX_CHECK(sharded.ok());
+  ShardRouter router(*sharded);
   for (auto _ : state) {
-    auto selection = engine.TopKSeeds(10);
+    auto selection = router.TopKSeeds(10);
     benchmark::DoNotOptimize(selection.seeds.data());
   }
 }
@@ -384,26 +408,6 @@ BENCHMARK(BM_GainKernelExact);
 // epoch publish + reclaim), then Session::Refresh (router rebuild on
 // the new generation) and one query to prove liveness.
 
-// One sharded generation directory per (nodes, shards), written once
-// from the monolithic snapshot fixture.
-const std::string& ShardDir(NodeId nodes, std::size_t shards) {
-  static auto* dirs =
-      new std::map<std::pair<NodeId, std::size_t>, std::string>();
-  std::string& dir = (*dirs)[{nodes, shards}];
-  if (dir.empty()) {
-    dir = "/tmp/influmax_bench_shards_" + std::to_string(nodes) + "_" +
-          std::to_string(shards);
-    std::filesystem::remove_all(dir);
-    std::filesystem::create_directories(dir);
-    auto view = CreditSnapshotView::Open(SnapshotPath(nodes));
-    INFLUMAX_CHECK(view.ok());
-    ShardedSnapshotWriter writer(dir, shards);
-    INFLUMAX_CHECK(writer.WriteFromView(*view, 1).ok());
-    INFLUMAX_CHECK(WriteCurrentManifestName(dir, ManifestFileName(1)).ok());
-  }
-  return dir;
-}
-
 void BM_ShardRouterGain(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const std::string& dir = ShardDir(2000, shards);
@@ -455,29 +459,32 @@ BENCHMARK(BM_GenerationSwap)->Arg(4);
 // ------------------------------------------------ parallel CELF benches
 // The parallel-greedy claim (docs/parallelism.md): the CELF initial
 // marginal-gain pass — the dominant cost of a top-k query — scales with
-// gain threads while staying bit-identical. TopKSeeds(1) is the pass
-// plus one commit; the thread count is the range argument, so the JSON
-// trajectory (--json) records ns_per_op per thread count side by side.
+// the router's WorkerPool while staying bit-identical. TopKSeeds(1) on
+// a 1-shard router is the pass plus one commit; the worker count is the
+// range argument (1 = no pool), so the JSON trajectory (--json) records
+// ns_per_op per worker count side by side.
 
 // Fixture size chosen so the scanned store holds a >= 100k-entry credit
 // workload (the acceptance workload for the parallel pass).
 constexpr NodeId kGainBenchNodes = 2000;
 
 void BM_InitialGainPass(benchmark::State& state) {
-  const std::string& path = SnapshotPath(kGainBenchNodes);
-  auto view = CreditSnapshotView::Open(path);
-  INFLUMAX_CHECK(view.ok());
-  SnapshotQueryEngine engine(*view);
+  const std::string& dir = ShardDir(kGainBenchNodes, /*shards=*/1);
+  auto sharded = OpenShardedSnapshot(dir + "/" + ManifestFileName(1));
+  INFLUMAX_CHECK(sharded.ok());
   const auto threads = static_cast<std::size_t>(state.range(0));
-  engine.set_gain_threads(threads);
+  std::optional<WorkerPool> pool;
+  if (threads > 1) pool.emplace(threads);
+  ShardRouter router(*sharded, pool ? &*pool : nullptr);
   std::uint64_t evals = 0;
   for (auto _ : state) {
-    auto selection = engine.TopKSeeds(1);
+    auto selection = router.TopKSeeds(1);
     evals = selection.gain_evaluations;
     benchmark::DoNotOptimize(selection.seeds.data());
   }
   state.counters["threads"] = static_cast<double>(threads);
-  state.counters["entries"] = static_cast<double>(view->num_entries());
+  state.counters["entries"] =
+      static_cast<double>(sharded->views[0].num_entries());
   state.counters["gain_evals"] = static_cast<double>(evals);
 }
 BENCHMARK(BM_InitialGainPass)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
@@ -784,7 +791,7 @@ BENCHMARK(BM_EmIteration)->Arg(500);
 // `--json=out.json` (or `--json out.json`) writes the run as
 // {bench_name: {ns_per_op, bytes, threads}} — the compact contract CI
 // archives as BENCH_micro.json so the perf trajectory is diffable across
-// PRs (serve_credit --bench --json emits the same shape, via the shared
+// PRs (serve_shards --bench --json emits the same shape, via the shared
 // common/bench_json.h writer).
 
 // google-benchmark <= 1.7 flags failed runs with `error_occurred`; 1.8+

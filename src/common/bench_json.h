@@ -9,7 +9,7 @@
 namespace influmax {
 
 /// One machine-readable benchmark result. `bench_micro --json` and
-/// `serve_credit --bench --json` both emit this exact shape —
+/// `serve_shards --bench --json` both emit this exact shape —
 /// {name: {ns_per_op, bytes, threads}} — and CI archives it
 /// (BENCH_micro.json) so the perf trajectory is diffable across PRs;
 /// keep the two binaries on this one writer.
@@ -19,7 +19,7 @@ struct BenchJsonRecord {
   std::uint64_t bytes = 0;
   std::size_t threads = 1;
   /// Optional latency percentiles (ns), emitted when has_percentiles is
-  /// set — serve_credit --bench fills them from a LatencyHistogram per
+  /// set — serve_shards --bench fills them from a LatencyHistogram per
   /// query type. tools/bench_compare.py ignores unknown keys, so records
   /// with and without percentiles mix freely.
   bool has_percentiles = false;

@@ -11,7 +11,7 @@ namespace influmax {
 /// Log-bucketed latency histogram (HDR-style): values are placed into
 /// power-of-two ranges split into 32 linear sub-buckets, giving <= ~3%
 /// relative resolution with O(1) Record, a fixed ~16 KiB footprint, and
-/// no allocation — the shape `serve_credit --bench` wants for per-query
+/// no allocation — the shape `serve_shards --bench` wants for per-query
 /// percentiles (p50/p95/p99 per query type) and bench loops in general.
 ///
 /// Values below 32 land in exact unit buckets; values up to 2^63 - 1 are

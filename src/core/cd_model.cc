@@ -484,32 +484,25 @@ CreditDistributionModel::SelectSeeds(NodeId k) {
 
   // Algorithm 3: greedy with CELF lazy-forward evaluation, both hot
   // paths parallel on select_threads workers with results bit-identical
-  // to the serial greedy (docs/parallelism.md). The initial pass —
-  // every active user's gain against S = {} — is embarrassingly
-  // parallel because MarginalGain only reads the store: gains land in a
-  // dense per-user array and the heap is built from it in user order,
-  // the serial push sequence. Both passes and the consumption loop are
-  // the shared RunCelfTopK — exactly the code the snapshot engine and
-  // the shard router replay, so none of them can drift.
+  // to the serial greedy (docs/parallelism.md). Every batched gain call
+  // — the initial pass over all active users, and the speculative
+  // stale re-evaluations — is embarrassingly parallel because
+  // MarginalGain only reads the store: each gain lands in its own slot.
+  // The greedy itself is the shared RunCelfTopK — exactly the code the
+  // serving layer's query front replays, so the two cannot drift.
   SeedSelection selection;
-  const NodeId num_users = log_->num_users();
-  std::vector<double> gains;
-  std::vector<CelfQueueEntry> heap;
-  heap.reserve(num_users);
-  std::vector<double> memo_gain(num_users, 0.0);
-  std::vector<std::uint64_t> memo_stamp(num_users, 0);
-  std::vector<CelfQueueEntry> batch;
+  CelfScratch scratch;
   RunCelfTopK(
       k, std::numeric_limits<double>::infinity(),
-      EffectiveThreadCount(config_.select_threads), num_users,
-      [this](std::size_t total,
-             const std::function<void(std::size_t, std::size_t)>& body) {
-        ParallelForDynamic(total, config_.select_threads, body);
-      },
+      EffectiveThreadCount(config_.select_threads), log_->num_users(),
       [this](NodeId x) { return log_->ActionsPerformedBy(x) != 0; },
-      [this](NodeId x) { return MarginalGain(x); },
-      [this](NodeId x) { CommitSeed(x); }, &heap, &memo_gain, &memo_stamp,
-      &batch, &gains, &selection);
+      [this](std::span<const NodeId> nodes, double* gains) {
+        ParallelForDynamic(nodes.size(), config_.select_threads,
+                           [&](std::size_t, std::size_t i) {
+                             gains[i] = MarginalGain(nodes[i]);
+                           });
+      },
+      [this](NodeId x) { CommitSeed(x); }, &scratch, &selection);
   return selection;
 }
 

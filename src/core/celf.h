@@ -3,9 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/types.h"
 
 namespace influmax {
@@ -29,61 +29,96 @@ struct CelfQueueEntry {
 /// when a commit lands before the memoized gains are consumed.
 inline constexpr std::size_t kCelfBatchPerWorker = 4;
 
-/// Algorithm 3's greedy + CELF consumption loop, shared verbatim by the
-/// live model, the snapshot engine, and the shard router (all via
-/// RunCelfTopK below) so their queue disciplines can never drift (the
-/// serving layer's bit-identical contract depends on every caller
-/// replaying exactly this code).
+/// Caller-owned workspaces of RunCelfTopK, reused across calls so
+/// steady-state queries do not allocate. Needs no initialization:
+/// RunCelfTopK sizes and clears what it reads.
+struct CelfScratch {
+  std::vector<CelfQueueEntry> heap;
+  std::vector<CelfQueueEntry> batch;   // stale tops of one memo batch
+  std::vector<NodeId> nodes;           // nodes of one batched gain call
+  std::vector<double> gains;           // their gains
+  std::vector<double> memo_gain;       // [U] speculative gains
+  std::vector<std::uint64_t> memo_stamp;  // [U] |S| + 1 they are valid at
+
+  std::uint64_t ApproxMemoryBytes() const {
+    return heap.capacity() * sizeof(CelfQueueEntry) +
+           batch.capacity() * sizeof(CelfQueueEntry) +
+           nodes.capacity() * sizeof(NodeId) +
+           gains.capacity() * sizeof(double) +
+           memo_gain.capacity() * sizeof(double) +
+           memo_stamp.capacity() * sizeof(std::uint64_t);
+  }
+};
+
+/// Algorithm 3's greedy + CELF lazy-forward top-k, shared verbatim by
+/// the live model (CreditDistributionModel::SelectSeeds) and the query
+/// front (QueryFront::TopKSeeds) so their queue disciplines can never
+/// drift: the serving layer's bit-identical contract depends on both
+/// replaying exactly this code.
 ///
-/// Queue entries carry the iteration (|S| value) their gain was
-/// computed at; by submodularity a stale gain is an upper bound, so an
-/// entry that stays on top after recomputation is the true argmax.
-/// Stale re-evaluations are batched: with more than one worker, the run
-/// of consecutive stale tops is re-evaluated in one parallel pass
-/// against the current S and parked in a memo stamped |S| + 1; the
-/// greedy then consumes memoized gains one pop at a time, each counted
-/// as one evaluation exactly when the serial loop would have computed
-/// it. A commit bumps |S| and thereby invalidates the memo, so
-/// speculative values are only ever consumed against the seed set they
-/// were computed for, and unconsumed ones are never counted — seeds,
-/// gains, and evaluation counts are bit-identical to the serial greedy
-/// for any worker count (docs/parallelism.md).
+/// The initial pass asks `gains_of` for every active candidate's gain in
+/// one batch (is_active(x) for x in [0, num_users)); the heap is built
+/// from the answers in node order — the serial push sequence — with one
+/// counted evaluation each. Queue entries carry the iteration (|S|
+/// value) their gain was computed at; by submodularity a stale gain is
+/// an upper bound, so an entry that stays on top after recomputation is
+/// the true argmax.
 ///
-/// `parallel_for(total, body)` must run `body(thread_index, index)`
-/// over [0, total) and block until done — ParallelForDynamic semantics,
-/// or a persistent WorkerPool so steady-state queries spawn zero
-/// threads (docs/sharding.md). `num_workers` is the worker count that
-/// runner resolves to; it gates the speculative-memo path, and the
-/// result is bit-identical for any runner and any worker count.
+/// Stale re-evaluations are batched when `num_workers` > 1: the run of
+/// consecutive stale tops goes to `gains_of` in one call against the
+/// current S and is parked in a memo stamped |S| + 1; the greedy then
+/// consumes memoized gains one pop at a time, each counted as one
+/// evaluation exactly when the serial loop would have computed it. A
+/// commit bumps |S| and thereby invalidates the memo, so speculative
+/// values are only ever consumed against the seed set they were computed
+/// for, and unconsumed ones are never counted — seeds, gains, and
+/// evaluation counts are bit-identical to the serial greedy for any
+/// worker count (docs/parallelism.md). With one worker every stale top
+/// is re-evaluated alone, as a one-node `gains_of` call.
 ///
-/// `heap` holds fresh (iteration 0) entries, already make_heap'd.
-/// `memo_gain`/`memo_stamp` are caller-owned, node-indexed, with every
-/// stamp != any |S| + 1 reachable in this run (callers zero-fill; the
-/// memo is only touched when more than one worker resolves). `gain_of`
-/// must be safe to call from `num_workers` workers concurrently — every
-/// caller's MarginalGain is pure reads. `commit` runs with no gain pass
-/// in flight (the batch pass joins before any pop can commit), so it is
-/// free to parallelize internally — the callers' CommitSeed fan their
-/// per-action updates out over their own worker knob
-/// (docs/parallelism.md). `Selection` is the caller's
-/// {seeds, marginal_gains, cumulative_spread, gain_evaluations} struct.
-template <typename Selection, typename GainFn, typename CommitFn,
-          typename ParallelFn>
-void RunCelfGreedyWith(NodeId k, double spread_budget,
-                       std::size_t num_workers, const ParallelFn& parallel_for,
-                       const GainFn& gain_of, const CommitFn& commit,
-                       std::vector<CelfQueueEntry>* heap,
-                       std::vector<double>* memo_gain,
-                       std::vector<std::uint64_t>* memo_stamp,
-                       std::vector<CelfQueueEntry>* batch,
-                       Selection* selection) {
+/// `gains_of(std::span<const NodeId> nodes, double* gains)` writes the
+/// gain of every node against the current seed set; it may fan the
+/// batch out over `num_workers` workers. `commit(x)` adds x to the seed
+/// set; it never runs while a gain call is in flight. `Selection` is the
+/// caller's {seeds, marginal_gains, cumulative_spread, gain_evaluations}
+/// struct; evaluations are added to it.
+template <typename Selection, typename ActiveFn, typename GainsFn,
+          typename CommitFn>
+void RunCelfTopK(NodeId k, double spread_budget, std::size_t num_workers,
+                 NodeId num_users, const ActiveFn& is_active,
+                 const GainsFn& gains_of, const CommitFn& commit,
+                 CelfScratch* scratch, Selection* selection) {
+  std::vector<CelfQueueEntry>& heap = scratch->heap;
+  std::vector<NodeId>& nodes = scratch->nodes;
+  std::vector<double>& gains = scratch->gains;
+  heap.clear();
+  nodes.clear();
+  for (NodeId x = 0; x < num_users; ++x) {
+    if (is_active(x)) nodes.push_back(x);  // an inactive gain is always 0
+  }
+  gains.resize(nodes.size());
+  gains_of(std::span<const NodeId>(nodes), gains.data());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    heap.push_back({gains[i], nodes[i], 0});
+  }
+  selection->gain_evaluations += nodes.size();
+  std::make_heap(heap.begin(), heap.end());
+
   const std::size_t workers = std::min<std::size_t>(
-      num_workers == 0 ? 1 : num_workers, heap->empty() ? 1 : heap->size());
+      num_workers == 0 ? 1 : num_workers, heap.empty() ? 1 : heap.size());
+  std::vector<double>& memo_gain = scratch->memo_gain;
+  std::vector<std::uint64_t>& memo_stamp = scratch->memo_stamp;
+  if (workers > 1) {
+    // Stamps encode |S| + 1, which restarts at 1 every call, so the
+    // fill invalidates any previous run's speculation.
+    memo_gain.resize(num_users);
+    memo_stamp.assign(num_users, 0);
+  }
   double spread = 0.0;
-  while (selection->seeds.size() < k && !heap->empty()) {
-    std::pop_heap(heap->begin(), heap->end());
-    CelfQueueEntry top = heap->back();
-    heap->pop_back();
+  while (selection->seeds.size() < k && !heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end());
+    CelfQueueEntry top = heap.back();
+    heap.pop_back();
     const NodeId current_size = static_cast<NodeId>(selection->seeds.size());
     const std::uint64_t stamp = static_cast<std::uint64_t>(current_size) + 1;
     if (top.iteration == current_size) {
@@ -96,86 +131,45 @@ void RunCelfGreedyWith(NodeId k, double spread_budget,
       selection->cumulative_spread.push_back(spread);
       continue;
     }
-    if (workers > 1 && (*memo_stamp)[top.node] != stamp) {
-      // Drain the run of stale tops and re-evaluate the batch in
-      // parallel; everything below the top goes back unchanged, leaving
-      // the heap exactly as the serial path would, with the speculative
-      // gains parked in the memo.
-      batch->clear();
-      batch->push_back(top);
+    if (workers > 1 && memo_stamp[top.node] != stamp) {
+      // Drain the run of stale tops and re-evaluate the batch in one
+      // call; everything below the top goes back unchanged, leaving the
+      // heap exactly as the serial path would, with the speculative gains
+      // parked in the memo.
+      std::vector<CelfQueueEntry>& batch = scratch->batch;
+      batch.clear();
+      batch.push_back(top);
       const std::size_t budget = kCelfBatchPerWorker * workers;
-      while (batch->size() < budget && !heap->empty() &&
-             heap->front().iteration != current_size &&
-             (*memo_stamp)[heap->front().node] != stamp) {
-        std::pop_heap(heap->begin(), heap->end());
-        batch->push_back(heap->back());
-        heap->pop_back();
+      while (batch.size() < budget && !heap.empty() &&
+             heap.front().iteration != current_size &&
+             memo_stamp[heap.front().node] != stamp) {
+        std::pop_heap(heap.begin(), heap.end());
+        batch.push_back(heap.back());
+        heap.pop_back();
       }
-      parallel_for(batch->size(), [&](std::size_t, std::size_t i) {
-        // Distinct nodes: each slot written once.
-        const NodeId node = (*batch)[i].node;
-        (*memo_gain)[node] = gain_of(node);
-        (*memo_stamp)[node] = stamp;
-      });
-      for (std::size_t i = 1; i < batch->size(); ++i) {
-        heap->push_back((*batch)[i]);
-        std::push_heap(heap->begin(), heap->end());
+      nodes.clear();
+      for (const CelfQueueEntry& e : batch) nodes.push_back(e.node);
+      gains.resize(nodes.size());
+      gains_of(std::span<const NodeId>(nodes), gains.data());
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        memo_gain[nodes[i]] = gains[i];
+        memo_stamp[nodes[i]] = stamp;
+      }
+      for (std::size_t i = 1; i < batch.size(); ++i) {
+        heap.push_back(batch[i]);
+        std::push_heap(heap.begin(), heap.end());
       }
     }
-    top.gain = workers > 1 && (*memo_stamp)[top.node] == stamp
-                   ? (*memo_gain)[top.node]
-                   : gain_of(top.node);
+    if (workers > 1 && memo_stamp[top.node] == stamp) {
+      top.gain = memo_gain[top.node];
+    } else {
+      gains_of(std::span<const NodeId>(&top.node, 1), &top.gain);
+    }
     top.iteration = current_size;
-    heap->push_back(top);
-    std::push_heap(heap->begin(), heap->end());
+    heap.push_back(top);
+    std::push_heap(heap.begin(), heap.end());
     ++selection->gain_evaluations;
   }
-}
-
-/// Algorithm 3's complete top-k: the initial gain pass over every
-/// active candidate (parallel, gathered into `gains` and heap-built in
-/// node order — the serial push sequence, one counted evaluation each),
-/// the speculative-memo invalidation, and the shared consumption loop
-/// (RunCelfGreedyWith). The live model, the snapshot engine, and the
-/// shard router all call exactly this — they differ only in how they
-/// answer "is x a candidate", compute a gain, commit a seed, and run a
-/// parallel loop — so no half of the bit-identical contract exists in
-/// more than one place. `gains` needs sizing, not clearing: only active
-/// candidates' slots are written and read. `memo_stamp` is only touched
-/// when more than one worker resolves; stamps encode |S| + 1, which
-/// restarts at 1 every call, so the fill invalidates any previous run's
-/// speculation.
-template <typename Selection, typename ActiveFn, typename GainFn,
-          typename CommitFn, typename ParallelFn>
-void RunCelfTopK(NodeId k, double spread_budget, std::size_t num_workers,
-                 NodeId num_users, const ParallelFn& parallel_for,
-                 const ActiveFn& is_active, const GainFn& gain_of,
-                 const CommitFn& commit, std::vector<CelfQueueEntry>* heap,
-                 std::vector<double>* memo_gain,
-                 std::vector<std::uint64_t>* memo_stamp,
-                 std::vector<CelfQueueEntry>* batch,
-                 std::vector<double>* gains, Selection* selection) {
-  heap->clear();
-  const std::size_t workers = std::min<std::size_t>(
-      num_workers == 0 ? 1 : num_workers, num_users == 0 ? 1 : num_users);
-  gains->resize(num_users);
-  parallel_for(static_cast<std::size_t>(num_users),
-               [&](std::size_t, std::size_t x) {
-                 const NodeId node = static_cast<NodeId>(x);
-                 if (!is_active(node)) return;
-                 (*gains)[x] = gain_of(node);
-               });
-  for (NodeId x = 0; x < num_users; ++x) {
-    if (!is_active(x)) continue;  // gain is always 0
-    heap->push_back({(*gains)[x], x, 0});
-    ++selection->gain_evaluations;
-  }
-  std::make_heap(heap->begin(), heap->end());
-  if (workers > 1) {
-    std::fill(memo_stamp->begin(), memo_stamp->end(), 0);
-  }
-  RunCelfGreedyWith(k, spread_budget, workers, parallel_for, gain_of, commit,
-                    heap, memo_gain, memo_stamp, batch, selection);
 }
 
 }  // namespace influmax

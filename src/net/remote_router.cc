@@ -102,11 +102,24 @@ Deadline RemoteShardRouter::RpcDeadline() const {
 }
 
 Status RemoteShardRouter::ConnectAll(std::uint64_t pin) {
+  // No query reaches a slot until every hello has been validated: the
+  // front stays unbound (refusing queries with Unavailable) while the
+  // slots are dialed, and after a failure until a later call succeeds.
+  front_.Unbind(Status::Unavailable("remote router: connecting"));
+  if (Status st = ConnectSlots(pin); !st.ok()) {
+    front_.Unbind(Status::Unavailable(
+        "remote router: no validated generation (" + st.ToString() +
+        "); Refresh() to retry"));
+    return st;
+  }
+  front_.Bind(au_, slots_[0].hello.frozen_seeds);
+  return Status::OK();
+}
+
+Status RemoteShardRouter::ConnectSlots(std::uint64_t pin) {
   generation_ = pin;
   num_users_ = 0;
   num_actions_ = 0;
-  committed_.clear();
-  poisoned_ = Status::OK();
   for (Slot& slot : slots_) {
     DropConn(slot);
     slot.range_known = false;
@@ -134,19 +147,12 @@ Status RemoteShardRouter::ConnectAll(std::uint64_t pin) {
             "hello A_u has " + std::to_string(au_.size()) + " entries for " +
             std::to_string(num_users_) + " users");
       }
-      is_frozen_.assign(num_users_, 0);
       for (NodeId x : h.frozen_seeds) {
         if (x >= num_users_) {
           return Status::Corruption("hello frozen seed " + std::to_string(x) +
                                     " out of range");
         }
-        is_frozen_[x] = 1;
       }
-      is_seed_ = is_frozen_;
-      memo_gain_.assign(num_users_, 0.0);
-      memo_stamp_.assign(num_users_, 0);
-      prefetch_gain_.assign(num_users_, 0.0);
-      prefetch_valid_.assign(num_users_, 0);
     }
   }
 
@@ -247,7 +253,7 @@ Status RemoteShardRouter::ConnectActiveReplica(Slot& slot,
   // client's committed seeds are replayed in commit order — an exact
   // rebuild (commits are deterministic state transitions), which is why
   // failover can resume a half-done query bit-identically.
-  for (NodeId x : committed_) {
+  for (NodeId x : front_.session_seeds()) {
     BufferWriter commit_req;
     EncodeCommit(CommitRequest{x}, &commit_req);
     std::vector<std::uint8_t> commit_payload;
@@ -550,13 +556,6 @@ Status RemoteShardRouter::FanOut(MsgType type, const BufferWriter& request,
   return first_error;
 }
 
-Status RemoteShardRouter::CheckNotPoisoned() const {
-  if (poisoned_.ok()) return Status::OK();
-  return Status::FailedPrecondition(
-      "session poisoned by a failed commit (" + poisoned_.message() +
-      "); ResetSession() or Refresh() to recover");
-}
-
 Status RemoteShardRouter::SumGains(std::span<const NodeId> nodes,
                                    double* gains) {
   // Theorem 3 splits a gain into one term per action x performed, and
@@ -595,133 +594,34 @@ Status RemoteShardRouter::SumGains(std::span<const NodeId> nodes,
   return Status::OK();
 }
 
-Result<double> RemoteShardRouter::RemoteGain(NodeId x) {
-  double gain = 0.0;
-  INFLUMAX_RETURN_IF_ERROR(SumGains(std::span<const NodeId>(&x, 1), &gain));
-  return gain;
-}
-
-Result<double> RemoteShardRouter::MarginalGain(NodeId x) {
-  INFLUMAX_RETURN_IF_ERROR(CheckNotPoisoned());
-  // The router guard, verbatim (ShardRouter::MarginalGain): seeds and
-  // inactive users answer 0.0 locally, no RPC.
-  if (x >= num_users_ || is_seed_[x] || au_[x] == 0) return 0.0;
-  return RemoteGain(x);
-}
-
-Status RemoteShardRouter::CommitSeed(NodeId x) {
-  INFLUMAX_RETURN_IF_ERROR(CheckNotPoisoned());
-  if (x >= num_users_ || is_seed_[x]) return Status::OK();
-  BufferWriter request;
-  EncodeCommit(CommitRequest{x}, &request);
-  if (Status st = FanOut(MsgType::kCommit, request, MsgType::kCommitOk,
-                         nullptr, /*fail_over=*/true);
-      !st.ok()) {
-    // Some slots may have applied the commit, some not: their terms
-    // would mix seed sets, so the session is poisoned until
-    // ResetSession()/Refresh() rebuilds a consistent one. Degradation is
-    // a refusal, never a partial answer.
-    poisoned_ = st;
-    return st;
-  }
-  is_seed_[x] = 1;
-  committed_.push_back(x);
-  return Status::OK();
-}
-
-Result<double> RemoteShardRouter::SpreadOf(std::span<const NodeId> seeds) {
-  // Theorem 3 telescopes, exactly as ShardRouter::SpreadOf.
-  INFLUMAX_RETURN_IF_ERROR(ResetSession());
-  double total = 0.0;
-  for (NodeId seed : seeds) {
-    Result<double> gain = MarginalGain(seed);
-    if (!gain.ok()) return gain.status();
-    total += gain.value();
-    INFLUMAX_RETURN_IF_ERROR(CommitSeed(seed));
-  }
-  return total;
-}
-
-Status RemoteShardRouter::PrefetchGains(const std::vector<NodeId>& nodes) {
-  std::vector<double> gains;
+Status RemoteShardRouter::Gains(std::span<const NodeId> nodes,
+                                double* gains) {
+  // Each node's sum is independent, so batching changes round trips,
+  // never bits.
   for (std::size_t begin = 0; begin < nodes.size();
        begin += kMaxGainNodesPerRequest) {
-    const std::span<const NodeId> batch(
-        nodes.data() + begin,
-        std::min<std::size_t>(kMaxGainNodesPerRequest, nodes.size() - begin));
-    gains.resize(batch.size());
-    INFLUMAX_RETURN_IF_ERROR(SumGains(batch, gains.data()));
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      prefetch_gain_[batch[i]] = gains[i];
-      prefetch_valid_[batch[i]] = 1;
-    }
+    const std::size_t count =
+        std::min<std::size_t>(kMaxGainNodesPerRequest, nodes.size() - begin);
+    INFLUMAX_RETURN_IF_ERROR(
+        SumGains(nodes.subspan(begin, count), gains + begin));
   }
   return Status::OK();
 }
 
-Result<SnapshotSeedSelection> RemoteShardRouter::TopKSeeds(
-    NodeId k, double spread_budget) {
-  INFLUMAX_RETURN_IF_ERROR(ResetSession());
-
-  // Prefetch the CELF initial pass: every active non-seed's gain, a batch
-  // of nodes per fan-out (seeds answer 0.0 from the local guard, as in
-  // ShardRouter). Each node's sum is independent, so batching changes
-  // round trips, never bits.
-  std::vector<NodeId> nodes;
-  for (NodeId x = 0; x < num_users_; ++x) {
-    if (au_[x] != 0 && !is_seed_[x]) nodes.push_back(x);
-  }
-  std::fill(prefetch_valid_.begin(), prefetch_valid_.end(), 0);
-  INFLUMAX_RETURN_IF_ERROR(PrefetchGains(nodes));
-  prefetch_commits_ = committed_.size();
-
-  // The shared CELF driver, serial (workers = 1): the same initial pass
-  // over active users, heap build order, and consumption discipline as
-  // every other caller, so seeds, gains, and evaluation counts are
-  // bit-identical to ShardRouter::TopKSeeds. Network errors cannot
-  // propagate out of the driver's callbacks, so they stick in net_error:
-  // gains degrade to 0.0 (terminating the greedy via the gain <= 0
-  // break) and the error — not a partial selection — is returned.
-  SnapshotSeedSelection selection;
-  Status net_error;
-  RunCelfTopK(
-      k, spread_budget, /*num_workers=*/1, num_users_,
-      [](std::size_t total, const auto& body) {
-        for (std::size_t i = 0; i < total; ++i) body(std::size_t{0}, i);
-      },
-      [this](NodeId x) { return au_[x] != 0; },
-      [&](NodeId x) -> double {
-        if (!net_error.ok()) return 0.0;
-        if (x >= num_users_ || is_seed_[x] || au_[x] == 0) return 0.0;
-        if (prefetch_valid_[x] && committed_.size() == prefetch_commits_) {
-          return prefetch_gain_[x];
-        }
-        Result<double> gain = RemoteGain(x);
-        if (!gain.ok()) {
-          net_error = gain.status();
-          return 0.0;
-        }
-        return gain.value();
-      },
-      [&](NodeId x) {
-        if (!net_error.ok()) return;
-        if (Status st = CommitSeed(x); !st.ok()) net_error = st;
-      },
-      &heap_, &memo_gain_, &memo_stamp_, &batch_, &gains_, &selection);
-  if (!net_error.ok()) return net_error;
-  return selection;
+Status RemoteShardRouter::Commit(NodeId x) {
+  BufferWriter request;
+  EncodeCommit(CommitRequest{x}, &request);
+  return FanOut(MsgType::kCommit, request, MsgType::kCommitOk, nullptr,
+                /*fail_over=*/true);
 }
 
-Status RemoteShardRouter::ResetSession() {
+Status RemoteShardRouter::Reset() {
   // No failover: a slot whose reset fails just drops its connection,
   // which is an equivalent reset — the reconnect replays the (now
   // empty) commit list onto a fresh server session.
   BufferWriter empty;
   (void)FanOut(MsgType::kReset, empty, MsgType::kResetOk, nullptr,
                /*fail_over=*/false);
-  committed_.clear();
-  is_seed_ = is_frozen_;
-  poisoned_ = Status::OK();
   return Status::OK();
 }
 

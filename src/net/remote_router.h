@@ -13,11 +13,10 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "common/types.h"
-#include "core/celf.h"
 #include "net/socket.h"
 #include "net/wire.h"
 #include "obs/trace.h"
-#include "serve/query_engine.h"
+#include "shard/query_front.h"
 
 namespace influmax {
 
@@ -64,10 +63,11 @@ struct ReplicaHealth {
   int metrics_port = -1;
 };
 
-/// ShardRouter over sockets (docs/networking.md): each range slot is a
-/// replica set of shard_server processes. A gain, a commit, or a reset is
-/// one fan-out: the request goes to every slot first, then every reply
-/// is read, so a query costs the slowest hop rather than the sum of the
+/// ShardRouter over sockets (docs/networking.md): the query front
+/// (shard/query_front.h) over range slots, each a replica set of
+/// shard_server processes. A gain batch, a commit, or a reset is one
+/// fan-out: the request goes to every slot first, then every reply is
+/// read, so a query costs the slowest hop rather than the sum of the
 /// hops. For a gain each slot returns one fixed-point partial per node
 /// (core/fixed_gain.h), and the client adds them. Integer addition is
 /// associative, so the sum is ShardRouter::MarginalGain's whatever the
@@ -75,12 +75,11 @@ struct ReplicaHealth {
 /// TopKSeeds return bit-identical seeds, gains, and evaluation counts
 /// (docs/sharding.md).
 ///
-/// TopKSeeds runs the engine's own RunCelfTopK verbatim (workers = 1,
-/// serial loop) with the initial gain pass answered from batched
-/// fan-outs of at most kMaxGainNodesPerRequest nodes — each node's
-/// partials are independent, so batching changes round trips, never
-/// bits. The consumption loop's stale re-evaluations go over the wire
-/// one fan-out each.
+/// TopKSeeds is the front's CELF greedy with one gain worker: its
+/// initial pass goes out as batched fan-outs of at most
+/// kMaxGainNodesPerRequest nodes — each node's partials are
+/// independent, so batching changes round trips, never bits — and each
+/// stale re-evaluation as a one-node fan-out.
 ///
 /// Robustness contract:
 ///  * Transport failures (timeout, torn/corrupt frame, connection loss,
@@ -101,11 +100,15 @@ struct ReplicaHealth {
 ///  * A failed CommitSeed poisons the session (replicas may disagree on
 ///    the seed set); every later query returns FailedPrecondition until
 ///    ResetSession()/Refresh() rebuilds a consistent state.
+///  * A failed Refresh leaves no generation bound: every query,
+///    ResetSession included, returns Unavailable until a Refresh
+///    succeeds. The seed set and user space come only from hellos that
+///    passed every topology check.
 ///
 /// One thread does all of it, without poll(): it writes to every socket,
 /// then reads from every socket. Concurrency contract: one router per
 /// thread, like ShardRouter.
-class RemoteShardRouter {
+class RemoteShardRouter final : private ShardBackend {
  public:
   /// Dials every slot, validates the topology (one generation, ranges
   /// contiguous ascending and covering, matching fingerprints), and
@@ -119,25 +122,28 @@ class RemoteShardRouter {
   RemoteShardRouter& operator=(const RemoteShardRouter&) = delete;
 
   /// The fanned-out gain; bit-identical to ShardRouter::MarginalGain.
-  Result<double> MarginalGain(NodeId x);
+  Result<double> MarginalGain(NodeId x) { return front_.MarginalGain(x); }
 
   /// Commits x on every slot (every replica set) in one fan-out.
-  Status CommitSeed(NodeId x);
+  Status CommitSeed(NodeId x) { return front_.CommitSeed(x); }
 
   /// sigma_cd of `seeds` committed in order over a fresh session.
-  Result<double> SpreadOf(std::span<const NodeId> seeds);
+  Result<double> SpreadOf(std::span<const NodeId> seeds) {
+    return front_.SpreadOf(seeds);
+  }
 
   /// CELF greedy top-k from a fresh session; bit-identical to
-  /// ShardRouter::TopKSeeds (which is bit-identical to the monolithic
-  /// engine).
+  /// ShardRouter::TopKSeeds (which is bit-identical to the live model).
   Result<SnapshotSeedSelection> TopKSeeds(
       NodeId k,
-      double spread_budget = std::numeric_limits<double>::infinity());
+      double spread_budget = std::numeric_limits<double>::infinity()) {
+    return front_.TopKSeeds(k, spread_budget);
+  }
 
   /// Fresh session on every slot. Always clears local state; a slot
   /// whose reset RPC fails just drops its connection — the reconnect
   /// replays an empty commit list, which IS a fresh session.
-  Status ResetSession();
+  Status ResetSession() { return front_.ResetSession(); }
 
   /// Re-pins the router to whatever generation the servers now serve
   /// (drops the session, like GenerationManager::Session::Refresh).
@@ -152,7 +158,9 @@ class RemoteShardRouter {
   NodeId num_users() const { return num_users_; }
   ActionId num_actions() const { return num_actions_; }
   std::size_t num_slots() const { return slots_.size(); }
-  std::span<const NodeId> session_seeds() const { return committed_; }
+  std::span<const NodeId> session_seeds() const {
+    return front_.session_seeds();
+  }
 
   /// Attaches a trace collector (docs/tracing.md). While the collector
   /// has an active trace, every RPC carries the trace context in its
@@ -197,14 +205,25 @@ class RemoteShardRouter {
   using ReplyFn =
       std::function<Status(std::size_t slot, std::vector<std::uint8_t>*)>;
 
-  RemoteShardRouter() = default;
+  RemoteShardRouter() : front_(this) {}
+
+  // ShardBackend: the socket transport.
+  Status Gains(std::span<const NodeId> nodes, double* gains) override;
+  Status Commit(NodeId x) override;
+  Status Reset() override;
+  std::size_t gain_workers() const override { return 1; }
 
   Deadline RpcDeadline() const;
 
   /// (Re)connects every slot with `pin` (0 = adopt slot 0's current
-  /// generation) and validates the topology; Connect and Refresh share
-  /// it. Clears the session.
+  /// generation) and binds the front to the validated user space;
+  /// Connect and Refresh share it. Clears the session. On failure the
+  /// front stays unbound, refusing every query with Unavailable.
   Status ConnectAll(std::uint64_t pin);
+
+  /// ConnectAll's transport half: dials every slot, adopts slot 0's
+  /// identity, and validates every slot's hello against it.
+  Status ConnectSlots(std::uint64_t pin);
 
   /// Sends `request` to slot `s` (dialing/re-helloing as needed) and
   /// hands a response of `ok_type` to `on_reply` (nullptr = discard).
@@ -259,20 +278,8 @@ class RemoteShardRouter {
   void DropConn(Slot& slot);
 
   /// gains[i] = the gain of nodes[i] from one kGainPartials fan-out: the
-  /// sum of every slot's partial. No seed/range guards (callers own them,
-  /// like SnapshotQueryEngine::PartialGain); at most
-  /// kMaxGainNodesPerRequest nodes.
+  /// sum of every slot's partial. At most kMaxGainNodesPerRequest nodes.
   Status SumGains(std::span<const NodeId> nodes, double* gains);
-
-  /// SumGains for one node.
-  Result<double> RemoteGain(NodeId x);
-
-  /// SumGains over `nodes` (already filtered to active non-seeds), in
-  /// batches of at most kMaxGainNodesPerRequest nodes, into
-  /// prefetch_gain_/prefetch_valid_.
-  Status PrefetchGains(const std::vector<NodeId>& nodes);
-
-  Status CheckNotPoisoned() const;
 
   /// Stitches a response's span block into the active trace: remote
   /// start times shifted by the midpoint clock offset, origins stamped
@@ -297,30 +304,12 @@ class RemoteShardRouter {
   std::vector<std::uint32_t> au_;
   TraceCollector* trace_ = nullptr;  ///< not owned; may be nullptr
 
-  std::vector<std::uint8_t> is_seed_;  ///< frozen + session seeds [U]
-  std::vector<std::uint8_t> is_frozen_;
-  std::vector<NodeId> committed_;      ///< session seeds, commit order
-  Status poisoned_;                    ///< non-OK after a failed commit
-
   // Fan-out scratch, reused across queries: per-slot send/receive state
   // and the running sum of the slots' partials per node.
   std::vector<FanOutSlot> fanout_;
   std::vector<GainAccum> partial_sums_;
 
-  // TopKSeeds prefetch: prefetch_gain_[x] valid for the seed-set size
-  // it was computed at (prefetch_commits_) — exactly the CELF initial
-  // pass, fetched in batches instead of one RPC per candidate.
-  std::vector<double> prefetch_gain_;
-  std::vector<std::uint8_t> prefetch_valid_;
-  std::uint64_t prefetch_commits_ = 0;
-
-  // CELF scratch, mirroring ShardRouter's (the shared RunCelfTopK
-  // machinery needs caller-owned arrays).
-  std::vector<CelfQueueEntry> heap_;
-  std::vector<CelfQueueEntry> batch_;
-  std::vector<double> memo_gain_;
-  std::vector<std::uint64_t> memo_stamp_;
-  std::vector<double> gains_;
+  QueryFront front_;  ///< guards, seed set, CELF; bound after validation
 };
 
 }  // namespace influmax

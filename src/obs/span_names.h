@@ -19,13 +19,14 @@ namespace influmax {
 enum SpanName : std::uint16_t {
   kSpanUnknown = 0,
 
-  // In-process shard router (src/shard/shard_router.cc).
+  // In-process shard router (src/shard/shard_router.cc) and the query
+  // front (src/shard/query_front.cc).
   kSpanRouterGain = 1,
   kSpanRouterShardFold = 2,
   kSpanRouterCommit = 3,
   kSpanRouterTopk = 4,
 
-  // Serving CLI query scopes (tools/serve_credit.cc, serve_shards.cc).
+  // Serving CLI query scopes (tools/serve_shards.cc).
   kSpanQueryTopk = 5,
   kSpanQueryGain = 6,
   kSpanQueryCommit = 7,

@@ -22,13 +22,10 @@ namespace {
 struct EngineMetrics {
   Counter* gain_queries;
   Timer* gain_latency;
-  Counter* topk_queries;
-  Timer* topk_latency;
   Counter* commits;
   Timer* commit_latency;
   Counter* resets;
   Timer* reset_latency;
-  Timer* spread_latency;
   Timer* overlay_slots;
   Timer* overlay_bytes;
   Counter* overlay_entries;
@@ -40,13 +37,10 @@ const EngineMetrics& GetEngineMetrics() {
     return EngineMetrics{
         reg.FindOrCreateCounter("serve.gain.queries"),
         reg.FindOrCreateTimer("serve.gain.latency"),
-        reg.FindOrCreateCounter("serve.topk.queries"),
-        reg.FindOrCreateTimer("serve.topk.latency"),
         reg.FindOrCreateCounter("serve.commit.count"),
         reg.FindOrCreateTimer("serve.commit.latency"),
         reg.FindOrCreateCounter("serve.reset.count"),
         reg.FindOrCreateTimer("serve.reset.latency"),
-        reg.FindOrCreateTimer("serve.spread.latency"),
         reg.FindOrCreateTimer("serve.overlay.slots"),
         reg.FindOrCreateTimer("serve.overlay.bytes"),
         reg.FindOrCreateCounter("serve.overlay.entries"),
@@ -55,8 +49,9 @@ const EngineMetrics& GetEngineMetrics() {
   return metrics;
 }
 
-// thread_local, not per-engine: MarginalGain is const and TopKSeeds
-// fans it out over concurrent workers, so a member tick would race.
+// thread_local, not per-engine: MarginalGain is const and a router's
+// batched gain pass fans it out over concurrent workers, so a member
+// tick would race.
 thread_local std::uint64_t t_gain_tick = 0;
 
 inline bool GainTickFires() {
@@ -85,18 +80,8 @@ SnapshotQueryEngine::SnapshotQueryEngine(
   sc_dirty_.assign(view.num_slots(), 0);
   is_seed_.assign(view.num_users(), 0);
   for (NodeId s : view.seeds()) is_seed_[s] = 1;
-  commit_scratch_.resize(1);
-  EnsureScratch(&commit_scratch_[0]);
-  memo_gain_.assign(view.num_users(), 0.0);
-  memo_stamp_.assign(view.num_users(), 0);
-}
-
-void SnapshotQueryEngine::EnsureScratch(CommitScratch* scratch) {
-  if (scratch->stamp_epoch.size() < view_->num_users()) {
-    scratch->stamp_epoch.assign(view_->num_users(), 0);
-    scratch->stamp_credit.assign(view_->num_users(), 0.0);
-    scratch->epoch = 0;
-  }
+  commit_scratch_.stamp_epoch.assign(view.num_users(), 0);
+  commit_scratch_.stamp_credit.assign(view.num_users(), 0.0);
 }
 
 const double* SnapshotQueryEngine::RowOf(std::uint64_t s) const {
@@ -205,9 +190,7 @@ double SnapshotQueryEngine::AccumulateGainTerms(NodeId x, double acc) const {
   return acc + FromFixed(PartialGain(x));
 }
 
-void SnapshotQueryEngine::CommitOneSlot(
-    std::uint64_t s, NodeId x, CommitScratch* scratch,
-    std::vector<std::uint64_t>* touched_out) {
+void SnapshotQueryEngine::CommitOneSlot(std::uint64_t s, NodeId x) {
   // Algorithm 5 for one slot (one action x performed) against the
   // copy-on-write overlay. Only the rows of x's live creditors are
   // written here, each copied on its first write; x's own row is erased
@@ -229,6 +212,7 @@ void SnapshotQueryEngine::CommitOneSlot(
   const double sc_x = sc_cur_[s];
 
   // Snapshot the live rows up front, as the live CommitSeed does.
+  CommitScratch* scratch = &commit_scratch_;
   scratch->credited.clear();
   scratch->creditors.clear();
   const std::uint64_t fb = fwd_begin[s];
@@ -251,8 +235,7 @@ void SnapshotQueryEngine::CommitOneSlot(
   }
   for (const CommitScratch::LiveCreditor& cv : scratch->creditors) {
     // A live creditor's row always takes the column erase, so this is
-    // the moment it is first written: copy it now (a no-op on the
-    // parallel path, whose pre-pass copied it).
+    // the moment it is first written: copy it now.
     double* row = WritableRow(cv.slot);
     const std::uint64_t vb = fwd_begin[cv.slot];
     const std::uint32_t vc = fwd_count[cv.slot];
@@ -269,28 +252,21 @@ void SnapshotQueryEngine::CommitOneSlot(
       row[i] = next <= ActionCreditTable::kZeroEpsilon ? 0.0 : next;
     }
   }
-  // Lemma 3: fold x's credit into SC for every user x credits. The slots
-  // all belong to action a, so parallel slot updates never collide here.
+  // Lemma 3: fold x's credit into SC for every user x credits.
   for (const CommitScratch::LiveEntry& cu : scratch->credited) {
     const std::uint64_t su = view_->SlotOf(cu.node, a);
     if (su == CreditSnapshotView::kNoSlot) continue;
     if (!sc_dirty_[su]) {
       sc_dirty_[su] = 1;
-      touched_out->push_back(su);
+      sc_touched_.push_back(su);
     }
     sc_cur_[su] += cu.credit * (1.0 - sc_x);
   }
 }
 
 void SnapshotQueryEngine::CommitSeed(NodeId x) {
-  // Algorithm 5 against the copy-on-write overlay. Slots of x reference
-  // distinct actions; their updates write disjoint overlay rows and
-  // disjoint SC-shadow slots, so the slots fan out over gain_threads()
-  // workers once a serial pre-pass has copied every row they will write
-  // (the only ovl_buf_ / ovl_slots_ growth on that path). Per-worker
-  // touched-slot logs are merged back in slot order, so the session
-  // state — every overlay credit, every SC value, the rewind log — is
-  // bit-identical to the serial commit for any thread count.
+  // Algorithm 5 against the copy-on-write overlay, one slot (one action
+  // x performed) at a time.
   if (x >= view_->num_users() || is_seed_[x]) return;
   std::uint64_t obs_t0 = 0;
   if constexpr (kObsEnabled) {
@@ -300,48 +276,7 @@ void SnapshotQueryEngine::CommitSeed(NodeId x) {
   const auto uo = view_->user_offsets();
   const std::uint64_t slot_begin = uo[x];
   const std::uint64_t slot_end = uo[x + 1];
-  const std::size_t num_slots = slot_end - slot_begin;
-  const std::size_t workers =
-      std::min(EffectiveThreadCount(gain_threads_), num_slots);
-  if (workers <= 1) {
-    for (std::uint64_t s = slot_begin; s < slot_end; ++s) {
-      CommitOneSlot(s, x, &commit_scratch_[0], &sc_touched_);
-    }
-  } else {
-    // Copy pre-pass: the live creditors each worker will write, found
-    // against the pre-commit state — which is what its worker sees, as
-    // no other slot's update writes this slot's action.
-    std::vector<CommitScratch::LiveCreditor>& creditors =
-        commit_scratch_[0].creditors;
-    for (std::uint64_t s = slot_begin; s < slot_end; ++s) {
-      creditors.clear();
-      CollectLiveCreditors(s, &creditors);
-      for (const CommitScratch::LiveCreditor& cv : creditors) {
-        WritableRow(cv.slot);
-      }
-    }
-    if (commit_scratch_.size() < workers) commit_scratch_.resize(workers);
-    touched_slices_.resize(num_slots);
-    ParallelForDynamic(
-        num_slots, workers, [&](std::size_t t, std::size_t i) {
-          CommitScratch& scratch = commit_scratch_[t];
-          EnsureScratch(&scratch);
-          const std::uint64_t offset = scratch.sc_touched.size();
-          CommitOneSlot(slot_begin + i, x, &scratch, &scratch.sc_touched);
-          touched_slices_[i] = {
-              static_cast<std::uint32_t>(t), offset,
-              static_cast<std::uint32_t>(scratch.sc_touched.size() -
-                                         offset)};
-        });
-    for (const ArenaSlice& slice : touched_slices_) {
-      const std::uint64_t* entries =
-          commit_scratch_[slice.worker].sc_touched.data() + slice.offset;
-      sc_touched_.insert(sc_touched_.end(), entries, entries + slice.count);
-    }
-    for (CommitScratch& scratch : commit_scratch_) {
-      scratch.sc_touched.clear();
-    }
-  }
+  for (std::uint64_t s = slot_begin; s < slot_end; ++s) CommitOneSlot(s, x);
   // Row erase: x has left the induced subgraph V - S. Nothing reads x's
   // row of an action after that action's update, so erasing every row
   // here is Algorithm 5's in-slot erase; no copy is made — the row reads
@@ -363,68 +298,6 @@ void SnapshotQueryEngine::CommitSeed(NodeId x) {
       m.commit_latency->Record(MonotonicNowNs() - obs_t0);
     }
   }
-}
-
-double SnapshotQueryEngine::SpreadOf(std::span<const NodeId> seeds) {
-  // Theorem 3 telescopes: sigma_cd(S) is the sum of the marginal gains
-  // of committing S one seed at a time (in the given order).
-  std::uint64_t obs_t0 = 0;
-  if constexpr (kObsEnabled) {
-    if (obs_enabled_) obs_t0 = MonotonicNowNs();
-  }
-  ResetSession();
-  double total = 0.0;
-  for (NodeId seed : seeds) {
-    total += MarginalGain(seed);
-    CommitSeed(seed);
-  }
-  if constexpr (kObsEnabled) {
-    if (obs_enabled_) {
-      GetEngineMetrics().spread_latency->Record(MonotonicNowNs() - obs_t0);
-    }
-  }
-  return total;
-}
-
-SnapshotSeedSelection SnapshotQueryEngine::TopKSeeds(NodeId k,
-                                                     double spread_budget) {
-  // Algorithm 3 (greedy + CELF lazy-forward), the exact queue discipline
-  // of CreditDistributionModel::SelectSeeds — literally: both passes and
-  // the consumption loop are the shared RunCelfTopK, so the two (and
-  // the shard router) cannot drift. Both
-  // evaluation passes run on gain_threads_ workers: MarginalGain is
-  // const (pure reads of view + overlay + SC shadow) and no mutating
-  // method runs while a pass is in flight, so the passes are race-free
-  // and the results — seeds, gains, evaluation counts — are identical
-  // for any thread count (docs/parallelism.md). All scratch is
-  // engine-owned and only ever grows, preserving the allocation-free
-  // steady state.
-  std::uint64_t obs_t0 = 0;
-  if constexpr (kObsEnabled) {
-    if (obs_enabled_) obs_t0 = MonotonicNowNs();
-  }
-  ResetSession();
-  SnapshotSeedSelection selection;
-  const auto au = au_;
-  RunCelfTopK(
-      k, spread_budget, EffectiveThreadCount(gain_threads_),
-      view_->num_users(),
-      [this](std::size_t total,
-             const std::function<void(std::size_t, std::size_t)>& body) {
-        ParallelForDynamic(total, gain_threads_, body);
-      },
-      [au](NodeId x) { return au[x] != 0; },
-      [this](NodeId x) { return MarginalGain(x); },
-      [this](NodeId x) { CommitSeed(x); }, &heap_, &memo_gain_,
-      &memo_stamp_, &batch_, &gains_, &selection);
-  if constexpr (kObsEnabled) {
-    if (obs_enabled_) {
-      const EngineMetrics& m = GetEngineMetrics();
-      m.topk_queries->Increment();
-      m.topk_latency->Record(MonotonicNowNs() - obs_t0);
-    }
-  }
-  return selection;
 }
 
 void SnapshotQueryEngine::ResetSession() {
@@ -463,19 +336,13 @@ std::uint64_t SnapshotQueryEngine::ApproxMemoryBytes() const {
   auto bytes_of = [](const auto& v) {
     return static_cast<std::uint64_t>(v.capacity()) * sizeof(v[0]);
   };
-  std::uint64_t scratch_bytes = 0;
-  for (const CommitScratch& scratch : commit_scratch_) {
-    scratch_bytes += bytes_of(scratch.credited) + bytes_of(scratch.creditors) +
-                     bytes_of(scratch.stamp_epoch) +
-                     bytes_of(scratch.stamp_credit) +
-                     bytes_of(scratch.sc_touched);
-  }
+  const CommitScratch& scratch = commit_scratch_;
   return bytes_of(ovl_offset_) + bytes_of(ovl_buf_) +
          bytes_of(ovl_slots_) + bytes_of(zero_row_) + bytes_of(sc_cur_) +
          bytes_of(sc_touched_) + bytes_of(sc_dirty_) + bytes_of(is_seed_) +
-         bytes_of(committed_) + scratch_bytes + bytes_of(touched_slices_) +
-         bytes_of(memo_gain_) + bytes_of(memo_stamp_) + bytes_of(heap_) +
-         bytes_of(batch_) + bytes_of(gains_);
+         bytes_of(committed_) + bytes_of(scratch.credited) +
+         bytes_of(scratch.creditors) + bytes_of(scratch.stamp_epoch) +
+         bytes_of(scratch.stamp_credit);
 }
 
 Status IncrementalRescan(const CreditSnapshotView& view, const Graph& graph,

@@ -2,7 +2,6 @@
 #define INFLUMAX_SERVE_QUERY_ENGINE_H_
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -10,27 +9,17 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "core/cd_model.h"
-#include "core/celf.h"
 #include "core/fixed_gain.h"
 #include "serve/snapshot_view.h"
 
 namespace influmax {
 
-/// Seed-selection result of the snapshot query engine; field-for-field
-/// the shape of CreditDistributionModel::SeedSelection, and — on the same
-/// log, graph, and lambda — bit-for-bit the same values.
-struct SnapshotSeedSelection {
-  std::vector<NodeId> seeds;              // in pick order
-  std::vector<double> marginal_gains;     // gain of each pick
-  std::vector<double> cumulative_spread;  // sigma_cd of each prefix
-  std::uint64_t gain_evaluations = 0;     // CELF computeMG calls
-};
-
-/// Non-destructive CELF greedy over a CreditSnapshotView.
+/// One shard's credits, served: the per-shard backend of the query
+/// front (shard/query_front.h, docs/serving.md).
 ///
 /// Where the live model's SelectSeeds() consumes its credit store (one
-/// shot per Build), the engine answers any number of queries against one
-/// immutable snapshot: committed seeds live in a per-engine
+/// shot per Build), the engine answers any number of sessions against
+/// one immutable snapshot: committed seeds live in a per-engine
 /// copy-on-write overlay plus an SC shadow array, both rewound in
 /// O(touched) by ResetSession(). The overlay is slot-granular: a commit
 /// copies a forward row only when Algorithm 5 is about to write it (the
@@ -39,18 +28,17 @@ struct SnapshotSeedSelection {
 /// performs no hash-table lookups: node -> slot is an O(log A_u) binary
 /// search over the mmap'd CSR, everything else is direct indexing.
 ///
-/// Results are bit-identical to the live model because both sum gains in
-/// the same fixed point (core/fixed_gain.h), where addition order does
-/// not matter; the overlay replicates SubtractCredit's epsilon-erase
-/// (entries at 0.0 are "erased"); and the greedy replays Algorithm 3's
-/// exact queue discipline including tie-breaks.
+/// Gains are bit-identical to the live model's because both sum in the
+/// same fixed point (core/fixed_gain.h), where addition order does not
+/// matter; and the overlay replicates SubtractCredit's epsilon-erase
+/// (entries at 0.0 are "erased"). The greedy, the spread and the
+/// session's seed order live in the query front; a 1-shard ShardRouter
+/// is monolithic serving.
 ///
 /// Concurrency contract: one engine per thread. The underlying view is
 /// shared freely; an engine's session state is neither locked nor
-/// thread-safe (see docs/serving.md). TopKSeeds can additionally fan its
-/// internal marginal-gain passes out over set_gain_threads() workers —
-/// safe because MarginalGain is read-only — without changing any result
-/// bit (docs/parallelism.md).
+/// thread-safe, but the const gain methods may run concurrently with
+/// each other (see docs/serving.md).
 class SnapshotQueryEngine {
  public:
   /// Workspaces are sized to the view once, here. `view` must outlive
@@ -76,19 +64,16 @@ class SnapshotQueryEngine {
   /// current session seed set S (Algorithm 4 / Theorem 3); 0 when x is
   /// a seed or never acted. Non-destructive, and const: it only reads
   /// the view, the overlay, and the SC shadow, so concurrent calls are
-  /// safe whenever no mutating method (CommitSeed / SpreadOf /
-  /// TopKSeeds / ResetSession) runs — the property the parallel gain
-  /// passes below rely on.
+  /// safe whenever no mutating method (CommitSeed / ResetSession) runs.
   double MarginalGain(NodeId x) const;
 
   /// The fixed-point sum underneath MarginalGain: x's per-slot terms
   /// `mg_a(x) * (1 - SC(x, a))` over this engine's slots, exact
   /// (core/fixed_gain.h) — MarginalGain(x) is FromFixed(PartialGain(x))
   /// behind the seed/inactive checks. A router adds its shards' partials
-  /// in any order and gets the monolithic engine's bits
-  /// (docs/sharding.md). Const like MarginalGain, same concurrency
-  /// contract. The caller owns the seed/range checks (the router keeps
-  /// its own global seed set).
+  /// in any order and gets the same bits (docs/sharding.md). Const like
+  /// MarginalGain, same concurrency contract. The caller owns the
+  /// seed/range checks (the query front keeps the global seed set).
   GainAccum PartialGain(NodeId x) const;
 
   /// `acc` + this engine's partial gain of x, as a double: the per-shard
@@ -96,65 +81,27 @@ class SnapshotQueryEngine {
   double AccumulateGainTerms(NodeId x, double acc) const;
 
   /// Commits x into the session seed set (Algorithm 5 against the
-  /// overlay). No-op when x is already a seed. The per-action updates
-  /// write disjoint overlay rows and disjoint SC-shadow slots, so they
-  /// fan out over gain_threads() workers (after a serial pre-pass that
-  /// copies the live creditors' rows), with per-worker touched-slot logs
-  /// merged in action order — bit-identical to the serial commit for any
-  /// thread count (docs/parallelism.md). With the default
-  /// gain_threads() == 1 the serial path runs, copies each row as it is
-  /// first written, and never allocates per-worker scratch.
+  /// overlay). No-op when x is already a seed.
   void CommitSeed(NodeId x);
-
-  /// sigma_cd of `seeds` (committed in order over a fresh session; the
-  /// session is left holding them, so follow-up MarginalGain calls
-  /// answer "gain given this set").
-  double SpreadOf(std::span<const NodeId> seeds);
-
-  /// CELF greedy top-k from a fresh session: replays Algorithm 3 and
-  /// matches CreditDistributionModel::SelectSeeds(k) exactly. A finite
-  /// `spread_budget` additionally stops before any pick that would push
-  /// cumulative spread beyond the budget ("best seeds under budget").
-  /// The session is left holding the selection.
-  SnapshotSeedSelection TopKSeeds(
-      NodeId k,
-      double spread_budget = std::numeric_limits<double>::infinity());
 
   /// Rewinds the session to the snapshot's base state in O(touched).
   void ResetSession();
 
-  /// Worker threads for TopKSeeds' marginal-gain passes (the initial
-  /// CELF pass and batched stale re-evaluations), 0 = all hardware
-  /// threads. Defaults to 1 — serving deployments run one engine per
-  /// thread, and an engine that spawns by default would oversubscribe
-  /// them. Results are bit-identical for any value; see
-  /// docs/parallelism.md.
-  void set_gain_threads(std::size_t threads) { gain_threads_ = threads; }
-  std::size_t gain_threads() const { return gain_threads_; }
-
   /// Telemetry switch (src/obs/, docs/observability.md): when on (the
   /// default), queries record into MetricsRegistry::Global() —
   /// MarginalGain through a sampled 1-in-kObsSampleEvery latency probe,
-  /// the coarse operations (TopKSeeds / CommitSeed / ResetSession /
-  /// SpreadOf) exactly. BM_MetricsOverhead's baseline row turns it off;
+  /// the coarse operations (CommitSeed / ResetSession) exactly. BM_MetricsOverhead's baseline row turns it off;
   /// builds with INFLUMAX_OBS_OFF compile all of it out regardless.
   void set_obs_enabled(bool enabled) { obs_enabled_ = enabled; }
   bool obs_enabled() const { return obs_enabled_; }
-
-  /// Seeds committed in this session (excluding snapshot-frozen ones).
-  std::span<const NodeId> session_seeds() const { return committed_; }
 
   /// Heap bytes of the engine's workspaces (overlay high-water included);
   /// the per-thread cost to add on top of the shared view mapping.
   std::uint64_t ApproxMemoryBytes() const;
 
  private:
-  /// Per-worker scratch of the (possibly parallel) CommitSeed: row
-  /// snapshots, the epoch-stamped credited set of the slot under update,
-  /// and — on the parallel path — the deferred touched-SC-slot log.
-  /// Slot 0 exists from construction (the serial path uses it); further
-  /// slots appear on the first parallel commit and are reused across
-  /// commits.
+  /// CommitSeed's scratch: row snapshots and the epoch-stamped credited
+  /// set of the slot under update.
   struct CommitScratch {
     struct LiveEntry {
       NodeId node;
@@ -168,12 +115,10 @@ class SnapshotQueryEngine {
     };
     std::vector<LiveEntry> credited;
     std::vector<LiveCreditor> creditors;
-    // Credited-user stamps (epoch-tagged so clearing is free), sized [U]
-    // lazily by EnsureScratch.
+    // Credited-user stamps (epoch-tagged so clearing is free), [U].
     std::vector<std::uint64_t> stamp_epoch;
     std::vector<double> stamp_credit;
     std::uint64_t epoch = 0;
-    std::vector<std::uint64_t> sc_touched;  // parallel path: deferred log
   };
 
   /// Credits of slot s's forward row, indexed by (entry - fwd_begin[s]):
@@ -192,15 +137,10 @@ class SnapshotQueryEngine {
       std::uint64_t s, std::vector<CommitScratch::LiveCreditor>* out) const;
 
   /// Algorithm 5 for one slot of x (one action): Lemma 2 subtractions +
-  /// column erase against the creditors' overlay rows, Lemma 3 SC folds.
-  /// Touched SC slots are logged to `*touched_out` (&sc_touched_ on the
-  /// serial path; the scratch's own log on the parallel path, merged in
-  /// action order afterwards). x's own row erase is left to CommitSeed.
-  void CommitOneSlot(std::uint64_t s, NodeId x, CommitScratch* scratch,
-                     std::vector<std::uint64_t>* touched_out);
-
-  /// Sizes a scratch's stamp arrays to [U] on first use.
-  void EnsureScratch(CommitScratch* scratch);
+  /// column erase against the creditors' overlay rows, Lemma 3 SC folds
+  /// (touched SC slots logged for the rewind). x's own row erase is left
+  /// to CommitSeed.
+  void CommitOneSlot(std::uint64_t s, NodeId x);
 
   /// MarginalGain's sampled slow path: the same gain, clock-timed, with
   /// the deferred counters flushed in units of kObsSampleEvery.
@@ -234,27 +174,11 @@ class SnapshotQueryEngine {
   std::vector<std::uint8_t> sc_dirty_;     // [S] dedup flag for the log
 
   // Session seed set. Snapshot-frozen seeds are marked here once at
-  // construction and never appear in seed_touched_.
+  // construction and never appear in committed_.
   std::vector<std::uint8_t> is_seed_;      // [U]
   std::vector<NodeId> committed_;          // session commits, in order
 
-  // CommitSeed workspaces: scratch per worker (see CommitScratch) and
-  // the parallel path's per-action ArenaSlice refs for the
-  // deterministic touched-log merge.
-  std::vector<CommitScratch> commit_scratch_;
-  std::vector<ArenaSlice> touched_slices_;
-
-  // CELF speculation memo (TopKSeeds): gain of a node re-evaluated in a
-  // parallel batch, valid only while |S| + 1 == the stamp.
-  std::size_t gain_threads_ = 1;
-  std::vector<double> memo_gain_;           // [U]
-  std::vector<std::uint64_t> memo_stamp_;   // [U]
-
-  // Reused scratch (never shrunk, so steady-state queries do not
-  // allocate).
-  std::vector<CelfQueueEntry> heap_;
-  std::vector<CelfQueueEntry> batch_;
-  std::vector<double> gains_;  // initial-pass gather array
+  CommitScratch commit_scratch_;
 };
 
 /// Statistics of one IncrementalRescan run.

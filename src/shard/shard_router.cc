@@ -1,6 +1,5 @@
 #include "shard/shard_router.h"
 
-#include <algorithm>
 #include <array>
 
 #include "common/logging.h"
@@ -11,8 +10,8 @@ namespace influmax {
 namespace {
 
 // Router telemetry (docs/observability.md). Gain metrics come from the
-// sampled TimedMarginalGain path (counters move in units of
-// kObsSampleEvery); commit/topk record exactly. Per-shard partial
+// sampled TimedGainOf path (counters move in units of kObsSampleEvery);
+// the query front records commits and top-k queries. Per-shard partial
 // timers exist for the first kPerShardTimers shard indices — folds of
 // higher shards still land in the aggregate shard.fold timer.
 constexpr std::size_t kPerShardTimers = 8;
@@ -22,10 +21,6 @@ struct RouterMetrics {
   Timer* gain_latency;
   Timer* shard_fold;  // every shard's partial, aggregated
   std::array<Timer*, kPerShardTimers> shard_fold_by_index;
-  Counter* commits;
-  Timer* commit_latency;
-  Counter* topk_queries;
-  Timer* topk_latency;
 };
 
 const RouterMetrics& GetRouterMetrics() {
@@ -39,17 +34,13 @@ const RouterMetrics& GetRouterMetrics() {
       m.shard_fold_by_index[i] =
           reg.FindOrCreateTimer("shard.fold.s" + std::to_string(i));
     }
-    m.commits = reg.FindOrCreateCounter("shard.router.commits");
-    m.commit_latency = reg.FindOrCreateTimer("shard.router.commit_latency");
-    m.topk_queries = reg.FindOrCreateCounter("shard.router.topk_queries");
-    m.topk_latency = reg.FindOrCreateTimer("shard.router.topk_latency");
     return m;
   }();
   return metrics;
 }
 
-// thread_local for the same reason as the engine's tick: the CELF
-// passes call the const MarginalGain from concurrent pool workers.
+// thread_local for the same reason as the engine's tick: batched gain
+// passes call the const GainOf from concurrent pool workers.
 thread_local std::uint64_t t_router_tick = 0;
 
 inline bool RouterTickFires() {
@@ -59,10 +50,7 @@ inline bool RouterTickFires() {
 }  // namespace
 
 ShardRouter::ShardRouter(const ShardedSnapshot& shards, WorkerPool* pool)
-    : shards_(&shards),
-      pool_(pool),
-      num_users_(shards.manifest.num_users),
-      au_(shards.manifest.au) {
+    : pool_(pool), front_(this) {
   // Register the metric names up front so scrapes see them from the
   // first query, not only once the sampled probe first fires.
   (void)GetRouterMetrics();
@@ -73,13 +61,11 @@ ShardRouter::ShardRouter(const ShardedSnapshot& shards, WorkerPool* pool)
     // global-au quotient pool OpenShardedSnapshot derived (the blob's
     // stored pool divides by local au) — shared, not re-derived per
     // session.
-    engines_.emplace_back(shards.views[i], au_, shards.shard_quotient(i));
+    engines_.emplace_back(shards.views[i], shards.manifest.au,
+                          shards.shard_quotient(i));
   }
-  is_seed_.assign(num_users_, 0);
   // Frozen seeds agree across shards (OpenShardedSnapshot checks).
-  for (NodeId s : shards.views[0].seeds()) is_seed_[s] = 1;
-  memo_gain_.assign(num_users_, 0.0);
-  memo_stamp_.assign(num_users_, 0);
+  front_.Bind(shards.manifest.au, shards.views[0].seeds());
 }
 
 void ShardRouter::ForEachShard(const std::function<void(std::size_t)>& body) {
@@ -91,14 +77,13 @@ void ShardRouter::ForEachShard(const std::function<void(std::size_t)>& body) {
   for (std::size_t i = 0; i < engines_.size(); ++i) body(i);
 }
 
-double ShardRouter::MarginalGain(NodeId x) const {
+double ShardRouter::GainOf(NodeId x) const {
   if constexpr (kObsEnabled) {
-    if (obs_enabled_ && RouterTickFires()) return TimedMarginalGain(x);
+    if (obs_enabled_ && RouterTickFires()) return TimedGainOf(x);
   }
-  if (x >= num_users_ || is_seed_[x] || au_[x] == 0) return 0.0;
   // The gain merge (docs/sharding.md): each shard's partial is an exact
-  // fixed-point sum, so their sum is the monolithic engine's, bit for
-  // bit, in any order.
+  // fixed-point sum, so their sum is the same, bit for bit, in any
+  // order.
   GainAccum mg = 0;
   for (const SnapshotQueryEngine& engine : engines_) {
     mg += engine.PartialGain(x);
@@ -106,105 +91,62 @@ double ShardRouter::MarginalGain(NodeId x) const {
   return FromFixed(mg);
 }
 
-double ShardRouter::TimedMarginalGain(NodeId x) const {
+double ShardRouter::TimedGainOf(NodeId x) const {
   const RouterMetrics& m = GetRouterMetrics();
   const std::uint64_t q0 = MonotonicNowNs();
+  // Same sum as the fast path, with each shard's partial timed: the
+  // per-shard cost is the skew signal that tells an operator which
+  // action range is hot.
+  SpanRing* ring = front_.span_ring();
   GainAccum mg = 0;
-  if (x < num_users_ && !is_seed_[x] && au_[x] != 0) {
-    // Same sum as the fast path, with each shard's partial timed: the
-    // per-shard cost is the skew signal that tells an operator which
-    // action range is hot.
-    std::uint64_t t0 = q0;
-    for (std::size_t i = 0; i < engines_.size(); ++i) {
-      mg += engines_[i].PartialGain(x);
-      const std::uint64_t t1 = MonotonicNowNs();
-      const std::uint64_t dt = t1 - t0;
-      m.shard_fold->Record(dt);
-      if (i < kPerShardTimers) m.shard_fold_by_index[i]->Record(dt);
-      if (ring_ != nullptr) {
-        ring_->Push({kSpanRouterShardFold, 0, 0, t0, dt, i});
-      }
-      t0 = t1;
-    }
+  std::uint64_t t0 = q0;
+  for (std::size_t i = 0; i < engines_.size(); ++i) {
+    mg += engines_[i].PartialGain(x);
+    const std::uint64_t t1 = MonotonicNowNs();
+    const std::uint64_t dt = t1 - t0;
+    m.shard_fold->Record(dt);
+    if (i < kPerShardTimers) m.shard_fold_by_index[i]->Record(dt);
+    if (ring != nullptr) ring->Push({kSpanRouterShardFold, 0, 0, t0, dt, i});
+    t0 = t1;
   }
   const std::uint64_t q1 = MonotonicNowNs();
   m.gain_latency->Record(q1 - q0);
   m.gain_queries->Add(kObsSampleEvery);
-  if (ring_ != nullptr) ring_->Push({kSpanRouterGain, 0, 0, q0, q1 - q0, x});
+  if (ring != nullptr) ring->Push({kSpanRouterGain, 0, 0, q0, q1 - q0, x});
   return FromFixed(mg);
 }
 
-void ShardRouter::CommitSeed(NodeId x) {
-  if (x >= num_users_ || is_seed_[x]) return;
-  const RouterMetrics& m = GetRouterMetrics();
-  m.commits->Increment();
-  ObsSpan span(ring_, kSpanRouterCommit, x, m.commit_latency);
-  // Algorithm 5 decomposes by action: each shard's commit touches only
-  // its own overlay and SC shadow, so the fan-out is exact (and each
-  // engine's internal commit stays serial — gain_threads defaults to 1).
-  ForEachShard([this, x](std::size_t i) { engines_[i].CommitSeed(x); });
-  is_seed_[x] = 1;
-  committed_.push_back(x);
-}
-
-double ShardRouter::SpreadOf(std::span<const NodeId> seeds) {
-  // Theorem 3 telescopes, exactly as in SnapshotQueryEngine::SpreadOf.
-  ResetSession();
-  double total = 0.0;
-  for (NodeId seed : seeds) {
-    total += MarginalGain(seed);
-    CommitSeed(seed);
+Status ShardRouter::Gains(std::span<const NodeId> nodes, double* gains) {
+  if (pool_ == nullptr || nodes.size() < 2) {
+    for (std::size_t i = 0; i < nodes.size(); ++i) gains[i] = GainOf(nodes[i]);
+    return Status::OK();
   }
-  return total;
+  // GainOf is const (pure reads of the views, overlays and SC shadows)
+  // and each node's gain lands in its own slot, so the batch fans out.
+  pool_->ParallelFor(nodes.size(), [&](std::size_t, std::size_t i) {
+    gains[i] = GainOf(nodes[i]);
+  });
+  return Status::OK();
 }
 
-SnapshotSeedSelection ShardRouter::TopKSeeds(NodeId k, double spread_budget) {
-  // The monolithic engine's TopKSeeds with the router's gain merge and
-  // fan-out commit plugged into the shared CELF driver: same initial
-  // pass over active users, same heap build order, same consumption
-  // discipline (RunCelfGreedyWith), so seeds, gains, and evaluation
-  // counts are bit-identical for any shard count and any pool size.
-  const RouterMetrics& m = GetRouterMetrics();
-  m.topk_queries->Increment();
-  ObsSpan span(ring_, kSpanRouterTopk, k, m.topk_latency);
-  ResetSession();
-  SnapshotSeedSelection selection;
-  const auto au = au_;
-  RunCelfTopK(
-      k, spread_budget, pool_ == nullptr ? 1 : pool_->num_workers(),
-      num_users_,
-      [this](std::size_t total,
-             const std::function<void(std::size_t, std::size_t)>& body) {
-        if (pool_ != nullptr) {
-          pool_->ParallelFor(total, body);
-        } else {
-          for (std::size_t i = 0; i < total; ++i) body(0, i);
-        }
-      },
-      [au](NodeId x) { return au[x] != 0; },
-      [this](NodeId x) { return MarginalGain(x); },
-      [this](NodeId x) { CommitSeed(x); }, &heap_, &memo_gain_, &memo_stamp_,
-      &batch_, &gains_, &selection);
-  return selection;
+Status ShardRouter::Commit(NodeId x) {
+  // Algorithm 5 decomposes by action: each shard's commit touches only
+  // its own overlay and SC shadow, so the fan-out is exact.
+  ForEachShard([this, x](std::size_t i) { engines_[i].CommitSeed(x); });
+  return Status::OK();
 }
 
-void ShardRouter::ResetSession() {
+Status ShardRouter::Reset() {
   ForEachShard([this](std::size_t i) { engines_[i].ResetSession(); });
-  for (NodeId x : committed_) is_seed_[x] = 0;
-  committed_.clear();
+  return Status::OK();
 }
 
 std::uint64_t ShardRouter::ApproxMemoryBytes() const {
-  auto bytes_of = [](const auto& v) {
-    return static_cast<std::uint64_t>(v.capacity()) * sizeof(v[0]);
-  };
-  std::uint64_t total = 0;
+  std::uint64_t total = front_.ApproxMemoryBytes();
   for (const SnapshotQueryEngine& engine : engines_) {
     total += engine.ApproxMemoryBytes();
   }
-  return total + bytes_of(is_seed_) + bytes_of(committed_) + bytes_of(heap_) +
-         bytes_of(batch_) + bytes_of(memo_gain_) + bytes_of(memo_stamp_) +
-         bytes_of(gains_);
+  return total;
 }
 
 }  // namespace influmax

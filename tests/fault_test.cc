@@ -33,6 +33,7 @@
 #include "shard/recovery.h"
 #include "shard/shard_manifest.h"
 #include "shard/shard_writer.h"
+#include "one_shard.h"
 #include "test_fixtures.h"
 
 namespace influmax {
@@ -92,8 +93,9 @@ std::int64_t GaugeValue(const std::string& name) {
 }
 
 /// Built once: a generation-1 directory (3 shards of the prefix log)
-/// plus the bit-exact TopK answers of both generations, from the
-/// monolithic engine the sharded router is proven identical to.
+/// plus the bit-exact TopK answers of both generations, from monolithic
+/// serving (a 1-shard router), which the sharded router is proven
+/// identical to.
 struct ChaosWorld {
   SyntheticDataset data;
   EqualDirectCredit credit;
@@ -130,10 +132,11 @@ const ChaosWorld& World() {
     {
       auto view = CreditSnapshotView::Open(prefix_path);
       INFLUMAX_CHECK(view.ok());
-      w->gen1_topk = SnapshotQueryEngine(*view).TopKSeeds(5);
+      w->gen1_topk = testing_fixtures::OneShard(*view)->TopKSeeds(5);
       auto full_view = CreditSnapshotView::Open(full_path);
       INFLUMAX_CHECK(full_view.ok());
-      w->gen2_topk = SnapshotQueryEngine(*full_view).TopKSeeds(5);
+      w->gen2_topk =
+          testing_fixtures::OneShard(*full_view)->TopKSeeds(5);
     }
     // The reference snapshots must not look like orphan blobs to the
     // recovery sweep — and they don't: the gen<g>-shard<i>.snap /

@@ -32,10 +32,13 @@
 #include "shard/shard_manifest.h"
 #include "shard/shard_router.h"
 #include "shard/shard_writer.h"
+#include "one_shard.h"
 #include "test_fixtures.h"
 
 namespace influmax {
 namespace {
+
+using testing_fixtures::OneShard;
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
@@ -254,10 +257,16 @@ TEST(GainKernelTest, GainsWithinDocumentedBoundOfRealValuedSum) {
 
   // After commits the engine and the live model still agree bit for bit.
   auto live = BuildModel(data.graph, data.log, credit, 0.001);
-  const auto seeds = engine.TopKSeeds(5).seeds;
-  for (const NodeId seed : seeds) live.CommitSeed(seed);
+  OneShard router(view);
+  const auto seeds = router->TopKSeeds(5).seeds;
+  for (const NodeId seed : seeds) {
+    live.CommitSeed(seed);
+    engine.CommitSeed(seed);
+  }
   for (NodeId x = 0; x < view.num_users(); ++x) {
     ASSERT_TRUE(SameBits(engine.MarginalGain(x), live.MarginalGain(x)))
+        << "node " << x;
+    ASSERT_TRUE(SameBits(router->MarginalGain(x), live.MarginalGain(x)))
         << "node " << x;
   }
   std::remove(path.c_str());
@@ -327,18 +336,23 @@ TEST(GainKernelTest, ShardPartialsSumToTheSameBitsInAnyOrder) {
   constexpr std::size_t kWhatIf = 5;
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    SnapshotQueryEngine engine(*mono);
-    engine.set_gain_threads(threads);
-    const auto expected = engine.TopKSeeds(kTopK);
+    // The monolithic reference: a 1-shard router, without a pool or on
+    // a WorkerPool of `threads` workers.
+    std::unique_ptr<WorkerPool> reference_pool;
+    if (threads > 1) reference_pool = std::make_unique<WorkerPool>(threads);
+    OneShard reference(*mono, reference_pool.get());
+    const auto expected = reference->TopKSeeds(kTopK);
     ASSERT_EQ(expected.seeds.size(), kTopK);
     const std::vector<NodeId> what_if(expected.seeds.begin(),
                                       expected.seeds.begin() + kWhatIf);
-    engine.ResetSession();
+    reference->ResetSession();
     std::vector<double> fresh(users);
-    for (NodeId x = 0; x < users; ++x) fresh[x] = engine.MarginalGain(x);
-    for (const NodeId seed : what_if) engine.CommitSeed(seed);
+    for (NodeId x = 0; x < users; ++x) fresh[x] = reference->MarginalGain(x);
+    for (const NodeId seed : what_if) reference->CommitSeed(seed);
     std::vector<double> committed(users);
-    for (NodeId x = 0; x < users; ++x) committed[x] = engine.MarginalGain(x);
+    for (NodeId x = 0; x < users; ++x) {
+      committed[x] = reference->MarginalGain(x);
+    }
 
     for (const std::size_t shards : {1, 2, 3, 7}) {
       const std::string sub = dir + "/s" + std::to_string(shards);
@@ -420,7 +434,7 @@ TEST(GainKernelTest, EveryGainMatchesGoldenChecksum) {
     gains[x] = engine.MarginalGain(x);
   }
   std::uint64_t h = HashGains(0xcbf29ce484222325ULL, gains);
-  const auto selection = engine.TopKSeeds(20);
+  const auto selection = OneShard(view)->TopKSeeds(20);
   h = HashGains(h, selection.marginal_gains);
   engine.ResetSession();
   for (std::size_t i = 0; i < 5; ++i) engine.CommitSeed(selection.seeds[i]);

@@ -5,7 +5,7 @@
 // gain out to loopback shard servers and summing the returned
 // fixed-point partials returns bit-identical seeds, gains, and
 // evaluation counts to the in-process ShardRouter for shard counts
-// {1, 2, 3}.
+// {1, 2, 3, 7}.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -454,7 +454,7 @@ TEST(RemoteRouterTest, BitIdenticalToShardRouterAcrossShardCounts) {
   EqualDirectCredit credit;
   const auto model = BuildModel(data.graph, data.log, credit, 0.001);
 
-  for (std::size_t shards : {1u, 2u, 3u}) {
+  for (std::size_t shards : {1u, 2u, 3u, 7u}) {
     const std::string dir =
         MakeTempDir("net_bitident_s" + std::to_string(shards));
     WriteGenerationDir(model, dir, shards);
@@ -493,6 +493,27 @@ TEST(RemoteRouterTest, BitIdenticalToShardRouterAcrossShardCounts) {
     EXPECT_EQ(routed->cumulative_spread, expected.cumulative_spread);
     EXPECT_EQ(routed->gain_evaluations, expected.gain_evaluations)
         << shards << " shards";
+
+    // A spread budget that allows only the first three picks, and a k
+    // beyond the active users (the greedy stops when gains run out).
+    const double budget = expected.cumulative_spread[2];
+    const auto expected_budgeted = local.TopKSeeds(10, budget);
+    auto routed_budgeted = remote.TopKSeeds(10, budget);
+    ASSERT_TRUE(routed_budgeted.ok()) << routed_budgeted.status().ToString();
+    EXPECT_EQ(expected_budgeted.seeds.size(), 3u);
+    EXPECT_EQ(routed_budgeted->seeds, expected_budgeted.seeds);
+    EXPECT_EQ(routed_budgeted->cumulative_spread,
+              expected_budgeted.cumulative_spread);
+    EXPECT_EQ(routed_budgeted->gain_evaluations,
+              expected_budgeted.gain_evaluations);
+    const NodeId beyond = data.log.num_users() + 1;
+    const auto expected_all = local.TopKSeeds(beyond);
+    auto routed_all = remote.TopKSeeds(beyond);
+    ASSERT_TRUE(routed_all.ok()) << routed_all.status().ToString();
+    EXPECT_LT(expected_all.seeds.size(), beyond);
+    EXPECT_EQ(routed_all->seeds, expected_all.seeds);
+    EXPECT_EQ(routed_all->marginal_gains, expected_all.marginal_gains);
+    EXPECT_EQ(routed_all->gain_evaluations, expected_all.gain_evaluations);
 
     // Committed-session parity: spread of a prefix, then gains against
     // the partial seed set.
@@ -629,6 +650,73 @@ TEST(RemoteRouterTest, DeadServerFailsFastWithUnavailable) {
   ASSERT_FALSE(gain.ok());
   EXPECT_EQ(gain.status().code(), StatusCode::kUnavailable)
       << gain.status().ToString();
+}
+
+TEST(RemoteRouterTest, FailedRefreshRefusesEveryQueryUntilOneSucceeds) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("net_failed_refresh");
+  WriteGenerationDir(model, dir, 1);
+  ServerFleet fleet = StartFleet(dir, 1);
+  const int port = fleet.servers[0]->port();
+
+  RemoteRouterOptions options;
+  options.replica_sets = fleet.replica_sets;
+  options.retry.max_attempts = 2;
+  options.retry.initial_backoff_ms = 1;
+  options.retry.budget_ms = 20;
+  options.connect_timeout_ms = 200;
+  auto connected = RemoteShardRouter::Connect(options);
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  RemoteShardRouter& remote = **connected;
+  auto top = remote.TopKSeeds(5);
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  ASSERT_FALSE(top->seeds.empty());
+  const NodeId best = top->seeds[0];
+  ASSERT_TRUE(remote.ResetSession().ok());
+  auto best_gain = remote.MarginalGain(best);
+  ASSERT_TRUE(best_gain.ok());
+  ASSERT_GT(*best_gain, 0.0);
+
+  // The fleet dies; the refresh fails, and from then on no query may
+  // answer — least of all with the zeros of an empty user space.
+  fleet.servers[0]->Kill();
+  auto refreshed = remote.Refresh();
+  ASSERT_FALSE(refreshed.ok());
+  EXPECT_EQ(refreshed.status().code(), StatusCode::kUnavailable)
+      << refreshed.status().ToString();
+  const auto expect_unavailable = [](const Status& status) {
+    EXPECT_EQ(status.code(), StatusCode::kUnavailable) << status.ToString();
+  };
+  expect_unavailable(remote.MarginalGain(best).status());
+  expect_unavailable(remote.TopKSeeds(5).status());
+  const std::vector<NodeId> spread_seeds = {best};
+  expect_unavailable(remote.SpreadOf(spread_seeds).status());
+  expect_unavailable(remote.CommitSeed(best));
+  // A reset is not a refresh: the router stays unbound.
+  expect_unavailable(remote.ResetSession());
+  expect_unavailable(remote.MarginalGain(best).status());
+  EXPECT_TRUE(remote.session_seeds().empty());
+
+  // A server back on the same endpoint: the next refresh binds again
+  // and the answers are the ones from before the outage.
+  ShardServerOptions sopts;
+  sopts.dir = dir;
+  sopts.shard = 0;
+  sopts.port = port;
+  auto restarted = ShardServer::Start(sopts);
+  ASSERT_TRUE(restarted.ok()) << restarted.status().ToString();
+  auto again = remote.Refresh();
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  auto gain = remote.MarginalGain(best);
+  ASSERT_TRUE(gain.ok()) << gain.status().ToString();
+  EXPECT_TRUE(SameBits(*gain, *best_gain));
+  auto retop = remote.TopKSeeds(5);
+  ASSERT_TRUE(retop.ok()) << retop.status().ToString();
+  EXPECT_EQ(retop->seeds, top->seeds);
+  EXPECT_EQ(retop->marginal_gains, top->marginal_gains);
+  (*restarted)->Kill();
 }
 
 TEST(RemoteRouterTest, ProbeReplicasReportsHealthPerReplica) {

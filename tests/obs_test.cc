@@ -28,6 +28,7 @@
 #include "shard/generation_manager.h"
 #include "shard/shard_manifest.h"
 #include "shard/shard_writer.h"
+#include "one_shard.h"
 #include "test_fixtures.h"
 
 namespace influmax {
@@ -514,11 +515,15 @@ TEST(EngineObsTest, CoarseOpsCountExactlyAndSwitchOffCleanly) {
   auto view = CreditSnapshotView::Open(path);
   ASSERT_TRUE(view.ok());
   SnapshotQueryEngine engine(*view);
+  testing_fixtures::OneShard router(*view);
 
-  const std::uint64_t topk_before = GlobalCounterValue("serve.topk.queries");
+  // A top-k is counted once by the query front, on either transport.
+  const std::uint64_t topk_before =
+      GlobalCounterValue("shard.router.topk_queries");
   const std::uint64_t reset_before = GlobalCounterValue("serve.reset.count");
-  engine.TopKSeeds(2);
-  EXPECT_EQ(GlobalCounterValue("serve.topk.queries") - topk_before, 1u);
+  router->TopKSeeds(2);
+  EXPECT_EQ(GlobalCounterValue("shard.router.topk_queries") - topk_before,
+            1u);
   engine.ResetSession();
   EXPECT_GE(GlobalCounterValue("serve.reset.count") - reset_before, 1u);
   // On the fresh session the explicit commit is a real one (no early
@@ -531,12 +536,12 @@ TEST(EngineObsTest, CoarseOpsCountExactlyAndSwitchOffCleanly) {
   // set_obs_enabled(false) detaches every engine metric.
   engine.set_obs_enabled(false);
   EXPECT_FALSE(engine.obs_enabled());
-  const std::uint64_t frozen_topk = GlobalCounterValue("serve.topk.queries");
+  const std::uint64_t frozen_reset = GlobalCounterValue("serve.reset.count");
   const std::uint64_t frozen_commit =
       GlobalCounterValue("serve.commit.count");
-  engine.TopKSeeds(2);
+  engine.CommitSeed(PaperExample::kV);
   engine.ResetSession();
-  EXPECT_EQ(GlobalCounterValue("serve.topk.queries"), frozen_topk);
+  EXPECT_EQ(GlobalCounterValue("serve.reset.count"), frozen_reset);
   EXPECT_EQ(GlobalCounterValue("serve.commit.count"), frozen_commit);
   std::remove(path.c_str());
 }

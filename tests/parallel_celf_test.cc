@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,11 +14,15 @@
 #include "core/direct_credit.h"
 #include "datagen/cascade_generator.h"
 #include "graph/generators.h"
-#include "serve/query_engine.h"
+#include "common/parallel.h"
 #include "serve/snapshot_view.h"
+#include "shard/shard_router.h"
+#include "one_shard.h"
 
 namespace influmax {
 namespace {
+
+using testing_fixtures::OneShard;
 
 // The thread counts the determinism contract is asserted over: serial,
 // even, odd/prime, and whatever the hardware resolves 0 ("auto") to.
@@ -93,9 +98,10 @@ TEST(ParallelCelfTest, SelectSeedsIdenticalForAnyThreadCount) {
   }
 }
 
-// Same contract for the snapshot engine's TopKSeeds, plus equality with
-// the live model (the serving layer's bit-identical guarantee must
-// survive the parallel passes).
+// Same contract for the served TopKSeeds (a 1-shard router, no pool or
+// a WorkerPool of each size), plus equality with the live model (the
+// serving layer's bit-identical guarantee must survive the parallel
+// passes).
 TEST(ParallelCelfTest, TopKSeedsIdenticalForAnyGainThreadCount) {
   const SyntheticDataset data = MakeDataset(300, 150, 92);
   EqualDirectCredit credit;
@@ -114,9 +120,10 @@ TEST(ParallelCelfTest, TopKSeedsIdenticalForAnyGainThreadCount) {
 
   SnapshotSeedSelection baseline;
   for (const std::size_t threads : kThreadCounts) {
-    SnapshotQueryEngine engine(*view);
-    engine.set_gain_threads(threads);
-    const SnapshotSeedSelection selection = engine.TopKSeeds(12);
+    std::optional<WorkerPool> pool;
+    if (threads != 1) pool.emplace(threads);
+    OneShard router(*view, threads == 1 ? nullptr : &*pool);
+    const SnapshotSeedSelection selection = router->TopKSeeds(12);
     if (threads == 1) {
       baseline = selection;
       // The engine replays the live greedy exactly, evaluations included.
@@ -128,7 +135,7 @@ TEST(ParallelCelfTest, TopKSeedsIdenticalForAnyGainThreadCount) {
       }
       continue;
     }
-    const std::string label = std::to_string(threads) + " gain threads";
+    const std::string label = std::to_string(threads) + " pool workers";
     EXPECT_EQ(selection.gain_evaluations, baseline.gain_evaluations)
         << label;
     ASSERT_EQ(selection.seeds.size(), baseline.seeds.size()) << label;
@@ -146,7 +153,7 @@ TEST(ParallelCelfTest, TopKSeedsIdenticalForAnyGainThreadCount) {
 }
 
 // A TopKSeeds interleaved with other session traffic must behave like a
-// fresh query regardless of gain threads (the speculation memo must not
+// fresh query regardless of the pool (the speculation memo must not
 // leak across calls or commits).
 TEST(ParallelCelfTest, TopKSeedsAfterSessionChurnStillIdentical) {
   const SyntheticDataset data = MakeDataset(200, 100, 93);
@@ -161,14 +168,14 @@ TEST(ParallelCelfTest, TopKSeedsAfterSessionChurnStillIdentical) {
   auto view = CreditSnapshotView::Open(path);
   ASSERT_TRUE(view.ok());
 
-  SnapshotQueryEngine serial(*view);
-  const SnapshotSeedSelection expected = serial.TopKSeeds(8);
+  OneShard serial(*view);
+  const SnapshotSeedSelection expected = serial->TopKSeeds(8);
 
-  SnapshotQueryEngine engine(*view);
-  engine.set_gain_threads(7);
-  (void)engine.TopKSeeds(3);  // leaves memo + session state behind
-  engine.CommitSeed(expected.seeds.empty() ? 0 : expected.seeds[0]);
-  const SnapshotSeedSelection repeat = engine.TopKSeeds(8);
+  WorkerPool pool(7);
+  ShardRouter router(serial.shards(), &pool);
+  (void)router.TopKSeeds(3);  // leaves memo + session state behind
+  router.CommitSeed(expected.seeds.empty() ? 0 : expected.seeds[0]);
+  const SnapshotSeedSelection repeat = router.TopKSeeds(8);
   EXPECT_EQ(repeat.seeds, expected.seeds);
   EXPECT_EQ(repeat.gain_evaluations, expected.gain_evaluations);
   std::remove(path.c_str());
@@ -303,52 +310,6 @@ TEST(ParallelCelfTest, CommitSeedParallelSnapshotBytesIdentical) {
     EXPECT_EQ(bytes, baseline_bytes)
         << threads << " commit threads diverged from the serial commit";
   }
-}
-
-// The snapshot engine's parallel CommitSeed: a session driven with
-// gain_threads > 1 must hold exactly the serial session's state after
-// every commit — identical marginal gains everywhere, identical
-// follow-up TopKSeeds, and an O(touched) reset that still rewinds
-// everything (the per-worker touched-log merge must lose no slot).
-TEST(ParallelCelfTest, EngineCommitSeedParallelMatchesSerial) {
-  const SyntheticDataset data = MakeDataset(200, 100, 99);
-  EqualDirectCredit credit;
-  CdConfig config;
-  config.truncation_threshold = 0.001;
-  auto model =
-      CreditDistributionModel::Build(data.graph, data.log, credit, config);
-  ASSERT_TRUE(model.ok());
-  const std::string path = TempPath("parallel_commit_engine.snap");
-  ASSERT_TRUE(model->WriteSnapshot(path).ok());
-  auto view = CreditSnapshotView::Open(path);
-  ASSERT_TRUE(view.ok());
-
-  SnapshotQueryEngine serial(*view);
-  const SnapshotSeedSelection seeds = serial.TopKSeeds(4);
-  ASSERT_GE(seeds.seeds.size(), 2u);
-  serial.ResetSession();
-
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{7}}) {
-    SnapshotQueryEngine parallel(*view);
-    parallel.set_gain_threads(threads);
-    serial.ResetSession();
-    for (const NodeId seed : seeds.seeds) {
-      serial.CommitSeed(seed);
-      parallel.CommitSeed(seed);
-      for (NodeId x = 0; x < view->num_users(); ++x) {
-        ASSERT_EQ(parallel.MarginalGain(x), serial.MarginalGain(x))
-            << "gain of " << x << " after committing " << seed << " with "
-            << threads << " threads";
-      }
-    }
-    // The reset must rewind the merged touched set completely: a fresh
-    // TopKSeeds afterwards replays the base-session selection.
-    const SnapshotSeedSelection repeat = parallel.TopKSeeds(4);
-    EXPECT_EQ(repeat.seeds, seeds.seeds) << threads << " threads";
-    EXPECT_EQ(repeat.gain_evaluations, seeds.gain_evaluations)
-        << threads << " threads";
-  }
-  std::remove(path.c_str());
 }
 
 // Sharded-scan boundary case: an action whose length is *exactly*
@@ -513,9 +474,9 @@ TEST(ParallelCelfTest, ArenaPoolReuseKeepsSnapshotsIdentical) {
   }
 }
 
-// Many engines over one shared view from many threads — the serving
-// concurrency contract (and the ThreadSanitizer target): every session
-// must independently reproduce the serial answers.
+// Many sessions over one shared generation from many threads — the
+// serving concurrency contract (and the ThreadSanitizer target): every
+// session must independently reproduce the serial answers.
 TEST(ParallelCelfTest, ConcurrentSessionsReproduceSerialAnswers) {
   const SyntheticDataset data = MakeDataset(200, 100, 97);
   EqualDirectCredit credit;
@@ -529,12 +490,12 @@ TEST(ParallelCelfTest, ConcurrentSessionsReproduceSerialAnswers) {
   auto view = CreditSnapshotView::Open(path);
   ASSERT_TRUE(view.ok());
 
-  SnapshotQueryEngine reference(*view);
-  const SnapshotSeedSelection expected_topk = reference.TopKSeeds(5);
-  reference.ResetSession();
+  OneShard reference(*view);
+  const SnapshotSeedSelection expected_topk = reference->TopKSeeds(5);
+  reference->ResetSession();
   std::vector<double> expected_gains(view->num_users());
   for (NodeId x = 0; x < view->num_users(); ++x) {
-    expected_gains[x] = reference.MarginalGain(x);
+    expected_gains[x] = reference->MarginalGain(x);
   }
 
   constexpr int kSessions = 6;
@@ -543,15 +504,15 @@ TEST(ParallelCelfTest, ConcurrentSessionsReproduceSerialAnswers) {
   threads.reserve(kSessions);
   for (int s = 0; s < kSessions; ++s) {
     threads.emplace_back([&, s] {
-      SnapshotQueryEngine engine(*view);
-      const SnapshotSeedSelection topk = engine.TopKSeeds(5);
+      ShardRouter router(reference.shards());
+      const SnapshotSeedSelection topk = router.TopKSeeds(5);
       if (topk.seeds != expected_topk.seeds ||
           topk.gain_evaluations != expected_topk.gain_evaluations) {
         ++mismatches[s];
       }
-      engine.ResetSession();
+      router.ResetSession();
       for (NodeId x = 0; x < view->num_users(); ++x) {
-        if (engine.MarginalGain(x) != expected_gains[x]) {
+        if (router.MarginalGain(x) != expected_gains[x]) {
           ++mismatches[s];
           break;
         }

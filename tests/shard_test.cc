@@ -1,8 +1,9 @@
 // Sharded snapshot serving (src/shard/, docs/sharding.md): the
 // cross-shard determinism suite — sharded TopKSeeds/MarginalGain must be
-// bit-identical to the monolithic SnapshotQueryEngine for shard counts
-// {1, 2, 3, 7} — plus slicing byte-identity, manifest corruption
-// rejection, and generation-swap behavior under live sessions.
+// bit-identical to monolithic serving (a 1-shard generation of the
+// monolithic snapshot) for shard counts {1, 2, 3, 7} — plus slicing
+// byte-identity, manifest corruption rejection, and generation-swap
+// behavior under live sessions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,10 +29,13 @@
 #include "shard/shard_manifest.h"
 #include "shard/shard_router.h"
 #include "shard/shard_writer.h"
+#include "one_shard.h"
 #include "test_fixtures.h"
 
 namespace influmax {
 namespace {
+
+using testing_fixtures::OneShard;
 
 std::string MakeTempDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
@@ -165,8 +169,9 @@ TEST(ShardRouterTest, GainAndTopKBitIdenticalAcrossShardCounts) {
   ASSERT_TRUE(model.WriteSnapshot(mono_path).ok());
   auto mono = CreditSnapshotView::Open(mono_path);
   ASSERT_TRUE(mono.ok());
-  SnapshotQueryEngine engine(*mono);
-  const auto expected = engine.TopKSeeds(10);
+  OneShard mono_router(*mono);
+  ShardRouter& monolithic = mono_router.router();
+  const auto expected = monolithic.TopKSeeds(10);
   ASSERT_GT(expected.seeds.size(), 0u);
 
   for (std::size_t shards : {1u, 2u, 3u, 7u}) {
@@ -176,9 +181,9 @@ TEST(ShardRouterTest, GainAndTopKBitIdenticalAcrossShardCounts) {
     EXPECT_EQ(sharded.views.size(), shards);
     ShardRouter router(sharded);
 
-    engine.ResetSession();
+    monolithic.ResetSession();
     for (NodeId x = 0; x < data.log.num_users(); ++x) {
-      ASSERT_EQ(router.MarginalGain(x), engine.MarginalGain(x))
+      ASSERT_EQ(router.MarginalGain(x), monolithic.MarginalGain(x))
           << "node " << x << " with " << shards << " shards";
     }
 
@@ -193,13 +198,13 @@ TEST(ShardRouterTest, GainAndTopKBitIdenticalAcrossShardCounts) {
     // seed set, and the telescoped spread.
     std::vector<NodeId> seeds(expected.seeds.begin(),
                               expected.seeds.begin() + 3);
-    engine.ResetSession();
+    monolithic.ResetSession();
     router.ResetSession();
-    const double engine_spread = engine.SpreadOf(seeds);
+    const double monolithic_spread = monolithic.SpreadOf(seeds);
     const double router_spread = router.SpreadOf(seeds);
-    EXPECT_EQ(router_spread, engine_spread);
+    EXPECT_EQ(router_spread, monolithic_spread);
     for (NodeId x = 0; x < data.log.num_users(); x += 7) {
-      ASSERT_EQ(router.MarginalGain(x), engine.MarginalGain(x))
+      ASSERT_EQ(router.MarginalGain(x), monolithic.MarginalGain(x))
           << "post-commit node " << x << " with " << shards << " shards";
     }
     std::filesystem::remove_all(shard_dir);
@@ -243,13 +248,13 @@ TEST(ShardRouterTest, SpreadBudgetAndDegenerateQueriesMatchEngine) {
   ASSERT_TRUE(model.WriteSnapshot(mono_path).ok());
   auto mono = CreditSnapshotView::Open(mono_path);
   ASSERT_TRUE(mono.ok());
-  SnapshotQueryEngine engine(*mono);
+  OneShard monolithic(*mono);
   // One action: every shard count collapses to a single shard.
   const ShardedSnapshot sharded = SplitAndOpen(model, dir, 4);
   EXPECT_EQ(sharded.views.size(), 1u);
   ShardRouter router(sharded);
 
-  const auto engine_budgeted = engine.TopKSeeds(6, 2.5);
+  const auto engine_budgeted = monolithic->TopKSeeds(6, 2.5);
   const auto routed_budgeted = router.TopKSeeds(6, 2.5);
   EXPECT_EQ(routed_budgeted.seeds, engine_budgeted.seeds);
   EXPECT_EQ(routed_budgeted.cumulative_spread,
@@ -376,12 +381,12 @@ TEST(GenerationManagerTest, IngestMatchesFullRebuildAndKeepsSessions) {
   auto prefix_view = CreditSnapshotView::Open(prefix_path);
   auto full_view = CreditSnapshotView::Open(full_path);
   ASSERT_TRUE(prefix_view.ok() && full_view.ok());
-  SnapshotQueryEngine prefix_engine(*prefix_view);
-  SnapshotQueryEngine full_engine(*full_view);
+  OneShard prefix_router(*prefix_view);
+  OneShard full_router(*full_view);
 
   GenerationManager::Session pinned(**manager);
   const auto before = pinned.router().TopKSeeds(6);
-  EXPECT_EQ(before.seeds, prefix_engine.TopKSeeds(6).seeds);
+  EXPECT_EQ(before.seeds, prefix_router->TopKSeeds(6).seeds);
 
   CdConfig config;
   config.truncation_threshold = 0.001;
@@ -407,14 +412,14 @@ TEST(GenerationManagerTest, IngestMatchesFullRebuildAndKeepsSessions) {
   EXPECT_TRUE(pinned.Refresh());
   EXPECT_EQ(pinned.generation(), 2u);
   const auto after = pinned.router().TopKSeeds(6);
-  const auto full = full_engine.TopKSeeds(6);
+  const auto full = full_router->TopKSeeds(6);
   EXPECT_EQ(after.seeds, full.seeds);
   EXPECT_EQ(after.marginal_gains, full.marginal_gains);
   EXPECT_EQ(after.gain_evaluations, full.gain_evaluations);
   for (NodeId x = 0; x < data.log.num_users(); x += 11) {
     pinned.router().ResetSession();
-    full_engine.ResetSession();
-    ASSERT_EQ(pinned.router().MarginalGain(x), full_engine.MarginalGain(x));
+    full_router->ResetSession();
+    ASSERT_EQ(pinned.router().MarginalGain(x), full_router->MarginalGain(x));
   }
 
   // Every generation-2 blob is byte-identical to a snapshot built
@@ -480,9 +485,8 @@ TEST(GenerationManagerTest, IngestReusesUntouchedShardBlobs) {
   ASSERT_TRUE(full_model.WriteSnapshot(full_path).ok());
   auto full_view = CreditSnapshotView::Open(full_path);
   ASSERT_TRUE(full_view.ok());
-  SnapshotQueryEngine full_engine(*full_view);
   const auto routed = session.router().TopKSeeds(5);
-  const auto full = full_engine.TopKSeeds(5);
+  const auto full = OneShard(*full_view)->TopKSeeds(5);
   EXPECT_EQ(routed.seeds, full.seeds);
   EXPECT_EQ(routed.marginal_gains, full.marginal_gains);
   EXPECT_EQ(routed.gain_evaluations, full.gain_evaluations);
@@ -512,7 +516,7 @@ TEST(GenerationManagerTest, SwapUnderConcurrentSessionsStaysConsistent) {
     ASSERT_TRUE(full_model.WriteSnapshot(full_path).ok());
     auto full_view = CreditSnapshotView::Open(full_path);
     ASSERT_TRUE(full_view.ok());
-    expected[2] = SnapshotQueryEngine(*full_view).TopKSeeds(4).seeds;
+    expected[2] = OneShard(*full_view)->TopKSeeds(4).seeds;
   }
   ASSERT_NE(expected[1], expected[2]);
 

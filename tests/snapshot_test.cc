@@ -21,12 +21,14 @@
 #include "serve/snapshot_format.h"
 #include "serve/snapshot_view.h"
 #include "serve/snapshot_writer.h"
+#include "one_shard.h"
 #include "test_fixtures.h"
 
 namespace influmax {
 namespace {
 
 using testing_fixtures::MakePaperExample;
+using testing_fixtures::OneShard;
 using testing_fixtures::PaperExample;
 
 std::string TempPath(const std::string& name) {
@@ -121,11 +123,11 @@ TEST(SnapshotTest, PaperExampleTopKMatchesSelectSeeds) {
   auto model = BuildModel(ex.graph, ex.log, credit);
   const std::string path = TempPath("paper_topk.snap");
   auto view = WriteAndOpen(model, path);
-  SnapshotQueryEngine engine(view);
+  OneShard served_by(view);
 
   auto live = model.SelectSeeds(6);
   ASSERT_TRUE(live.ok());
-  auto served = engine.TopKSeeds(6);
+  auto served = served_by->TopKSeeds(6);
   EXPECT_EQ(served.seeds, live->seeds);
   EXPECT_EQ(served.marginal_gains, live->marginal_gains);
   EXPECT_EQ(served.cumulative_spread, live->cumulative_spread);
@@ -150,7 +152,7 @@ TEST(SnapshotTest, GeneratedDatasetMatchesLiveModelBitForBit) {
   }
   auto live = model.SelectSeeds(10);
   ASSERT_TRUE(live.ok());
-  auto served = engine.TopKSeeds(10);
+  auto served = OneShard(view)->TopKSeeds(10);
   EXPECT_EQ(served.seeds, live->seeds);
   EXPECT_EQ(served.marginal_gains, live->marginal_gains);
   EXPECT_EQ(served.cumulative_spread, live->cumulative_spread);
@@ -177,7 +179,9 @@ TEST(SnapshotTest, SessionCommitTracksLiveCommit) {
   for (NodeId x = 0; x < 6; ++x) {
     EXPECT_EQ(engine.MarginalGain(x), model.MarginalGain(x)) << "node " << x;
   }
-  EXPECT_EQ(engine.session_seeds().size(), 1u);
+  OneShard router(view);
+  router->CommitSeed(PaperExample::kV);
+  EXPECT_EQ(router->session_seeds().size(), 1u);
 
   // The session rewinds to the snapshot base; the live model cannot.
   engine.ResetSession();
@@ -215,11 +219,11 @@ TEST(SnapshotTest, SpreadOfMatchesGreedyCumulativeSpread) {
   auto model = BuildModel(data->graph, data->log, credit);
   const std::string path = TempPath("spread.snap");
   auto view = WriteAndOpen(model, path);
-  SnapshotQueryEngine engine(view);
+  OneShard router(view);
 
-  auto served = engine.TopKSeeds(5);
+  auto served = router->TopKSeeds(5);
   ASSERT_FALSE(served.seeds.empty());
-  EXPECT_EQ(engine.SpreadOf(served.seeds),
+  EXPECT_EQ(router->SpreadOf(served.seeds),
             served.cumulative_spread.back());
   std::remove(path.c_str());
 }
@@ -231,13 +235,13 @@ TEST(SnapshotTest, SpreadBudgetStopsEarly) {
   auto model = BuildModel(data->graph, data->log, credit);
   const std::string path = TempPath("budget.snap");
   auto view = WriteAndOpen(model, path);
-  SnapshotQueryEngine engine(view);
+  OneShard router(view);
 
-  auto unbounded = engine.TopKSeeds(5);
+  auto unbounded = router->TopKSeeds(5);
   ASSERT_GE(unbounded.seeds.size(), 2u);
   // Allow exactly the first pick: the second would blow the budget.
   const double budget = unbounded.cumulative_spread[0];
-  auto bounded = engine.TopKSeeds(5, budget);
+  auto bounded = router->TopKSeeds(5, budget);
   EXPECT_EQ(bounded.seeds.size(), 1u);
   EXPECT_EQ(bounded.seeds[0], unbounded.seeds[0]);
   EXPECT_LE(bounded.cumulative_spread.back(), budget);
@@ -334,14 +338,16 @@ TEST(SnapshotTest, ForgedBackwardRecordIntoAnotherSlotIsSkipped) {
   SnapshotQueryEngine engine(*view);
   engine.CommitSeed(PaperExample::kV);  // v's row now reads the zero row
   engine.CommitSeed(PaperExample::kU);  // walks the forged records
-  EXPECT_EQ(engine.session_seeds().size(), 2u);
+  EXPECT_EQ(engine.MarginalGain(PaperExample::kV), 0.0);  // both seeds
+  EXPECT_EQ(engine.MarginalGain(PaperExample::kU), 0.0);
   for (NodeId x = 0; x < 6; ++x) {
     const double gain = engine.MarginalGain(x);
     EXPECT_TRUE(std::isfinite(gain)) << "node " << x;
     EXPECT_GE(gain, 0.0) << "node " << x;
   }
-  engine.ResetSession();
-  EXPECT_TRUE(engine.session_seeds().empty());
+  engine.ResetSession();  // neither is a seed any more
+  EXPECT_GT(engine.MarginalGain(PaperExample::kV), 0.0);
+  EXPECT_GT(engine.MarginalGain(PaperExample::kU), 0.0);
   std::remove(path.c_str());
 }
 
@@ -581,10 +587,9 @@ TEST(SnapshotTest, IncrementalRescanReproducesFullRebuildByteForByte) {
   // And it serves the full log's selection.
   auto delta_view = CreditSnapshotView::Open(delta_path);
   ASSERT_TRUE(delta_view.ok());
-  SnapshotQueryEngine engine(*delta_view);
   auto live = full_model->SelectSeeds(8);
   ASSERT_TRUE(live.ok());
-  auto served = engine.TopKSeeds(8);
+  auto served = OneShard(*delta_view)->TopKSeeds(8);
   EXPECT_EQ(served.seeds, live->seeds);
   EXPECT_EQ(served.marginal_gains, live->marginal_gains);
   std::remove(old_path.c_str());
@@ -680,10 +685,10 @@ TEST(SnapshotTest, MemoryNumbersAreReported) {
   auto view = WriteAndOpen(model, path);
   EXPECT_GT(view.ApproxMemoryBytes(), kSnapshotPreludeBytes);
 
-  SnapshotQueryEngine engine(view);
-  const std::uint64_t before = engine.ApproxMemoryBytes();
-  engine.TopKSeeds(3);
-  EXPECT_GE(engine.ApproxMemoryBytes(), before);
+  OneShard router(view);
+  const std::uint64_t before = router->ApproxMemoryBytes();
+  router->TopKSeeds(3);
+  EXPECT_GE(router->ApproxMemoryBytes(), before);
   std::remove(path.c_str());
 }
 

@@ -2,20 +2,23 @@
 // random commit stream is replayed on the snapshot engine and on the
 // shard router, and after every commit every user's marginal gain must
 // bit-equal CreditDistributionModel::MarginalGain under the same
-// commits — before and after a ResetSession, for gain_threads {1, 4}
-// and shard counts {1, 3}. Plus the overlay's work counter: a session
-// copies exactly the forward rows Algorithm 5 writes.
+// commits — before and after a ResetSession, on a 1-shard router of the
+// monolithic snapshot without a pool and on a WorkerPool(4), and for
+// shard counts {1, 3}. Plus the overlay's work counter: a session copies
+// exactly the forward rows Algorithm 5 writes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/cd_model.h"
 #include "core/direct_credit.h"
@@ -27,6 +30,7 @@
 #include "shard/shard_manifest.h"
 #include "shard/shard_router.h"
 #include "shard/shard_writer.h"
+#include "one_shard.h"
 
 namespace influmax {
 namespace {
@@ -190,11 +194,16 @@ TEST(WhatIfSessionTest, RandomCommitStreamsMatchLiveModelBitForBit) {
     ASSERT_LT(distinct.size(), session.commits.size()) << "seed " << seed;
     ASSERT_GT(session.creditor_commits, 0u) << "seed " << seed;
 
+    SnapshotQueryEngine engine(*view);
+    ExpectReplaysBitForBit(engine, session,
+                           "seed " + std::to_string(seed) + " engine");
     for (std::size_t threads : {1u, 4u}) {
-      SnapshotQueryEngine engine(*view);
-      engine.set_gain_threads(threads);
-      ExpectReplaysBitForBit(engine, session,
-                             "seed " + std::to_string(seed) + " engine x" +
+      std::unique_ptr<WorkerPool> pool;
+      if (threads > 1) pool = std::make_unique<WorkerPool>(threads);
+      testing_fixtures::OneShard monolithic(*view, pool.get());
+      ExpectReplaysBitForBit(monolithic.router(), session,
+                             "seed " + std::to_string(seed) +
+                                 " 1-shard router x" +
                                  std::to_string(threads));
     }
     for (const ShardedSnapshot& shards : sharded) {
@@ -253,16 +262,18 @@ TEST(WhatIfSessionTest, OverlayCopiesExactlyTheRowsAlgorithm5Writes) {
   EXPECT_LT(expected, whole_actions);
 
   for (std::size_t threads : {1u, 4u}) {
-    SnapshotQueryEngine engine(*view);
-    engine.set_gain_threads(threads);
+    std::unique_ptr<WorkerPool> pool;
+    if (threads > 1) pool = std::make_unique<WorkerPool>(threads);
+    testing_fixtures::OneShard monolithic(*view, pool.get());
+    ShardRouter& router = monolithic.router();
     for (int pass = 0; pass < 2; ++pass) {
       const std::uint64_t before =
           GlobalCounterValue("serve.overlay.entries");
-      for (NodeId x : commits) engine.CommitSeed(x);
+      for (NodeId x : commits) router.CommitSeed(x);
       EXPECT_EQ(GlobalCounterValue("serve.overlay.entries") - before,
                 expected)
           << "threads " << threads << " pass " << pass;
-      engine.ResetSession();
+      router.ResetSession();
     }
   }
   std::filesystem::remove_all(dir);

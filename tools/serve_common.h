@@ -1,7 +1,7 @@
 #ifndef INFLUMAX_TOOLS_SERVE_COMMON_H_
 #define INFLUMAX_TOOLS_SERVE_COMMON_H_
 
-// Helpers shared by the serving CLIs (serve_credit, serve_shards):
+// Helpers shared by the serving tools (serve_shards, shard_server):
 // graph/log loading with binary-or-text dispatch, direct-credit model
 // selection, error reporting, LatencyHistogram -> bench-record
 // percentile plumbing, and the metrics exposition surface (the `metrics`
@@ -93,7 +93,7 @@ inline void PrintPercentiles(const char* label, const LatencyHistogram& hist,
 
 // ------------------------------------------------------------- metrics
 
-/// Always-on per-REPL-query telemetry, shared by both serving CLIs.
+/// Always-on per-REPL-query telemetry of the serving REPL.
 /// The engine/router gain probes are sampled (1 in kObsSampleEvery), so
 /// a short interactive session may never trip them; these timers wrap
 /// every REPL query exactly, which is cheap at REPL rate and guarantees
@@ -122,7 +122,7 @@ inline const ServeQueryMetrics& GetServeQueryMetrics() {
 }
 
 /// Human-readable table of a registry snapshot (the `metrics` REPL
-/// command in both serving CLIs).
+/// command).
 inline void PrintMetricsTable(const MetricsSnapshot& snap) {
   if (snap.counters.empty() && snap.gauges.empty() && snap.timers.empty()) {
     std::printf("no metrics recorded%s\n",
@@ -208,7 +208,7 @@ struct MetricsDump {
   }
 };
 
-/// The `metrics [prom|spans]` REPL command, shared by both serving CLIs:
+/// The `metrics [prom|spans]` REPL command:
 /// plain -> human table, `prom` -> Prometheus text on stdout, `spans` ->
 /// the session span ring. Refreshes the --metrics_json/--metrics_prom
 /// dumps on every invocation.

@@ -1,4 +1,5 @@
-// Sharded snapshot serving CLI (docs/sharding.md).
+// The serving CLI (docs/serving.md, docs/sharding.md). Monolithic
+// serving is a 1-shard generation (--shards=1).
 //
 // Split a credit snapshot (or a freshly scanned graph+log) into an
 // action-range sharded generation directory:
@@ -8,7 +9,7 @@
 //
 // Serve queries from the directory's CURRENT generation (one session,
 // queries answered by the gain-merging ShardRouter; bit-identical to the
-// monolithic engine):
+// live model):
 //   serve_shards --dir=D [--pool_threads=4]
 // one query per stdin line:
 //   topk K [BUDGET]   CELF greedy seeds across all shards
@@ -39,8 +40,11 @@
 //   serve_shards --ingest --dir=D --graph=g.tsv --log=l.tsv
 //
 // Latency report (per-thread histograms merged with LatencyHistogram::
-// Merge, per-shard gain-term p50/p95/p99 in --json):
+// Merge, per-shard gain-term p50/p95/p99 in --json); with --graph and
+// --log it also rebuilds the live model and exits non-zero unless its
+// SelectSeeds(k) equals the served TopKSeeds(k) bit for bit:
 //   serve_shards --bench --dir=D [--threads=4 --k=50 --json=out.json]
+//       [--graph=g.tsv --log=l.tsv --credit=equal]
 //
 // Cross-process serving (docs/networking.md). Connect the same REPL to
 // running shard_server processes — one slot per action-range shard in
@@ -467,9 +471,49 @@ int RunServe(GenerationManager& manager, WorkerPool* pool,
 /// --bench: routed-gain latency under `threads` concurrent sessions
 /// (per-thread LatencyHistograms merged with Merge(), never a shared
 /// locked histogram), per-shard gain-term percentiles, and routed topk.
+/// Rebuilds the live model from the log with the generation's lambda
+/// and checks its SelectSeeds(k) against the served selection, bit for
+/// bit: the end-to-end form of "a generation serves the live model's
+/// answers". Non-zero on a mismatch.
+int CheckAgainstRebuild(const SnapshotSeedSelection& served, int k,
+                        double lambda, const std::string& graph_path,
+                        const std::string& log_path,
+                        const std::string& credit_name,
+                        std::vector<BenchJsonRecord>* records) {
+  auto graph = LoadGraph(graph_path);
+  if (!graph.ok()) return Fail(graph.status());
+  auto log = LoadLog(log_path);
+  if (!log.ok()) return Fail(log.status());
+  auto credit = MakeCredit(credit_name, *graph, *log);
+  if (!credit.ok()) return Fail(credit.status());
+  WallTimer timer;
+  CdConfig config;
+  config.truncation_threshold = lambda;
+  auto model =
+      CreditDistributionModel::Build(*graph, *log, *credit->model, config);
+  if (!model.ok()) return Fail(model.status());
+  auto live = model->SelectSeeds(static_cast<NodeId>(k));
+  if (!live.ok()) return Fail(live.status());
+  const double rebuild_ms = timer.ElapsedSeconds() * 1e3;
+  std::printf("rebuild + select: %.2f ms\n", rebuild_ms);
+  records->push_back(
+      {"rebuild_topk", rebuild_ms * 1e6, model->ApproxMemoryBytes(), 1});
+  if (live->seeds != served.seeds ||
+      live->marginal_gains != served.marginal_gains ||
+      live->cumulative_spread != served.cumulative_spread ||
+      live->gain_evaluations != served.gain_evaluations) {
+    std::printf("! seed mismatch between the served generation and a "
+                "rebuild\n");
+    return 1;
+  }
+  std::printf("served seeds match the rebuild\n");
+  return 0;
+}
+
 int RunBench(GenerationManager& manager, std::size_t threads, int k,
-             std::size_t samples, const std::string& json_path,
-             const MetricsDump& dump) {
+             std::size_t samples, const std::string& graph_path,
+             const std::string& log_path, const std::string& credit_name,
+             const std::string& json_path, const MetricsDump& dump) {
   std::vector<BenchJsonRecord> records;
   GenerationManager::Session main_session(manager);
   const ShardManifest& m = main_session.shards().manifest;
@@ -609,7 +653,11 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
   }
 
   int rc = 0;
-  if (!json_path.empty()) rc = WriteBenchJson(json_path, records);
+  if (!graph_path.empty() && !log_path.empty()) {
+    rc = CheckAgainstRebuild(selection, k, m.truncation_threshold,
+                             graph_path, log_path, credit_name, &records);
+  }
+  if (!json_path.empty()) rc |= WriteBenchJson(json_path, records);
   rc |= dump.DumpAll();
   return rc;
 }
@@ -1322,7 +1370,8 @@ int Main(int argc, char** argv) {
   }
   if (bench) {
     return RunBench(**manager, static_cast<std::size_t>(threads), k,
-                    static_cast<std::size_t>(samples), json_path, dump);
+                    static_cast<std::size_t>(samples), graph_path, log_path,
+                    credit_name, json_path, dump);
   }
 
   std::unique_ptr<WorkerPool> pool;
