@@ -118,43 +118,6 @@ void BM_MarginalGain(benchmark::State& state) {
 }
 BENCHMARK(BM_MarginalGain)->Arg(500)->Arg(2000);
 
-// Batched parallel CommitSeed (Algorithm 5): the range argument is the
-// worker count (CdConfig::scan_threads drives the commit fan-out), the
-// committed seeds are the most active users — the commits whose
-// per-action update lists are long enough to matter. Thread count 1 is
-// the serial baseline; all rows produce bit-identical stores
-// (parallel_celf_test asserts it via snapshot bytes).
-void BM_CommitSeed(benchmark::State& state) {
-  constexpr NodeId kNodes = 2000;
-  const MicroFixture& fx = Fixture(kNodes);
-  TimeDecayDirectCredit credit(fx.params);
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  CdConfig config;
-  config.scan_threads = threads;
-  ScanArenaPool arena_pool;  // rebuild-per-iteration reuses scan arenas
-  config.arena_pool = &arena_pool;
-  const std::vector<NodeId> busiest = BusiestUsers(fx.data.log, 8);
-  std::uint64_t actions_committed = 0;
-  for (auto _ : state) {
-    state.PauseTiming();  // rebuilding the store is not the measured op
-    auto model = CreditDistributionModel::Build(fx.data.graph, fx.data.log,
-                                                credit, config);
-    INFLUMAX_CHECK(model.ok());
-    state.ResumeTiming();
-    for (const NodeId seed : busiest) model->CommitSeed(seed);
-    benchmark::DoNotOptimize(model->credit_entries());
-  }
-  actions_committed = 0;
-  for (const NodeId seed : busiest) {
-    actions_committed += fx.data.log.ActionsPerformedBy(seed);
-  }
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["actions"] = static_cast<double>(actions_committed);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(actions_committed));
-}
-BENCHMARK(BM_CommitSeed)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
 // ------------------------------------------------- serving-layer benches
 // The serving claim: a mmap'd snapshot answers top-k / marginal-gain
 // queries without rebuilding the model from the log. BM_SnapshotLoad /
@@ -621,13 +584,6 @@ class StdActionCreditTable {
     }
   }
 
-  void SubtractCredit(NodeId v, NodeId u, double delta) {
-    const auto it = credit_.find(Key(v, u));
-    if (it == credit_.end()) return;
-    it->second -= delta;
-    if (it->second <= 1e-12) credit_.erase(it);
-  }
-
   // Honest heap accounting (the seed version undercounted): every
   // unordered_map entry is a separately malloc'd node — payload plus the
   // chain pointer, rounded up to a glibc chunk — and every map also owns
@@ -725,27 +681,6 @@ void RunCreditLookup(benchmark::State& state) {
                           static_cast<std::int64_t>(2 * pairs.size()));
 }
 
-template <typename Table>
-void RunCreditSubtract(benchmark::State& state) {
-  const auto pairs = CreditWorkload(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    state.PauseTiming();  // rebuild/teardown is not the measured op
-    std::optional<Table> table(std::in_place);
-    for (const auto& [v, u] : pairs) table->AddCredit(v, u, 0.25);
-    state.ResumeTiming();
-    // Greedy-style decay: first pass shrinks, second pass erases most
-    // entries (0.5 - 0.25 - 0.25 <= epsilon).
-    for (const auto& [v, u] : pairs) table->SubtractCredit(v, u, 0.25);
-    for (const auto& [v, u] : pairs) table->SubtractCredit(v, u, 0.25);
-    benchmark::DoNotOptimize(table->Credit(pairs[0].first, pairs[0].second));
-    state.PauseTiming();
-    table.reset();
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(2 * pairs.size()));
-}
-
 void BM_CreditStoreInsert_Flat(benchmark::State& state) {
   RunCreditInsert<ActionCreditTable>(state);
 }
@@ -765,16 +700,6 @@ void BM_CreditStoreLookup_StdUnorderedMap(benchmark::State& state) {
   RunCreditLookup<StdActionCreditTable>(state);
 }
 BENCHMARK(BM_CreditStoreLookup_StdUnorderedMap)->Arg(100000);
-
-void BM_CreditStoreSubtract_Flat(benchmark::State& state) {
-  RunCreditSubtract<ActionCreditTable>(state);
-}
-BENCHMARK(BM_CreditStoreSubtract_Flat)->Arg(100000);
-
-void BM_CreditStoreSubtract_StdUnorderedMap(benchmark::State& state) {
-  RunCreditSubtract<StdActionCreditTable>(state);
-}
-BENCHMARK(BM_CreditStoreSubtract_StdUnorderedMap)->Arg(100000);
 
 void BM_EmIteration(benchmark::State& state) {
   const MicroFixture& fx = Fixture(static_cast<NodeId>(state.range(0)));

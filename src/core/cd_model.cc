@@ -1,14 +1,11 @@
 #include "core/cd_model.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 #include <vector>
 
 #include "actionlog/propagation_dag.h"
 #include "common/parallel.h"
-#include "core/celf.h"
-#include "core/fixed_gain.h"
 
 namespace influmax {
 
@@ -24,73 +21,6 @@ Status CdConfig::Validate() const {
         ") — a negative value cast to size_t?");
   }
   return Status::OK();
-}
-
-Result<CreditDistributionModel> CreditDistributionModel::Build(
-    const Graph& graph, const ActionLog& log,
-    const DirectCreditModel& credit_model, const CdConfig& config) {
-  if (log.num_users() != graph.num_nodes()) {
-    return Status::InvalidArgument(
-        "CD scan: action log user space does not match graph");
-  }
-  if (Status status = config.Validate(); !status.ok()) return status;
-
-  CreditDistributionModel model(graph, log);
-  model.config_ = config;
-  model.store_ = UserCreditStore(log.num_actions());
-  model.is_seed_.assign(graph.num_nodes(), false);
-  const double lambda = config.truncation_threshold;
-
-  // Algorithm 2: one pass over the log, processing each action's tuples
-  // chronologically. Actions touch only their own credit table, so the
-  // pass is parallel across actions with results independent of the
-  // thread count. Each worker snapshots creditor lists into its own
-  // arena: AddCredit may rehash the flat adjacency tables, so no span
-  // into the table may outlive a mutation.
-  const std::size_t scan_workers = EffectiveThreadCount(config.scan_threads);
-  model.store_.PrepareScanArenas(scan_workers, config.arena_pool);
-  const auto scan_one = [&](std::size_t thread, ActionId a) {
-    const PropagationDag dag = BuildPropagationDag(graph, log.ActionTrace(a));
-    ScanArena& arena = model.store_.scan_arena(thread);
-    ScanDagRange(dag, credit_model, lambda, /*begin_pos=*/0,
-                 &model.store_.table(a), &arena.creditors);
-  };
-  const NodeId shard_floor = config.scan_shard_min_positions;
-  if (scan_workers > 1 && shard_floor > 0) {
-    // Straggler actions go first, each sharded internally across all
-    // workers, so one giant trace no longer pins a single worker while
-    // the rest of the pool idles. A straggler is an action that clears
-    // the floor AND exceeds a fair per-worker share of the whole log —
-    // a log of several uniformly large actions parallelizes better
-    // action-per-worker than one at a time through the sharded path.
-    // Per-action tables stay independent, so the routing cannot change
-    // any result.
-    const std::uint64_t fair_share = log.num_tuples() / scan_workers;
-    std::vector<ActionId> small_actions;
-    small_actions.reserve(log.num_actions());
-    for (ActionId a = 0; a < log.num_actions(); ++a) {
-      if (log.ActionSize(a) < shard_floor || log.ActionSize(a) <= fair_share) {
-        small_actions.push_back(a);
-        continue;
-      }
-      const PropagationDag dag =
-          BuildPropagationDag(graph, log.ActionTrace(a));
-      ScanDagRangeSharded(dag, credit_model, lambda, /*begin_pos=*/0,
-                          config.scan_threads, &model.store_.table(a),
-                          model.store_.scan_arenas());
-    }
-    ParallelForDynamic(small_actions.size(), config.scan_threads,
-                       [&](std::size_t thread, std::size_t i) {
-                         scan_one(thread, small_actions[i]);
-                       });
-  } else {
-    ParallelForDynamic(log.num_actions(), config.scan_threads,
-                       [&](std::size_t thread, std::size_t action) {
-                         scan_one(thread, static_cast<ActionId>(action));
-                       });
-  }
-  model.store_.ReleaseScanArenas(config.arena_pool);
-  return model;
 }
 
 void ScanDagRange(const PropagationDag& dag,
@@ -362,148 +292,6 @@ void ScanDagRangeSharded(const PropagationDag& dag,
       table->AddCredit(entry.node, u, entry.credit);
     }
   }
-}
-
-double CreditDistributionModel::MarginalGain(NodeId x) const {
-  // Algorithm 4, evaluating Theorem 3:
-  //   sigma(S+x) - sigma(S) =
-  //     sum_a (1 - Gamma_{S,x}(a)) * sum_u Gamma^{V-S}_{x,u}(a) / A_u,
-  // where the u = x term contributes 1/A_x for every action x performed.
-  // Each quotient is rounded to the fixed-point grid and every sum is an
-  // integer sum (core/fixed_gain.h), so the adjacency order does not
-  // matter and the snapshot engine reproduces these bits exactly.
-  if (is_seed_[x]) return 0.0;  // Theorem 3 assumes x is not in S
-  const std::uint32_t ax = log_->ActionsPerformedBy(x);
-  if (ax == 0) return 0.0;
-  const FixedGain inv_ax = ToFixed(1.0 / ax);
-
-  GainAccum mg = 0;
-  for (const UserAction& ua : log_->UserActions(x)) {
-    const ActionCreditTable& table = store_.table(ua.action);
-    GainAccum mga = inv_ax;
-    for (NodeId u : table.CreditedUsers(x)) {
-      const double credit = table.Credit(x, u);
-      if (credit > 0.0) {
-        mga += ToFixed(credit / log_->ActionsPerformedBy(u));
-      }
-    }
-    mg += SlotTerm(mga, store_.SetCredit(x, ua.action));
-  }
-  return FromFixed(mg);
-}
-
-void CreditDistributionModel::CommitSeedOneAction(
-    NodeId x, ActionId a, std::vector<CreditEntry>* credited,
-    std::vector<CreditEntry>* creditors,
-    std::vector<CreditEntry>* sc_deltas) {
-  // Algorithm 5 for one action x performed: fold x's credit into SC
-  // (Lemma 3), subtract the through-x paths from every (v, u) pair
-  // (Lemma 2), then drop x's row and column — x has left the induced
-  // subgraph V - S. The live rows are snapshotted up front: the updates
-  // only touch (v, u) pairs with v != x and u != x, so the snapshots stay
-  // exact, and SubtractCredit/Erase are then free to compact
-  // majority-stale adjacency lists mid-loop.
-  ActionCreditTable& table = store_.table(a);
-  const double sc_x = store_.SetCredit(x, a);
-  credited->clear();
-  creditors->clear();
-  table.SnapshotCredited(x, credited);
-  table.SnapshotCreditors(x, creditors);
-  for (const CreditEntry& cu : *credited) {
-    for (const CreditEntry& cv : *creditors) {
-      table.SubtractCredit(cv.node, cu.node, cv.credit * cu.credit);
-    }
-    const double delta = cu.credit * (1.0 - sc_x);
-    if (sc_deltas != nullptr) {
-      sc_deltas->push_back({cu.node, delta});
-    } else {
-      store_.AddSetCredit(cu.node, a, delta);
-    }
-  }
-  for (const CreditEntry& cu : *credited) table.Erase(x, cu.node);
-  for (const CreditEntry& cv : *creditors) table.Erase(cv.node, x);
-}
-
-void CreditDistributionModel::CommitSeed(NodeId x) {
-  // Algorithm 5 across every action x performed. The per-action updates
-  // are mutually independent — each touches only its own credit table,
-  // reads only the (x, a) SC entries this commit never writes (x credits
-  // no one after the scan erased self-pairs, so no (x, .) key is
-  // inserted here), and its SC writes go to keys carrying its own action
-  // id. So the actions fan out over scan_threads workers; only the SC
-  // inserts are deferred into per-worker delta arenas and replayed in
-  // action order afterwards, which reproduces the serial path's exact SC
-  // accumulation *and insertion* sequence — results are bit-identical
-  // (and snapshots byte-identical) for any thread count.
-  const auto actions = log_->UserActions(x);
-  const std::size_t workers = std::min(
-      EffectiveThreadCount(config_.scan_threads), actions.size());
-  if (workers <= 1) {
-    std::vector<CreditEntry> credited;
-    std::vector<CreditEntry> creditors;
-    for (const UserAction& ua : actions) {
-      CommitSeedOneAction(x, ua.action, &credited, &creditors,
-                          /*sc_deltas=*/nullptr);
-    }
-  } else {
-    if (commit_arenas_.size() < workers) commit_arenas_.resize(workers);
-    std::vector<ArenaSlice> deltas(actions.size());
-    ParallelForDynamic(
-        actions.size(), workers, [&](std::size_t t, std::size_t i) {
-          ScanArena& arena = commit_arenas_[t];
-          const std::uint64_t offset = arena.sc_deltas.size();
-          CommitSeedOneAction(x, actions[i].action, &arena.credited,
-                              &arena.creditors, &arena.sc_deltas);
-          deltas[i] = {static_cast<std::uint32_t>(t), offset,
-                       static_cast<std::uint32_t>(arena.sc_deltas.size() -
-                                                  offset)};
-        });
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-      const ArenaSlice& slice = deltas[i];
-      const CreditEntry* entries =
-          commit_arenas_[slice.worker].sc_deltas.data() + slice.offset;
-      for (std::uint32_t e = 0; e < slice.count; ++e) {
-        store_.AddSetCredit(entries[e].node, actions[i].action,
-                            entries[e].credit);
-      }
-    }
-    for (ScanArena& arena : commit_arenas_) arena.sc_deltas.clear();
-  }
-  current_seeds_.push_back(x);
-  is_seed_[x] = true;
-}
-
-Result<CreditDistributionModel::SeedSelection>
-CreditDistributionModel::SelectSeeds(NodeId k) {
-  if (selection_done_) {
-    return Status::FailedPrecondition(
-        "SelectSeeds already ran on this model (the greedy loop consumes "
-        "the credit store); Build() a fresh model to select again");
-  }
-  selection_done_ = true;
-
-  // Algorithm 3: greedy with CELF lazy-forward evaluation, both hot
-  // paths parallel on select_threads workers with results bit-identical
-  // to the serial greedy (docs/parallelism.md). Every batched gain call
-  // — the initial pass over all active users, and the speculative
-  // stale re-evaluations — is embarrassingly parallel because
-  // MarginalGain only reads the store: each gain lands in its own slot.
-  // The greedy itself is the shared RunCelfTopK — exactly the code the
-  // serving layer's query front replays, so the two cannot drift.
-  SeedSelection selection;
-  CelfScratch scratch;
-  RunCelfTopK(
-      k, std::numeric_limits<double>::infinity(),
-      EffectiveThreadCount(config_.select_threads), log_->num_users(),
-      [this](NodeId x) { return log_->ActionsPerformedBy(x) != 0; },
-      [this](std::span<const NodeId> nodes, double* gains) {
-        ParallelForDynamic(nodes.size(), config_.select_threads,
-                           [&](std::size_t, std::size_t i) {
-                             gains[i] = MarginalGain(nodes[i]);
-                           });
-      },
-      [this](NodeId x) { CommitSeed(x); }, &scratch, &selection);
-  return selection;
 }
 
 }  // namespace influmax

@@ -2,6 +2,7 @@
 #define INFLUMAX_CORE_CD_MODEL_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -14,7 +15,9 @@
 
 namespace influmax {
 
+class CreditSnapshotView;
 class PropagationDag;
+struct SnapshotData;
 
 /// Scan / greedy configuration for the credit-distribution model.
 struct CdConfig {
@@ -24,16 +27,16 @@ struct CdConfig {
   /// exact scan (tests do this).
   double truncation_threshold = 0.001;
 
-  /// Worker threads for the scan and for CommitSeed's batched Algorithm 5
-  /// updates (0 = all hardware threads). Actions' credit tables are
-  /// mutually independent, so both paths parallelize across actions with
-  /// bit-identical results for any thread count.
+  /// Worker threads for the scan (0 = all hardware threads). Actions
+  /// are scanned and frozen independently, so the scan parallelizes
+  /// across actions with byte-identical frozen images for any thread
+  /// count.
   std::size_t scan_threads = 0;
 
   /// Worker threads for the CELF greedy (0 = all hardware threads): the
-  /// initial marginal-gain pass and batched stale re-evaluations run in
-  /// parallel (docs/parallelism.md). Seeds, gains, and evaluation counts
-  /// are bit-identical for any value.
+  /// initial marginal-gain pass and batched stale re-evaluations fan out
+  /// the engine's const gains (docs/parallelism.md). Seeds, gains, and
+  /// evaluation counts are bit-identical for any value.
   std::size_t select_threads = 0;
 
   /// Actions whose trace reaches this many tuples are scanned with the
@@ -64,20 +67,34 @@ struct CdConfig {
 /// Influence maximization under the Credit Distribution model
 /// (Problem 2 + Algorithms 2-5 of the paper).
 ///
-/// Lifecycle: Build() scans the action log once (Algorithm 2), filling
-/// the sparse UC structure; SelectSeeds() then runs greedy + CELF
-/// (Algorithm 3) using the incremental marginal-gain identity of
-/// Theorem 3 (Algorithm 4) and the Lemma 2/3 updates (Algorithm 5).
-/// SelectSeeds mutates UC/SC destructively, so it can be called once per
-/// Build; greedy selection is incremental, so one call with the largest
-/// k of interest yields seeds for every smaller k as prefixes.
+/// Lifecycle: Build() scans the action log once (Algorithm 2) and
+/// freezes each action into the snapshot layout right after scanning it
+/// (serve/snapshot_writer.h: forward rows in first-touch order, backward
+/// rows by creditor id); the per-action hash table is scan scratch only.
+/// SelectSeeds() then runs greedy + CELF (Algorithm 3) with Theorem 3's
+/// gains (Algorithm 4) and the Lemma 2/3 updates (Algorithm 5) through
+/// a SnapshotQueryEngine over an in-memory view of that image — the
+/// engine that serves snapshots, so the model and the served snapshot
+/// agree by construction. Commits are the engine's session, so
+/// SelectSeeds can be called once per Build; greedy selection is
+/// incremental, so one call with the largest k of interest yields seeds
+/// for every smaller k as prefixes.
+///
+/// The model's definitions live in the serve library (influmax_serve),
+/// beside the engine and the snapshot writer they use; link it.
 class CreditDistributionModel {
  public:
   /// Scans `log` over `graph` under `credit_model`. All three referents
-  /// must outlive the returned object.
+  /// must outlive the returned object. InvalidArgument for a log that
+  /// does not match the graph, a bad config, or credits the fixed-point
+  /// gain cannot hold (docs/gain_kernel.md).
   static Result<CreditDistributionModel> Build(
       const Graph& graph, const ActionLog& log,
       const DirectCreditModel& credit_model, const CdConfig& config);
+
+  CreditDistributionModel(CreditDistributionModel&&) noexcept;
+  CreditDistributionModel& operator=(CreditDistributionModel&&) noexcept;
+  ~CreditDistributionModel();
 
   /// Result of the greedy + CELF selection.
   struct SeedSelection {
@@ -95,28 +112,32 @@ class CreditDistributionModel {
 
   /// Marginal gain sigma_cd(S + x) - sigma_cd(S) of candidate `x` against
   /// the *current* internal seed set (Algorithm 4 / Theorem 3); 0 when x
-  /// is already a seed. Exposed for tests; SelectSeeds uses it internally.
+  /// is already a seed or never acted. Const and safe to call
+  /// concurrently while no commit runs. Exposed for tests; SelectSeeds
+  /// uses it internally.
   double MarginalGain(NodeId x) const;
 
-  /// Commits `x` as a seed: applies Algorithm 5's UC/SC updates. The
-  /// per-action updates touch mutually independent credit tables, so they
-  /// fan out over `scan_threads` workers, with the sharded SC updated via
-  /// per-worker deltas replayed in action order afterwards — results (and
-  /// even SC hash insertion order) are bit-identical to the serial commit
-  /// for any thread count (docs/parallelism.md). Exposed for tests;
-  /// SelectSeeds uses it internally.
+  /// Commits `x` as a seed: applies Algorithm 5's UC/SC updates to the
+  /// engine's copy-on-write session. No-op when x is already a seed or
+  /// out of range. Exposed for tests; SelectSeeds uses it internally.
   void CommitSeed(NodeId x);
 
-  /// Live UC entries after the scan / current entries during selection.
-  std::uint64_t credit_entries() const { return store_.total_entries(); }
+  /// Live UC entries: the frozen scan's count, less the entries commits
+  /// have erased since.
+  std::uint64_t credit_entries() const;
 
-  /// Approximate UC + SC heap usage.
-  std::uint64_t ApproxMemoryBytes() const {
-    return store_.ApproxMemoryBytes();
-  }
+  /// Approximate heap bytes: the frozen image plus the engine's
+  /// workspaces.
+  std::uint64_t ApproxMemoryBytes() const;
 
-  /// Read access to the scanned store (tests, snapshot writer).
-  const UserCreditStore& store() const { return store_; }
+  /// The credits as the scan froze them (commits live in the engine's
+  /// session, not here): an in-memory CreditSnapshotView, with no seeds.
+  const CreditSnapshotView& frozen() const;
+
+  /// The model's credits with its commits applied, as a snapshot image:
+  /// erased entries dropped, SC and seeds included — what WriteSnapshot
+  /// serializes.
+  SnapshotData ToSnapshotData() const;
 
   /// The inputs this model was built over (serving layer provenance).
   const Graph& graph() const { return *graph_; }
@@ -125,41 +146,22 @@ class CreditDistributionModel {
 
   /// Seeds committed so far (by SelectSeeds or manual CommitSeed calls),
   /// in commit order.
-  const std::vector<NodeId>& committed_seeds() const {
-    return current_seeds_;
-  }
+  const std::vector<NodeId>& committed_seeds() const;
 
-  /// Serializes the scanned UC/SC store into a mmap-able snapshot file
+  /// Serializes ToSnapshotData() into a mmap-able snapshot file
   /// (src/serve/snapshot_format.h; narrative spec in docs/serving.md).
-  /// Defined in the serve library — link `influmax_serve` to use it.
   Status WriteSnapshot(const std::string& path) const;
 
  private:
-  CreditDistributionModel(const Graph& graph, const ActionLog& log)
-      : graph_(&graph), log_(&log) {}
+  struct Frozen;  // the frozen image, its view and the engine over it
 
-  /// Algorithm 5 for one action `x` performed: snapshots x's rows,
-  /// applies the Lemma 2 subtractions and row/column erases to the
-  /// action's table, and either applies the Lemma 3 SC updates directly
-  /// (`sc_deltas == nullptr`, the serial path) or appends them to
-  /// `*sc_deltas` for the caller to replay in action order (the parallel
-  /// path). `credited`/`creditors` are caller-owned scratch.
-  void CommitSeedOneAction(NodeId x, ActionId a,
-                           std::vector<CreditEntry>* credited,
-                           std::vector<CreditEntry>* creditors,
-                           std::vector<CreditEntry>* sc_deltas);
+  CreditDistributionModel(const Graph& graph, const ActionLog& log);
 
   const Graph* graph_;
   const ActionLog* log_;
   CdConfig config_;
-  UserCreditStore store_;
+  std::unique_ptr<Frozen> frozen_;
   bool selection_done_ = false;
-  std::vector<NodeId> current_seeds_;
-  std::vector<bool> is_seed_;
-  // Per-worker scratch for the parallel CommitSeed, sized lazily on the
-  // first parallel commit and reused across commits (the greedy loop
-  // commits k times; steady state must not allocate).
-  std::vector<ScanArena> commit_arenas_;
 };
 
 /// Algorithm 2's inner loop over one action DAG: accumulates credits for

@@ -41,85 +41,9 @@ void RowArena::Reset() {
   chunk_end_ = cursor_ + chunks_[0].second;
 }
 
-void ActionCreditTable::AddCredit(NodeId v, NodeId u, double delta) {
-  auto [credit, inserted] = credit_.TryEmplace(Key(v, u));
-  if (inserted) {
-    *credit = delta;
-    forward_.Append(v, u);
-    backward_.Append(u, v);
-  } else {
-    *credit += delta;
-  }
-}
-
-void ActionCreditTable::SubtractCredit(NodeId v, NodeId u, double delta) {
-  double* credit = credit_.Find(Key(v, u));
-  if (credit == nullptr) return;  // truncated away earlier; stays 0
-  *credit -= delta;
-  if (*credit <= kZeroEpsilon) {
-    credit_.EraseSlot(credit);  // reuses the Find above: one probe walk
-    NoteErased();
-  }
-}
-
-void ActionCreditTable::Erase(NodeId v, NodeId u) {
-  if (credit_.Erase(Key(v, u))) NoteErased();
-}
-
-void ActionCreditTable::SweepStaleAdjacency() {
-  for (AdjIndex* adj : {&forward_, &backward_}) {
-    const bool forward = adj == &forward_;
-    std::size_t kept = 0;
-    for (const auto& [owner, slot] : adj->big) {
-      AdjList& list = adj->pool[slot];
-      list.RemoveIf([&](NodeId other) {
-        const std::uint64_t key =
-            forward ? Key(owner, other) : Key(other, owner);
-        return !credit_.Contains(key);
-      });
-      if (list.size() >= kCompactMinListSize) {
-        adj->big[kept++] = {owner, slot};
-      }
-    }
-    adj->big.resize(kept);
-  }
-  erased_since_sweep_ = 0;
-}
-
-void ActionCreditTable::SnapshotCredited(NodeId v,
-                                         std::vector<CreditEntry>* out) const {
-  for (NodeId u : CreditedUsers(v)) {
-    if (const double* credit = credit_.Find(Key(v, u))) {
-      out->push_back({u, *credit});
-    }
-  }
-}
-
-void ActionCreditTable::SnapshotCreditors(
-    NodeId u, std::vector<CreditEntry>* out) const {
-  for (NodeId w : Creditors(u)) {
-    if (const double* credit = credit_.Find(Key(w, u))) {
-      out->push_back({w, *credit});
-    }
-  }
-}
-
 std::uint64_t ActionCreditTable::ApproxMemoryBytes() const {
-  return credit_.ApproxMemoryBytes() + forward_.ApproxMemoryBytes() +
-         backward_.ApproxMemoryBytes();
-}
-
-std::uint64_t UserCreditStore::total_entries() const {
-  std::uint64_t total = 0;
-  for (const auto& t : tables_) total += t.num_entries();
-  return total;
-}
-
-std::uint64_t UserCreditStore::ApproxMemoryBytes() const {
-  std::uint64_t bytes = 0;
-  for (const auto& shard : sc_) bytes += shard.ApproxMemoryBytes();
-  for (const auto& t : tables_) bytes += t.ApproxMemoryBytes();
-  return bytes;
+  return index_.ApproxMemoryBytes() + credits_.capacity() * sizeof(double) +
+         forward_.ApproxMemoryBytes() + backward_.ApproxMemoryBytes();
 }
 
 }  // namespace influmax

@@ -1,7 +1,6 @@
 #ifndef INFLUMAX_CORE_CREDIT_STORE_H_
 #define INFLUMAX_CORE_CREDIT_STORE_H_
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -15,92 +14,87 @@
 namespace influmax {
 
 /// A (node, credit) pair produced by snapshotting an adjacency list; the
-/// scan and the greedy updates iterate these instead of holding spans into
-/// the store while mutating it.
+/// scan iterates these instead of holding spans into a table it is adding
+/// to.
 struct CreditEntry {
   NodeId node;
   double credit;
 };
 
-/// Sparse per-action credit matrix: UC[v][u][a] of Algorithms 2-5, for one
-/// action a. Keys are user ids. Besides the (v, u) -> credit map, forward
-/// (v -> credited users) and backward (u -> creditors) adjacency lists are
-/// kept so that Algorithm 5's update touches only affected pairs.
+/// Sparse per-action credit matrix: UC[v][u][a] of Algorithm 2, for one
+/// action a, while the scan builds it. Keys are user ids. Each (v, u)
+/// pair owns one entry — its credit, in a dense array in first-touch
+/// order — found through a flat hash index, and both endpoints' adjacency
+/// lists (v -> credited users, u -> creditors) link to it by entry id,
+/// so walking a list reads credits without hashing: the scan reads
+/// creditor lists, and the freeze (serve/snapshot_writer.h) walks
+/// forward lists in first-touch order. The table is scan-time scratch
+/// only: once an action is scanned it is frozen into the snapshot
+/// layout, which is what Algorithm 5 updates (serve/query_engine.h),
+/// and the table is dropped.
 ///
-/// Storage is flat: credits live in an open-addressing robin-hood map
-/// (FlatHashMap) and adjacency lists are inline-storage vectors, so the
-/// hot scan / greedy loops stream contiguous memory instead of chasing
-/// unordered_map nodes.
-///
-/// Adjacency lists may contain *stale* entries after erasures; readers
-/// must treat Credit() == 0 as "no entry". Lists that ever reach
-/// kCompactMinListSize ids are registered as "big"; once erasures since
-/// the last sweep outnumber the live entries (majority-stale in
-/// aggregate), all big lists are compacted in one pass. The erase hot
-/// path pays one counter bump, short lists are never scanned (iterating
-/// a handful of stale ids is cheaper than compacting them), and long
-/// greedy runs never degrade into iterating mostly-dead hub lists.
-///
-/// Span / pointer validity: spans returned by CreditedUsers()/Creditors()
-/// are invalidated by any non-const method (inserts rehash, erasures may
-/// compact). Use SnapshotCredited()/SnapshotCreditors() when mutating
-/// while iterating. AddCredit must not re-create a previously erased
-/// (v, u) pair — the scan only ever adds, and re-adding after an erasure
-/// would duplicate the id in the adjacency lists.
+/// Span validity: spans returned by CreditedUsers()/Creditors() are
+/// invalidated by AddCredit. Use SnapshotCreditors() when adding while
+/// iterating.
 class ActionCreditTable {
  public:
+  /// One adjacency-list element: the pair's other user, and the entry
+  /// holding the pair's credit.
+  struct Link {
+    NodeId node;
+    std::uint32_t entry;
+  };
+
   /// Gamma credit from v to u, or 0 when absent.
   double Credit(NodeId v, NodeId u) const {
-    const double* credit = credit_.Find(Key(v, u));
-    return credit == nullptr ? 0.0 : *credit;
+    const std::uint32_t* entry = index_.Find(Key(v, u));
+    return entry == nullptr ? 0.0 : credits_[*entry];
   }
 
+  /// Credit of an entry a Link names.
+  double credit(std::uint32_t entry) const { return credits_[entry]; }
+
   /// Adds `delta` (> 0) to the (v, u) credit, creating the entry and
-  /// adjacency on first touch. Scan-time only.
-  void AddCredit(NodeId v, NodeId u, double delta);
+  /// adjacency on first touch.
+  void AddCredit(NodeId v, NodeId u, double delta) {
+    auto [entry, inserted] = index_.TryEmplace(Key(v, u));
+    if (inserted) {
+      const auto id = static_cast<std::uint32_t>(credits_.size());
+      *entry = id;
+      credits_.push_back(delta);
+      forward_.Append(v, {u, id});
+      backward_.Append(u, {v, id});
+    } else {
+      credits_[*entry] += delta;
+    }
+  }
 
-  /// Subtracts `delta` from an existing (v, u) credit; erases the entry
-  /// when it falls below kZeroEpsilon (credits are sums of path products,
-  /// so exact-arithmetic values never go negative; float dust is clamped).
-  void SubtractCredit(NodeId v, NodeId u, double delta);
-
-  /// Removes the (v, u) entry if present.
-  void Erase(NodeId v, NodeId u);
-
-  /// Users that v currently credits (may contain stale ids).
-  std::span<const NodeId> CreditedUsers(NodeId v) const {
+  /// Users that v credits, in first-touch order.
+  std::span<const Link> CreditedUsers(NodeId v) const {
     return AdjacencySpan(forward_, v);
   }
 
-  /// Users crediting u (may contain stale ids).
-  std::span<const NodeId> Creditors(NodeId u) const {
+  /// Users crediting u, in first-touch order.
+  std::span<const Link> Creditors(NodeId u) const {
     return AdjacencySpan(backward_, u);
   }
 
-  /// Appends the *live* (u, Credit(v, u)) entries of v's forward list to
-  /// `*out` (not cleared first). Safe to mutate the table afterwards.
-  void SnapshotCredited(NodeId v, std::vector<CreditEntry>* out) const;
+  /// Appends the (w, Credit(w, u)) entries of u's backward list to
+  /// `*out` (not cleared first). Safe to add credits afterwards.
+  void SnapshotCreditors(NodeId u, std::vector<CreditEntry>* out) const {
+    for (const Link& link : Creditors(u)) {
+      out->push_back({link.node, credits_[link.entry]});
+    }
+  }
 
-  /// Appends the live (w, Credit(w, u)) entries of u's backward list.
-  void SnapshotCreditors(NodeId u, std::vector<CreditEntry>* out) const;
+  /// Credit entries.
+  std::size_t num_entries() const { return credits_.size(); }
 
-  /// Live (non-erased) credit entries.
-  std::size_t num_entries() const { return credit_.size(); }
-
-  /// Approximate heap bytes (flat tables + spilled adjacency payloads).
+  /// Approximate heap bytes (index, credits, adjacency lists).
   std::uint64_t ApproxMemoryBytes() const;
 
-  static constexpr double kZeroEpsilon = 1e-12;
-
-  /// Lists shorter than this are never compacted (the scan would cost
-  /// more than iterating the few stale ids ever will).
-  static constexpr std::uint32_t kCompactMinListSize = 16;
-
-  /// No compaction sweep below this many erasures since the last one.
-  static constexpr std::uint64_t kCompactMinErasures = 16;
-
  private:
-  using AdjList = SmallVector<NodeId, 4>;
+  using AdjList = SmallVector<Link, 2>;
 
   // node id -> adjacency list, as a flat index over a dense pool: the
   // hash slots stay tiny (8 bytes + 1 metadata byte) while the lists
@@ -109,30 +103,22 @@ class ActionCreditTable {
   struct AdjIndex {
     FlatHashMap<NodeId, std::uint32_t> index;
     std::vector<AdjList> pool;
-    // (owner, pool slot) of lists that reached kCompactMinListSize —
-    // the only ones a sweep visits. Registration happens in Append,
-    // which touches the list anyway; a sweep drops entries that
-    // compacted below the floor (they can only shrink after the scan).
-    std::vector<std::pair<NodeId, std::uint32_t>> big;
 
     const AdjList* Find(NodeId id) const {
       const std::uint32_t* slot = index.Find(id);
       return slot == nullptr ? nullptr : &pool[*slot];
     }
-    void Append(NodeId owner, NodeId other) {
+    void Append(NodeId owner, Link link) {
       auto [slot, inserted] = index.TryEmplace(owner);
       if (inserted) {
         *slot = static_cast<std::uint32_t>(pool.size());
         pool.emplace_back();
       }
-      AdjList& list = pool[*slot];
-      list.push_back(other);
-      if (list.size() == kCompactMinListSize) big.emplace_back(owner, *slot);
+      pool[*slot].push_back(link);
     }
     std::uint64_t ApproxMemoryBytes() const {
       std::uint64_t bytes =
-          index.ApproxMemoryBytes() + pool.capacity() * sizeof(AdjList) +
-          big.capacity() * sizeof(big[0]);
+          index.ApproxMemoryBytes() + pool.capacity() * sizeof(AdjList);
       for (const AdjList& list : pool) bytes += list.HeapBytes();
       return bytes;
     }
@@ -142,33 +128,18 @@ class ActionCreditTable {
     return (static_cast<std::uint64_t>(v) << 32) | u;
   }
 
-  static std::span<const NodeId> AdjacencySpan(const AdjIndex& adj,
-                                               NodeId id) {
+  static std::span<const Link> AdjacencySpan(const AdjIndex& adj,
+                                             NodeId id) {
     const AdjList* list = adj.Find(id);
     return list == nullptr
-               ? std::span<const NodeId>()
-               : std::span<const NodeId>(list->data(), list->size());
+               ? std::span<const Link>()
+               : std::span<const Link>(list->data(), list->size());
   }
 
-  // Erasure bookkeeping: one counter bump per erased entry; once the
-  // erased outnumber the live entries (majority-stale in aggregate) the
-  // registered big lists are swept in one pass.
-  void NoteErased() {
-    ++erased_since_sweep_;
-    if (erased_since_sweep_ >= kCompactMinErasures &&
-        erased_since_sweep_ > credit_.size()) {
-      SweepStaleAdjacency();
-    }
-  }
-
-  // Compacts every registered big list (drops ids whose credit entry is
-  // gone); deterministic, cost proportional to the big lists only.
-  void SweepStaleAdjacency();
-
-  FlatHashMap<std::uint64_t, double> credit_;
+  FlatHashMap<std::uint64_t, std::uint32_t> index_;  // (v, u) -> entry
+  std::vector<double> credits_;                       // entry -> credit
   AdjIndex forward_;
   AdjIndex backward_;
-  std::uint64_t erased_since_sweep_ = 0;
 };
 
 /// Append-only arena of CreditEntry rows with *stable addresses*: memory
@@ -229,12 +200,10 @@ class RowArena {
   CreditEntry* chunk_end_ = nullptr;
 };
 
-/// Reusable per-thread scratch for the Algorithm 2 scan and the
-/// Algorithm 5 commit: each worker snapshots creditor lists into its own
-/// arena, the wavefront merge builds its per-row sub-tables here, and the
-/// parallel CommitSeed parks its SC deltas here — so none of those paths
-/// holds a span into a table it is mutating, and none allocates in steady
-/// state.
+/// Reusable per-thread scratch for the Algorithm 2 scan: each worker
+/// snapshots creditor lists into its own arena, and the wavefront merge
+/// builds its per-row sub-tables here — so no path holds a span into a
+/// table it is mutating, and none allocates in steady state.
 struct ScanArena {
   std::vector<CreditEntry> creditors;
 
@@ -247,19 +216,12 @@ struct ScanArena {
   RowArena rows;
   FlatHashMap<NodeId, std::uint64_t> row_index;
   std::uint32_t row_epoch = 0;
-
-  // Parallel CommitSeed: forward-row snapshot plus the SC deltas of the
-  // actions this worker processed, replayed in action order afterwards
-  // (CreditEntry.credit carries the delta).
-  std::vector<CreditEntry> credited;
-  std::vector<CreditEntry> sc_deltas;
 };
 
 /// A contiguous slice of one worker's arena: which worker produced it,
-/// where it starts, and how long it is. The parallel CommitSeed records
-/// one per action — SC deltas in the live model, touched-SC-slot logs in
-/// the snapshot engine — so the serial merge can replay the slices in
-/// action order.
+/// where it starts, and how long it is. The build records one per action
+/// as it freezes the action into its worker's entry pools, so the
+/// gather can lay the slices out in action order.
 struct ArenaSlice {
   std::uint32_t worker = 0;
   std::uint64_t offset = 0;
@@ -295,93 +257,6 @@ class ScanArenaPool {
   std::size_t size() const { return arenas_.size(); }
 
  private:
-  std::vector<ScanArena> arenas_;
-};
-
-/// The full UC structure: one ActionCreditTable per action, plus the SC
-/// table (Gamma_{S,x}(a), the credit a candidate x gives to the current
-/// seed set S for action a).
-///
-/// SC is sharded by key hash across kScShards independent flat maps:
-/// rehash cost is bounded per shard, and the sharding is the seam for a
-/// future concurrent greedy (each shard can take its own lock) without
-/// any post-merge step — shard choice depends only on the key, never on
-/// the thread, so results are identical for any thread count.
-class UserCreditStore {
- public:
-  UserCreditStore() = default;
-  explicit UserCreditStore(ActionId num_actions) : tables_(num_actions) {}
-
-  ActionId num_actions() const {
-    return static_cast<ActionId>(tables_.size());
-  }
-
-  ActionCreditTable& table(ActionId a) { return tables_[a]; }
-  const ActionCreditTable& table(ActionId a) const { return tables_[a]; }
-
-  /// SC[x][a] = Gamma_{S,x}(a); 0 when never set.
-  double SetCredit(NodeId x, ActionId a) const {
-    const std::uint64_t key = Key(x, a);
-    const double* credit = sc_[ShardOf(key)].Find(key);
-    return credit == nullptr ? 0.0 : *credit;
-  }
-
-  /// SC[x][a] += delta.
-  void AddSetCredit(NodeId x, ActionId a, double delta) {
-    const std::uint64_t key = Key(x, a);
-    *sc_[ShardOf(key)].TryEmplace(key).first += delta;
-  }
-
-  /// Total live UC entries across all actions (the paper's memory knob —
-  /// Table 4 reports how the truncation threshold bounds this).
-  std::uint64_t total_entries() const;
-
-  /// Approximate heap bytes of UC + SC.
-  std::uint64_t ApproxMemoryBytes() const;
-
-  /// Allocates one ScanArena per scan worker — drawn from `pool` when one
-  /// is given (multi-dataset batching: the buffers keep their capacity
-  /// across Build() calls), freshly constructed otherwise. Called by
-  /// CreditDistributionModel::Build before the parallel pass.
-  void PrepareScanArenas(std::size_t num_threads,
-                         ScanArenaPool* pool = nullptr) {
-    arenas_ = pool != nullptr ? pool->Acquire(num_threads)
-                              : std::vector<ScanArena>(num_threads);
-  }
-
-  /// The calling worker's arena (thread_index from ParallelForDynamic).
-  ScanArena& scan_arena(std::size_t thread_index) {
-    return arenas_[thread_index];
-  }
-
-  /// All prepared arenas (the sharded scan indexes them by worker).
-  std::span<ScanArena> scan_arenas() { return arenas_; }
-
-  /// Hands the arenas back to `pool` (or frees them) once the scan is
-  /// done.
-  void ReleaseScanArenas(ScanArenaPool* pool = nullptr) {
-    if (pool != nullptr) pool->Release(std::move(arenas_));
-    arenas_.clear();
-    arenas_.shrink_to_fit();
-  }
-
-  static constexpr std::size_t kScShards = 16;
-
- private:
-  static std::uint64_t Key(NodeId x, ActionId a) {
-    return (static_cast<std::uint64_t>(x) << 32) | a;
-  }
-
-  static std::size_t ShardOf(std::uint64_t key) {
-    // Top bits, NOT the low bits: the shard's FlatHashMap masks the low
-    // bits of the same hash for the home slot, so sharding by them would
-    // leave only every 16th slot reachable inside a shard.
-    static_assert(kScShards == 16, "ShardOf takes the top 4 hash bits");
-    return HashMix64(key) >> 60;
-  }
-
-  std::vector<ActionCreditTable> tables_;
-  std::array<FlatHashMap<std::uint64_t, double>, kScShards> sc_;
   std::vector<ScanArena> arenas_;
 };
 

@@ -195,8 +195,8 @@ void SnapshotQueryEngine::CommitOneSlot(std::uint64_t s, NodeId x) {
   // copy-on-write overlay. Only the rows of x's live creditors are
   // written here, each copied on its first write; x's own row is erased
   // by CommitSeed afterwards. A credit of exactly 0.0 encodes "erased":
-  // live entries are always > kZeroEpsilon, and SubtractCredit's
-  // epsilon-erase is replayed below, so 0.0 is unambiguous.
+  // live entries are always > kZeroEpsilon, and the Lemma 2 update
+  // below erases what falls to or below it, so 0.0 is unambiguous.
   const auto fwd_begin = view_->fwd_begin();
   const auto fwd_count = view_->fwd_count();
   const auto fwd_node = view_->fwd_node();
@@ -211,7 +211,8 @@ void SnapshotQueryEngine::CommitOneSlot(std::uint64_t s, NodeId x) {
   const ActionId a = view_->slot_action()[s];
   const double sc_x = sc_cur_[s];
 
-  // Snapshot the live rows up front, as the live CommitSeed does.
+  // Snapshot the live rows up front: the updates below only touch
+  // (v, u) pairs with v != x and u != x, so the snapshots stay exact.
   CommitScratch* scratch = &commit_scratch_;
   scratch->credited.clear();
   scratch->creditors.clear();
@@ -224,10 +225,9 @@ void SnapshotQueryEngine::CommitOneSlot(std::uint64_t s, NodeId x) {
   CollectLiveCreditors(s, &scratch->creditors);
 
   // Lemma 2: subtract the through-x path product from every
-  // (creditor, credited) pair. The live code addresses each pair by
-  // hash lookup; here each creditor's forward list is walked once
-  // against an epoch-stamped credited set — the same pairs, each
-  // subtracted exactly once with the identical delta, no hashing.
+  // (creditor, credited) pair. Each creditor's forward list is walked
+  // once against an epoch-stamped credited set — every pair subtracted
+  // exactly once, no hashing.
   const std::uint64_t epoch = ++scratch->epoch;
   for (const CommitScratch::LiveEntry& cu : scratch->credited) {
     scratch->stamp_epoch[cu.node] = epoch;
@@ -249,7 +249,7 @@ void SnapshotQueryEngine::CommitOneSlot(std::uint64_t s, NodeId x) {
       const double credit = row[i];
       if (credit == 0.0) continue;  // truncated away or already erased
       const double next = credit - cv.credit * scratch->stamp_credit[u];
-      row[i] = next <= ActionCreditTable::kZeroEpsilon ? 0.0 : next;
+      row[i] = next <= kZeroEpsilon ? 0.0 : next;
     }
   }
   // Lemma 3: fold x's credit into SC for every user x credits.
@@ -451,13 +451,14 @@ Status IncrementalRescan(const CreditSnapshotView& view, const Graph& graph,
   data.truncation_threshold = config.truncation_threshold;
   data.graph_fingerprint = view.graph_fingerprint();
   data.log_fingerprint = FingerprintActionLog(log);
+  FreezeScratch freeze;
   for (ActionId a = 0; a < new_actions; ++a) {
     const auto trace = log.ActionTrace(a);
     data.action_entry_begin[a] = data.fwd_node.size();
     data.action_size[a] = static_cast<std::uint32_t>(trace.size());
     data.action_trace_hash[a] = HashActionTrace(trace);
     if (changed_index[a] != ~0ULL) {
-      AppendActionFromTable(tables[changed_index[a]], a, trace, &data);
+      FreezeAction(tables[changed_index[a]], a, trace, &freeze, &data, &data);
       continue;
     }
     const std::uint64_t old_base = view.action_entry_begin()[a];

@@ -14,26 +14,26 @@
 
 namespace influmax {
 
-/// One shard's credits, served: the per-shard backend of the query
-/// front (shard/query_front.h, docs/serving.md).
+/// Algorithm 5 over the frozen layout: the per-shard backend of the
+/// query front (shard/query_front.h, docs/serving.md), and the engine
+/// the live model's greedy runs on (core/cd_model.h).
 ///
-/// Where the live model's SelectSeeds() consumes its credit store (one
-/// shot per Build), the engine answers any number of sessions against
-/// one immutable snapshot: committed seeds live in a per-engine
-/// copy-on-write overlay plus an SC shadow array, both rewound in
-/// O(touched) by ResetSession(). The overlay is slot-granular: a commit
-/// copies a forward row only when Algorithm 5 is about to write it (the
-/// rows of x's live creditors) and marks x's own rows erased without
-/// copying them. The query path is allocation-free in steady state and
+/// The engine answers any number of sessions against one immutable
+/// snapshot, mapped from a file or held in memory: committed seeds live
+/// in a per-engine copy-on-write overlay plus an SC shadow array, both
+/// rewound in O(touched) by ResetSession(). The overlay is
+/// slot-granular: a commit copies a forward row only when Algorithm 5
+/// is about to write it (the rows of x's live creditors) and marks x's
+/// own rows erased without copying them. The query path is allocation-free in steady state and
 /// performs no hash-table lookups: node -> slot is an O(log A_u) binary
 /// search over the mmap'd CSR, everything else is direct indexing.
 ///
-/// Gains are bit-identical to the live model's because both sum in the
-/// same fixed point (core/fixed_gain.h), where addition order does not
-/// matter; and the overlay replicates SubtractCredit's epsilon-erase
-/// (entries at 0.0 are "erased"). The greedy, the spread and the
-/// session's seed order live in the query front; a 1-shard ShardRouter
-/// is monolithic serving.
+/// Gains are fixed-point sums (core/fixed_gain.h), where addition order
+/// does not matter, so any partition of the credits into shards adds up
+/// to the same bits; a credit that Algorithm 5 brings down to
+/// kZeroEpsilon or below is erased (stored as 0.0). The greedy, the
+/// spread and the session's seed order live in the query front (or in
+/// the live model); a 1-shard ShardRouter is monolithic serving.
 ///
 /// Concurrency contract: one engine per thread. The underlying view is
 /// shared freely; an engine's session state is neither locked nor
@@ -86,6 +86,26 @@ class SnapshotQueryEngine {
 
   /// Rewinds the session to the snapshot's base state in O(touched).
   void ResetSession();
+
+  /// Seeds committed in this session, in commit order (frozen snapshot
+  /// seeds excluded).
+  const std::vector<NodeId>& session_seeds() const { return committed_; }
+
+  /// Slot s's forward-row credits as this session sees them: the view's
+  /// row with Algorithm 5's updates applied, 0.0 where an entry was
+  /// erased. With SessionSc, what the live model serializes after its
+  /// commits.
+  std::span<const double> SessionRow(std::uint64_t s) const {
+    return {RowOf(s), view_->fwd_count()[s]};
+  }
+
+  /// Slot s's SC, Gamma_{S,x}(a), in this session.
+  double SessionSc(std::uint64_t s) const { return sc_cur_[s]; }
+
+  /// Algorithm 5 erases a credit that falls to or below this: credits
+  /// are sums of path products, so exact arithmetic never takes them
+  /// negative, and the float dust of an exact zero is clamped.
+  static constexpr double kZeroEpsilon = 1e-12;
 
   /// Telemetry switch (src/obs/, docs/observability.md): when on (the
   /// default), queries record into MetricsRegistry::Global() —

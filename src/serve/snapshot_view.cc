@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "serve/snapshot_format.h"
+#include "serve/snapshot_writer.h"
 
 namespace influmax {
 namespace {
@@ -146,6 +147,46 @@ std::uint64_t CreditSnapshotView::SlotOf(NodeId u, ActionId a) const {
   const ActionId* it = std::lower_bound(begin, end, a);
   if (it == end || *it != a) return kNoSlot;
   return static_cast<std::uint64_t>(it - slot_action_.data());
+}
+
+CreditSnapshotView CreditSnapshotView::InMemory(
+    const SnapshotData& data, std::span<const FixedGain> quotient) {
+  CreditSnapshotView view;
+  view.num_users_ = data.num_users;
+  view.num_actions_ = data.num_actions;
+  view.num_slots_ = data.slot_action.size();
+  view.num_entries_ = data.fwd_node.size();
+  view.graph_fingerprint_ = data.graph_fingerprint;
+  view.log_fingerprint_ = data.log_fingerprint;
+  view.truncation_threshold_ = data.truncation_threshold;
+  view.au_ = data.au;
+  view.user_offsets_ = data.user_offsets;
+  view.slot_action_ = data.slot_action;
+  view.slot_sc_ = data.slot_sc;
+  view.action_entry_begin_ = data.action_entry_begin;
+  view.fwd_begin_ = data.fwd_begin;
+  view.fwd_count_ = data.fwd_count;
+  view.bwd_begin_ = data.bwd_begin;
+  view.bwd_count_ = data.bwd_count;
+  view.fwd_node_ = data.fwd_node;
+  view.fwd_credit_ = data.fwd_credit;
+  view.fwd_quotient_ = quotient;
+  view.bwd_node_ = data.bwd_node;
+  view.bwd_entry_ = data.bwd_entry;
+  view.action_size_ = data.action_size;
+  view.action_trace_hash_ = data.action_trace_hash;
+  view.seeds_ = data.seeds;
+  const auto bytes = [](auto span) { return span.size_bytes(); };
+  view.in_memory_bytes_ =
+      bytes(view.au_) + bytes(view.user_offsets_) + bytes(view.slot_action_) +
+      bytes(view.slot_sc_) + bytes(view.action_entry_begin_) +
+      bytes(view.fwd_begin_) + bytes(view.fwd_count_) +
+      bytes(view.bwd_begin_) + bytes(view.bwd_count_) +
+      bytes(view.fwd_node_) + bytes(view.fwd_credit_) +
+      bytes(view.fwd_quotient_) + bytes(view.bwd_node_) +
+      bytes(view.bwd_entry_) + bytes(view.action_size_) +
+      bytes(view.action_trace_hash_) + bytes(view.seeds_);
+  return view;
 }
 
 Result<CreditSnapshotView> CreditSnapshotView::Open(const std::string& path) {

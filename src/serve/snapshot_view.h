@@ -12,11 +12,15 @@
 
 namespace influmax {
 
-/// Read-only, zero-copy view of a credit snapshot file
-/// (src/serve/snapshot_format.h). Open() memory-maps the file, validates
+struct SnapshotData;
+
+/// Read-only, zero-copy view of a credit snapshot
+/// (src/serve/snapshot_format.h). Open() memory-maps a file, validates
 /// the prelude, section structure, and cross-array index bounds once, and
 /// then exposes every section as a typed span pointing straight into the
 /// mapping — no hash tables, no copies, no allocation after Open.
+/// InMemory() spans an image a build holds in memory instead (the live
+/// model's frozen scan), with the same accessors.
 ///
 /// Lookup model (all O(1) or O(log A_u), all hash-free):
 ///  * user u's slots: [user_offsets()[u], user_offsets()[u+1]) — one slot
@@ -42,6 +46,14 @@ class CreditSnapshotView {
   /// non-finite credit, a non-finite SC, a quotient that is not the
   /// rounding of its credit / au, or a slot past the gain headroom.
   static Result<CreditSnapshotView> Open(const std::string& path);
+
+  /// A view over an in-memory image: every section spans `data`'s
+  /// vectors, and the quotient pool spans `quotient`, which must hold
+  /// ToFixed(fwd_credit / au) per entry (DeriveQuotientPool). Both must
+  /// outlive the view. Nothing is validated — the image comes from this
+  /// process's own build, not from a file.
+  static CreditSnapshotView InMemory(const SnapshotData& data,
+                                     std::span<const FixedGain> quotient);
 
   NodeId num_users() const { return num_users_; }
   ActionId num_actions() const { return num_actions_; }
@@ -91,11 +103,15 @@ class CreditSnapshotView {
 
   /// Serving-side memory footprint: the mapped file (resident pages are
   /// an upper bound; the kernel shares them across processes) — the
-  /// number the ROADMAP's truncation-aware memory budgeting targets.
-  std::uint64_t ApproxMemoryBytes() const { return file_.size(); }
+  /// number the ROADMAP's truncation-aware memory budgeting targets — or
+  /// the section bytes of an in-memory image.
+  std::uint64_t ApproxMemoryBytes() const {
+    return file_.size() + in_memory_bytes_;
+  }
 
  private:
   MmapFile file_;
+  std::uint64_t in_memory_bytes_ = 0;
 
   NodeId num_users_ = 0;
   ActionId num_actions_ = 0;

@@ -19,10 +19,6 @@ std::uint64_t HashChain(std::uint64_t h, std::uint64_t v) {
   return HashMix64(h ^ HashMix64(v));
 }
 
-std::uint64_t PairKey(NodeId v, NodeId u) {
-  return (static_cast<std::uint64_t>(v) << 32) | u;
-}
-
 template <typename T>
 void WriteSection(BinaryWriter* writer, const std::vector<T>& values) {
   writer->WriteVector(values);
@@ -79,51 +75,78 @@ std::uint64_t FingerprintActionLog(const ActionLog& log) {
   return FingerprintTraceHashes(log.num_users(), hashes);
 }
 
-void AppendActionFromTable(const ActionCreditTable& table, ActionId a,
-                           std::span<const ActionTuple> trace,
-                           SnapshotData* data) {
-  // First pass, forward lists: participants in trace order, each list in
-  // live adjacency (first-touch) order with stale ids dropped — the exact
-  // sequence the live MarginalGain sums over. Entry indices are recorded
-  // so the backward pass can reference the shared (v, u) pair.
-  FlatHashMap<std::uint64_t, std::uint64_t> entry_of;
-  for (const ActionTuple& t : trace) {
-    const NodeId v = t.user;
-    const std::uint64_t s = data->SlotOf(v, a);
-    data->fwd_begin[s] = data->fwd_node.size();
+void FreezeAction(const ActionCreditTable& table, ActionId a,
+                  std::span<const ActionTuple> trace, FreezeScratch* scratch,
+                  SnapshotData* slots, SnapshotData* entries) {
+  const std::size_t n = trace.size();
+  if (scratch->position_of.size() < slots->num_users) {
+    scratch->position_of.resize(slots->num_users, 0);
+  }
+  std::vector<std::uint32_t>& position_of = scratch->position_of;
+  std::vector<std::uint64_t>& slot_at = scratch->slot_at;
+  slot_at.resize(n);
+  for (std::size_t t = 0; t < n; ++t) {
+    position_of[trace[t].user] = static_cast<std::uint32_t>(t + 1);
+    slot_at[t] = slots->SlotOf(trace[t].user, a);
+    slots->bwd_count[slot_at[t]] = 0;
+  }
+
+  // Forward rows: participants in trace order, each row in first-touch
+  // order. Every credited user participates in the action, so its
+  // backward row is counted here, in the same pass.
+  std::vector<NodeId>& fwd_node = entries->fwd_node;
+  for (std::size_t t = 0; t < n; ++t) {
+    const NodeId v = trace[t].user;
+    const std::uint64_t s = slot_at[t];
+    slots->fwd_begin[s] = fwd_node.size();
     std::uint32_t count = 0;
-    for (NodeId u : table.CreditedUsers(v)) {
-      const double credit = table.Credit(v, u);
-      if (credit > 0.0) {
-        *entry_of.TryEmplace(PairKey(v, u)).first = data->fwd_node.size();
-        data->fwd_node.push_back(u);
-        data->fwd_credit.push_back(credit);
-        ++count;
-      }
+    for (const ActionCreditTable::Link& link : table.CreditedUsers(v)) {
+      const NodeId u = link.node;
+      const double credit = table.credit(link.entry);
+      if (!(credit > 0.0)) continue;
+      assert(position_of[u] != 0 && "credited user outside the action");
+      fwd_node.push_back(u);
+      entries->fwd_credit.push_back(credit);
+      ++slots->bwd_count[slot_at[position_of[u] - 1]];
+      ++count;
     }
-    data->fwd_count[s] = count;
+    slots->fwd_count[s] = count;
   }
-  // Second pass, backward lists, canonicalized to ascending creditor id
-  // (live backward order is insertion-history-dependent and never affects
-  // results; a canonical order makes snapshot bytes reproducible).
-  std::vector<NodeId> creditors;
-  for (const ActionTuple& t : trace) {
-    const NodeId u = t.user;
-    const std::uint64_t s = data->SlotOf(u, a);
-    creditors.clear();
-    for (NodeId w : table.Creditors(u)) {
-      if (table.Credit(w, u) > 0.0) creditors.push_back(w);
-    }
-    std::sort(creditors.begin(), creditors.end());
-    data->bwd_begin[s] = data->bwd_node.size();
-    data->bwd_count[s] = static_cast<std::uint32_t>(creditors.size());
-    for (NodeId w : creditors) {
-      const std::uint64_t* entry = entry_of.Find(PairKey(w, u));
-      assert(entry != nullptr && "backward record without forward entry");
-      data->bwd_node.push_back(w);
-      data->bwd_entry.push_back(*entry);
+
+  // Backward rows, laid out in trace order like the forward rows, and
+  // filled by walking the creditors in ascending id: each row then
+  // lists its creditors in that canonical order (the scan's backward
+  // order is insertion-dependent and never affects results; a canonical
+  // order makes snapshot bytes reproducible).
+  std::vector<std::uint64_t>& cursor = scratch->cursor;
+  cursor.resize(n);
+  std::uint64_t next = entries->bwd_node.size();
+  for (std::size_t t = 0; t < n; ++t) {
+    slots->bwd_begin[slot_at[t]] = next;
+    cursor[t] = next;
+    next += slots->bwd_count[slot_at[t]];
+  }
+  entries->bwd_node.resize(next);
+  entries->bwd_entry.resize(next);
+  auto& by_user = scratch->by_user;
+  by_user.clear();
+  for (std::size_t t = 0; t < n; ++t) {
+    by_user.emplace_back(trace[t].user, static_cast<std::uint32_t>(t));
+  }
+  std::sort(by_user.begin(), by_user.end());
+  for (const auto& [v, t] : by_user) {
+    const std::uint64_t s = slot_at[t];
+    const std::uint64_t begin = slots->fwd_begin[s];
+    for (std::uint64_t e = begin; e < begin + slots->fwd_count[s]; ++e) {
+      std::uint64_t& at = cursor[position_of[fwd_node[e]] - 1];
+      entries->bwd_node[at] = v;
+      entries->bwd_entry[at] = e;
+      ++at;
     }
   }
+  assert(entries->bwd_node.size() == fwd_node.size() &&
+         "backward records must biject with forward entries");
+  for (const ActionTuple& tuple : trace) position_of[tuple.user] = 0;
 }
 
 void InitSnapshotSlots(const ActionLog& log, SnapshotData* data) {
@@ -157,41 +180,6 @@ void InitSnapshotSlots(const ActionLog& log, SnapshotData* data) {
   data->action_trace_hash.assign(num_actions, 0);
 }
 
-SnapshotData BuildSnapshotData(const UserCreditStore& store,
-                               const Graph& graph, const ActionLog& log,
-                               double truncation_threshold,
-                               std::span<const NodeId> committed_seeds) {
-  SnapshotData data;
-  InitSnapshotSlots(log, &data);
-  const NodeId num_users = log.num_users();
-  const ActionId num_actions = log.num_actions();
-  data.truncation_threshold = truncation_threshold;
-  data.graph_fingerprint = FingerprintGraph(graph);
-  data.log_fingerprint = FingerprintActionLog(log);
-  for (NodeId u = 0; u < num_users; ++u) {
-    std::uint64_t s = data.user_offsets[u];
-    for (const UserAction& ua : log.UserActions(u)) {
-      data.slot_sc[s] = store.SetCredit(u, ua.action);
-      ++s;
-    }
-  }
-  for (ActionId a = 0; a < num_actions; ++a) {
-    const auto trace = log.ActionTrace(a);
-    data.action_entry_begin[a] = data.fwd_node.size();
-    data.action_size[a] = static_cast<std::uint32_t>(trace.size());
-    data.action_trace_hash[a] = HashActionTrace(trace);
-    AppendActionFromTable(store.table(a), a, trace, &data);
-  }
-  data.action_entry_begin[num_actions] = data.fwd_node.size();
-  data.seeds.assign(committed_seeds.begin(), committed_seeds.end());
-  return data;
-}
-
-namespace {
-
-/// ToFixed(credit / au) per entry, refusing what Open would refuse: a
-/// negative or non-finite credit, a quotient past the headroom, and a
-/// slot whose mg_a(x) would overflow a FixedGain (docs/gain_kernel.md).
 Status DeriveQuotientPool(const SnapshotData& data,
                           std::vector<FixedGain>* pool) {
   pool->resize(data.fwd_node.size());
@@ -200,7 +188,7 @@ Status DeriveQuotientPool(const SnapshotData& data,
     const double q = data.fwd_credit[e] / data.au[data.fwd_node[e]];
     if (!(q >= 0.0 && q < kGainHeadroom)) {
       return Status::InvalidArgument(
-          "snapshot write: entry " + std::to_string(e) +
+          "snapshot image: entry " + std::to_string(e) +
           " credit is negative, non-finite or past the fixed-point headroom");
     }
     (*pool)[e] = ToFixed(q);
@@ -210,12 +198,14 @@ Status DeriveQuotientPool(const SnapshotData& data,
       data.au, data.user_offsets, data.fwd_begin, data.fwd_count, *pool,
       max_q);
   if (slot != CreditSnapshotView::kNoSlot) {
-    return Status::InvalidArgument("snapshot write: slot " +
+    return Status::InvalidArgument("snapshot image: slot " +
                                    std::to_string(slot) +
                                    " gain exceeds the fixed-point headroom");
   }
   return Status::OK();
 }
+
+namespace {
 
 Status WriteSnapshotFileImpl(const SnapshotData& data,
                              const std::string& path) {
@@ -283,18 +273,6 @@ Status WriteSnapshotFile(const SnapshotData& data, const std::string& path) {
     std::remove(path.c_str());
   }
   return status;
-}
-
-Status WriteCreditSnapshot(const CreditDistributionModel& model,
-                           const std::string& path) {
-  const SnapshotData data = BuildSnapshotData(
-      model.store(), model.graph(), model.log(),
-      model.config().truncation_threshold, model.committed_seeds());
-  return WriteSnapshotFile(data, path);
-}
-
-Status CreditDistributionModel::WriteSnapshot(const std::string& path) const {
-  return WriteCreditSnapshot(*this, path);
 }
 
 }  // namespace influmax

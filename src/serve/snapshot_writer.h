@@ -4,22 +4,24 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "actionlog/action_log.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "core/cd_model.h"
 #include "core/credit_store.h"
+#include "core/fixed_gain.h"
 #include "graph/graph.h"
 
 namespace influmax {
 
 /// In-memory image of a credit snapshot, section for section (see
-/// src/serve/snapshot_format.h). Produced by BuildSnapshotData() from a
-/// scanned UserCreditStore, or assembled piecewise by IncrementalRescan()
-/// (copied slices for unchanged actions, freshly scanned tables for
-/// extended ones), then serialized with WriteSnapshotFile().
+/// src/serve/snapshot_format.h). CreditDistributionModel::Build freezes
+/// each action into one right after scanning it (FreezeAction);
+/// IncrementalRescan assembles one piecewise (copied slices for
+/// unchanged actions, freshly scanned and frozen tables for extended
+/// ones); WriteSnapshotFile() serializes one.
 ///
 /// Invariants the query engine relies on:
 ///  * slots are user-major (user_offsets CSR over users, actions ascending
@@ -29,15 +31,14 @@ namespace influmax {
 ///    incremental rescan copy actions whole), and each slot's forward
 ///    row is contiguous within it — the unit the query engine's
 ///    copy-on-write overlay shadows;
-///  * forward lists preserve the live ActionCreditTable adjacency order
-///    (the scan's first-touch order) with stale ids dropped. Gains do not
+///  * forward lists keep the scan's first-touch order. Gains do not
 ///    depend on it — they are fixed-point sums (core/fixed_gain.h) — but
 ///    the full build and the incremental rescan both emit it, so their
 ///    bytes agree;
-///  * backward lists are canonicalized to ascending creditor id (the live
-///    backward order is insertion-dependent but never affects results),
-///    which makes snapshots reproducible byte-for-byte across full builds
-///    and incremental rescans.
+///  * backward lists are canonicalized to ascending creditor id (the
+///    scan's backward order is insertion-dependent but never affects
+///    results), which makes snapshots reproducible byte-for-byte across
+///    full builds and incremental rescans.
 struct SnapshotData {
   NodeId num_users = 0;
   ActionId num_actions = 0;
@@ -96,27 +97,41 @@ std::uint64_t HashActionTrace(std::span<const ActionTuple> trace);
 /// zeroed, ready for per-action appends. Entry pools start empty.
 void InitSnapshotSlots(const ActionLog& log, SnapshotData* data);
 
-/// Flattens one scanned action table into `data` (entries appended, slot
-/// arrays written in place). `trace` must be the action's scanned trace;
-/// participants are visited in trace order. Exposed for the incremental
-/// rescan, which mixes this with verbatim copies of unchanged actions.
-void AppendActionFromTable(const ActionCreditTable& table, ActionId a,
-                           std::span<const ActionTuple> trace,
-                           SnapshotData* data);
+/// Per-worker scratch of FreezeAction, reused across actions so steady
+/// state does not allocate.
+struct FreezeScratch {
+  std::vector<std::uint32_t> position_of;  // [U] trace position + 1, or 0
+  std::vector<std::uint64_t> slot_at;      // slot of each trace position
+  std::vector<std::uint64_t> cursor;       // backward fill cursor per position
+  std::vector<std::pair<NodeId, std::uint32_t>> by_user;  // (user, position)
+};
 
-/// Flattens the whole store. `log` must be the log the store was scanned
-/// from (it defines the slot universe), `graph` the scanned graph.
-SnapshotData BuildSnapshotData(const UserCreditStore& store,
-                               const Graph& graph, const ActionLog& log,
-                               double truncation_threshold,
-                               std::span<const NodeId> committed_seeds);
+/// Freezes one scanned action table: writes the action's slot entries
+/// (fwd_begin/fwd_count/bwd_begin/bwd_count) into `slots`, whose slot
+/// universe InitSnapshotSlots set up, and appends its forward and
+/// backward records to `entries`' four entry pools, with begins and
+/// bwd_entry indices into those pools. `slots` and `entries` may be the
+/// same image; a parallel build gives each worker its own `entries` and
+/// rebases when it gathers them in action order. `trace` must be the
+/// action's scanned trace: forward rows follow it, each in first-touch
+/// order; backward rows follow it too, each in ascending creditor id.
+/// Each credit is read once and no lookup structure is built: backward
+/// rows are counted while the forward rows are written and filled from
+/// them afterwards.
+void FreezeAction(const ActionCreditTable& table, ActionId a,
+                  std::span<const ActionTuple> trace, FreezeScratch* scratch,
+                  SnapshotData* slots, SnapshotData* entries);
+
+/// The quotient pool of `data`, ToFixed(fwd_credit[e] / au[fwd_node[e]])
+/// per entry (core/fixed_gain.h), into `*pool`. InvalidArgument for
+/// what CreditSnapshotView::Open would refuse: a negative or non-finite
+/// credit, a quotient past the fixed-point headroom, or a slot whose
+/// mg_a(x) would overflow a FixedGain (docs/gain_kernel.md).
+Status DeriveQuotientPool(const SnapshotData& data,
+                          std::vector<FixedGain>* pool);
 
 /// Serializes `data` to `path` in the snapshot_format.h layout.
 Status WriteSnapshotFile(const SnapshotData& data, const std::string& path);
-
-/// Convenience: BuildSnapshotData + WriteSnapshotFile for a built model.
-Status WriteCreditSnapshot(const CreditDistributionModel& model,
-                           const std::string& path);
 
 }  // namespace influmax
 

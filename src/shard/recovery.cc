@@ -152,8 +152,8 @@ Result<RecoveryReport> RecoverGenerationDir(const std::string& dir) {
   }
 
   // 1. Temp leftovers: the CURRENT.tmp of an aborted flip, the
-  // .mono-<g>.tmp of an aborted split, and any partial file predating
-  // the unlink-on-error fix. All are mid-write artifacts by
+  // .mono-<g>.tmp that older writers staged a split through, and any
+  // partial file predating the unlink-on-error fix. All are mid-write artifacts by
   // construction — nothing durable ever carries the .tmp suffix.
   std::erase_if(names, [&](const std::string& name) {
     if (name.size() < 4 || name.compare(name.size() - 4, 4, ".tmp") != 0) {

@@ -34,8 +34,8 @@ struct RecoveryReport {
 };
 
 /// Scans `dir` and returns it to a fully-valid serving state:
-///  1. deletes `*.tmp` leftovers (CURRENT.tmp, .mono-<g>.tmp, and any
-///     pre-unlink-fix partial temp);
+///  1. deletes `*.tmp` leftovers (CURRENT.tmp, an older writer's
+///     .mono-<g>.tmp, and any pre-unlink-fix partial temp);
 ///  2. fully validates every MANIFEST-<g> (OpenShardedSnapshot: blob
 ///     fingerprints, structural checks, frozen-seed agreement) and
 ///     quarantines invalid generations;

@@ -184,19 +184,18 @@ Status ShardedSnapshotWriter::WriteFromView(const CreditSnapshotView& view,
 Status ShardedSnapshotWriter::WriteFromModel(
     const CreditDistributionModel& model, std::uint64_t generation,
     ShardManifest* out_manifest) {
-  // Freeze through the monolithic writer so the slicer is the only
-  // partitioning code path; the temp image is removed on every exit.
-  const std::string tmp = dir_ + "/.mono-" + std::to_string(generation) +
-                          ".tmp";
-  Status status = model.WriteSnapshot(tmp);
-  if (status.ok()) {
-    auto view = CreditSnapshotView::Open(tmp);
-    status = view.ok()
-                 ? WriteShards(*view, view->au(), generation, out_manifest)
-                 : view.status();
+  // The model already holds its credits in the snapshot layout: slice
+  // its in-memory view directly. Only a model with commits has to
+  // materialize them (and their quotient pool) first.
+  if (model.committed_seeds().empty()) {
+    return WriteShards(model.frozen(), model.frozen().au(), generation,
+                       out_manifest);
   }
-  std::remove(tmp.c_str());
-  return status;
+  const SnapshotData data = model.ToSnapshotData();
+  std::vector<FixedGain> quotient;
+  INFLUMAX_RETURN_IF_ERROR(DeriveQuotientPool(data, &quotient));
+  const CreditSnapshotView view = CreditSnapshotView::InMemory(data, quotient);
+  return WriteShards(view, view.au(), generation, out_manifest);
 }
 
 }  // namespace influmax

@@ -37,8 +37,8 @@ std::vector<ActionId> PlanActionRanges(
 SnapshotData SliceShardData(const CreditSnapshotView& mono, ActionId begin,
                             ActionId end);
 
-/// Partitions one credit store into N action-range shard blobs plus a
-/// manifest (the ISSUE's tentpole writer; docs/sharding.md). The target
+/// Partitions one credit snapshot into N action-range shard blobs plus a
+/// manifest (docs/sharding.md). The target
 /// directory must exist. Writes gen<g>-shard<i>.snap for every planned
 /// range, then MANIFEST-<g>; the caller (or GenerationManager) points
 /// CURRENT at the manifest to make the generation live.
@@ -49,10 +49,11 @@ class ShardedSnapshotWriter {
   ShardedSnapshotWriter(std::string dir, std::size_t num_shards)
       : dir_(std::move(dir)), num_shards_(num_shards) {}
 
-  /// Partitions a built model's store: freezes it through the
-  /// monolithic writer into a temp snapshot file under the target
-  /// directory (removed on every exit), re-opens it mmap'd, and slices
-  /// — so SliceShardData stays the only partitioning code path.
+  /// Partitions a built model's credits: slices the in-memory view of
+  /// its frozen image (CreditDistributionModel::frozen()) — the same
+  /// SliceShardData path a file goes through, with no monolithic file
+  /// written or re-read. A model with commits is materialized first
+  /// (ToSnapshotData), so its shards carry the commits and the seeds.
   Status WriteFromModel(const CreditDistributionModel& model,
                         std::uint64_t generation,
                         ShardManifest* out_manifest = nullptr);

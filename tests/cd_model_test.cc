@@ -10,6 +10,8 @@
 #include "graph/generators.h"
 #include "im/greedy.h"
 #include "im/spread_oracle.h"
+#include "reference_cd.h"
+#include "serve/snapshot_writer.h"
 #include "test_fixtures.h"
 
 namespace influmax {
@@ -32,19 +34,22 @@ TEST(CdScanTest, ReproducesPaperTotalCredits) {
   auto model =
       CreditDistributionModel::Build(ex.graph, ex.log, credit, ExactScan());
   ASSERT_TRUE(model.ok());
-  const ActionCreditTable& table = model->store().table(0);
+  const SnapshotData frozen = model->ToSnapshotData();
+  const auto credit_of = [&](NodeId v, NodeId u) {
+    return reference::CreditIn(frozen, 0, v, u);
+  };
   // The paper's worked example: Gamma_{v,u} = 0.75.
-  EXPECT_NEAR(table.Credit(PaperExample::kV, PaperExample::kU), 0.75, 1e-12);
+  EXPECT_NEAR(credit_of(PaperExample::kV, PaperExample::kU), 0.75, 1e-12);
   // Other totals implied by the reconstruction:
-  EXPECT_NEAR(table.Credit(PaperExample::kV, PaperExample::kW), 1.0, 1e-12);
-  EXPECT_NEAR(table.Credit(PaperExample::kV, PaperExample::kT), 0.5, 1e-12);
-  EXPECT_NEAR(table.Credit(PaperExample::kV, PaperExample::kZ), 0.5, 1e-12);
-  EXPECT_NEAR(table.Credit(PaperExample::kY, PaperExample::kT), 0.5, 1e-12);
+  EXPECT_NEAR(credit_of(PaperExample::kV, PaperExample::kW), 1.0, 1e-12);
+  EXPECT_NEAR(credit_of(PaperExample::kV, PaperExample::kT), 0.5, 1e-12);
+  EXPECT_NEAR(credit_of(PaperExample::kV, PaperExample::kZ), 0.5, 1e-12);
+  EXPECT_NEAR(credit_of(PaperExample::kY, PaperExample::kT), 0.5, 1e-12);
   // Gamma_{t,u} = gamma_{t,u} + Gamma_{t,z} * gamma_{z,u} = 0.25 + 0.25.
-  EXPECT_NEAR(table.Credit(PaperExample::kT, PaperExample::kU), 0.5, 1e-12);
-  EXPECT_NEAR(table.Credit(PaperExample::kZ, PaperExample::kU), 0.25, 1e-12);
+  EXPECT_NEAR(credit_of(PaperExample::kT, PaperExample::kU), 0.5, 1e-12);
+  EXPECT_NEAR(credit_of(PaperExample::kZ, PaperExample::kU), 0.25, 1e-12);
   // No credit flows backwards.
-  EXPECT_DOUBLE_EQ(table.Credit(PaperExample::kU, PaperExample::kV), 0.0);
+  EXPECT_DOUBLE_EQ(credit_of(PaperExample::kU, PaperExample::kV), 0.0);
 }
 
 TEST(CdConfigTest, ValidateRejectsNonsenseKnobs) {
@@ -99,14 +104,12 @@ TEST(CdConfigTest, ShardFloorWithOneScanThreadTakesSerialPathSilently) {
   ASSERT_TRUE(b.ok());
 
   ASSERT_EQ(a->credit_entries(), b->credit_entries());
-  for (NodeId v = 0; v < ex.graph.num_nodes(); ++v) {
-    for (ActionId act = 0; act < ex.log.num_actions(); ++act) {
-      for (NodeId u : a->store().table(act).CreditedUsers(v)) {
-        EXPECT_EQ(a->store().table(act).Credit(v, u),
-                  b->store().table(act).Credit(v, u));
-      }
-    }
-  }
+  const SnapshotData fa = a->ToSnapshotData();
+  const SnapshotData fb = b->ToSnapshotData();
+  EXPECT_EQ(fa.fwd_node, fb.fwd_node);
+  EXPECT_EQ(fa.fwd_credit, fb.fwd_credit);
+  EXPECT_EQ(fa.bwd_node, fb.bwd_node);
+  EXPECT_EQ(fa.bwd_entry, fb.bwd_entry);
 }
 
 TEST(CdScanTest, RejectsMismatchedLog) {
@@ -197,13 +200,13 @@ TEST(CdMarginalGainTest, LemmaTwoSubgraphCreditsMatchPaper) {
   ASSERT_TRUE(model.ok());
   model->CommitSeed(PaperExample::kT);
   model->CommitSeed(PaperExample::kZ);
-  EXPECT_NEAR(
-      model->store().table(0).Credit(PaperExample::kV, PaperExample::kU), 0.5,
-      1e-12);
+  EXPECT_NEAR(reference::CreditIn(model->ToSnapshotData(), 0,
+                                  PaperExample::kV, PaperExample::kU),
+              0.5, 1e-12);
   model->CommitSeed(PaperExample::kW);
-  EXPECT_NEAR(
-      model->store().table(0).Credit(PaperExample::kV, PaperExample::kU),
-      0.25, 1e-12);
+  EXPECT_NEAR(reference::CreditIn(model->ToSnapshotData(), 0,
+                                  PaperExample::kV, PaperExample::kU),
+              0.25, 1e-12);
 }
 
 TEST(CdMarginalGainTest, SeedsHaveZeroGainAfterCommit) {

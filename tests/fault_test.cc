@@ -259,7 +259,7 @@ TEST_F(FaultTest, WriteShardsUnlinksCompletedSiblingsOnManifestFailure) {
   ShardedSnapshotWriter writer(dir, 3);
   EXPECT_FALSE(writer.WriteFromModel(model, 1).ok());
   // All three blobs were fully written before the manifest failed; the
-  // error path must remove them — and the .mono temp — all.
+  // error path must remove them all.
   EXPECT_TRUE(fs::is_empty(dir)) << "partial generation left behind";
   fs::remove_all(dir);
 }

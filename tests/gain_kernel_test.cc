@@ -33,6 +33,7 @@
 #include "shard/shard_router.h"
 #include "shard/shard_writer.h"
 #include "one_shard.h"
+#include "reference_cd.h"
 #include "test_fixtures.h"
 
 namespace influmax {
@@ -255,8 +256,9 @@ TEST(GainKernelTest, GainsWithinDocumentedBoundOfRealValuedSum) {
   }
   EXPECT_LT(worst, 1e-12);
 
-  // After commits the engine and the live model still agree bit for bit.
-  auto live = BuildModel(data.graph, data.log, credit, 0.001);
+  // After commits the engine and the hash-table reference still agree
+  // bit for bit.
+  reference::CdModel live(data.graph, data.log, credit, 0.001);
   OneShard router(view);
   const auto seeds = router->TopKSeeds(5).seeds;
   for (const NodeId seed : seeds) {

@@ -67,10 +67,9 @@ void ExpectSelectionsIdentical(
   }
 }
 
-// SelectSeeds with the parallel initial pass, batched stale
-// re-evaluations, AND the batched parallel CommitSeed (scan_threads
-// drives the commit fan-out) must reproduce the serial greedy bit for
-// bit — seed order, every gain, and the CELF evaluation count — for any
+// SelectSeeds with the parallel initial pass and batched stale
+// re-evaluations, over an image frozen by a parallel scan
+// (scan_threads), must reproduce the serial greedy bit for bit — seed order, every gain, and the CELF evaluation count — for any
 // thread count (the count is the lazy-forward efficiency metric;
 // speculative evaluations must never leak into it).
 TEST(ParallelCelfTest, SelectSeedsIdenticalForAnyThreadCount) {
@@ -81,7 +80,7 @@ TEST(ParallelCelfTest, SelectSeedsIdenticalForAnyThreadCount) {
     CdConfig config;
     config.truncation_threshold = 0.001;
     config.select_threads = threads;
-    config.scan_threads = threads;  // parallel commits inside the greedy
+    config.scan_threads = threads;  // parallel scan and freeze
     auto model =
         CreditDistributionModel::Build(data.graph, data.log, credit, config);
     ASSERT_TRUE(model.ok());
@@ -261,7 +260,7 @@ TEST(ParallelCelfTest, ShardedScanMatchesSerialFromAnyBeginPos) {
     ASSERT_EQ(sharded.num_entries(), serial.num_entries())
         << "begin_pos " << begin_pos;
     for (NodeId v = 0; v < data.graph.num_nodes(); ++v) {
-      for (NodeId u : serial.CreditedUsers(v)) {
+      for (const auto& [u, entry] : serial.CreditedUsers(v)) {
         EXPECT_EQ(sharded.Credit(v, u), serial.Credit(v, u))
             << "pair (" << v << ", " << u << ") begin_pos " << begin_pos;
       }
@@ -269,11 +268,11 @@ TEST(ParallelCelfTest, ShardedScanMatchesSerialFromAnyBeginPos) {
   }
 }
 
-// The live model's batched parallel CommitSeed: manual commits of the
-// busiest users (long per-action update lists) under every thread count
-// must leave the store byte-identical to the serial commit — snapshots
-// freeze UC adjacency order, credit values, and the SC baseline, so
-// byte-equality is the strongest store equality there is.
+// Commits after a parallel scan: manual commits of the busiest users
+// (long per-action update lists) on images frozen under every scan
+// thread count must serialize byte-identically — snapshots freeze UC
+// adjacency order, credit values, and the SC baseline, so byte-equality
+// is the strongest store equality there is.
 TEST(ParallelCelfTest, CommitSeedParallelSnapshotBytesIdentical) {
   const SyntheticDataset data = MakeDataset(250, 120, 98);
   EqualDirectCredit credit;
@@ -383,7 +382,7 @@ TEST(ParallelCelfTest, ShardedScanTruncationFilteredShardsMatchSerial) {
     ASSERT_EQ(sharded.num_entries(), serial.num_entries())
         << "lambda " << lambda;
     for (NodeId v = 0; v < data.graph.num_nodes(); ++v) {
-      for (NodeId u : serial.CreditedUsers(v)) {
+      for (const auto& [u, entry] : serial.CreditedUsers(v)) {
         EXPECT_EQ(sharded.Credit(v, u), serial.Credit(v, u))
             << "pair (" << v << ", " << u << ") lambda " << lambda;
       }
@@ -430,7 +429,7 @@ TEST(ParallelCelfTest, ShardedScanDegenerateDagsMatchSerial) {
     ASSERT_EQ(sharded.num_entries(), serial.num_entries())
         << num_levels << " levels";
     for (NodeId v = 0; v < nodes; ++v) {
-      for (NodeId u : serial.CreditedUsers(v)) {
+      for (const auto& [u, entry] : serial.CreditedUsers(v)) {
         EXPECT_EQ(sharded.Credit(v, u), serial.Credit(v, u))
             << "pair (" << v << ", " << u << "), " << num_levels
             << " levels";

@@ -158,6 +158,66 @@ TEST(ShardWriterTest, SliceMatchesRestrictedLogBuildByteForByte) {
   std::filesystem::remove_all(dir);
 }
 
+// The writer slices a model's in-memory image: its blobs must be the
+// bytes of the file path (write the monolithic snapshot, open it, slice)
+// for every scan thread count, with and without commits.
+TEST(ShardWriterTest, WriteFromModelMatchesSlicedMonolithicFile) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const std::string dir = MakeTempDir("from_model_vs_file");
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    CdConfig config;
+    config.truncation_threshold = 0.001;
+    config.scan_threads = threads;
+    auto model =
+        CreditDistributionModel::Build(data.graph, data.log, credit, config);
+    ASSERT_TRUE(model.ok());
+    for (const bool committed : {false, true}) {
+      if (committed) {
+        ASSERT_TRUE(model->SelectSeeds(3).ok());
+      }
+      const std::string label = std::to_string(threads) + " threads" +
+                                (committed ? ", committed" : "");
+      const std::string from_model = dir + "/model";
+      const std::string from_file = dir + "/file";
+      std::filesystem::create_directories(from_model);
+      std::filesystem::create_directories(from_file);
+      ShardManifest model_manifest;
+      ASSERT_TRUE(ShardedSnapshotWriter(from_model, 3)
+                      .WriteFromModel(*model, 1, &model_manifest)
+                      .ok());
+      const std::string mono_path = dir + "/mono.snap";
+      ASSERT_TRUE(model->WriteSnapshot(mono_path).ok());
+      auto mono = CreditSnapshotView::Open(mono_path);
+      ASSERT_TRUE(mono.ok());
+      ShardManifest file_manifest;
+      ASSERT_TRUE(ShardedSnapshotWriter(from_file, 3)
+                      .WriteFromView(*mono, 1, &file_manifest)
+                      .ok());
+      ASSERT_EQ(model_manifest.shard_files, file_manifest.shard_files);
+      for (const std::string& name : model_manifest.shard_files) {
+        EXPECT_EQ(ReadFileBytes(from_model + "/" + name),
+                  ReadFileBytes(from_file + "/" + name))
+            << label << " " << name;
+      }
+      EXPECT_EQ(ReadFileBytes(from_model + "/" + ManifestFileName(1)),
+                ReadFileBytes(from_file + "/" + ManifestFileName(1)))
+          << label;
+      // Nothing but the generation: no monolithic temp file.
+      std::size_t files = 0;
+      for (const auto& entry :
+           std::filesystem::directory_iterator(from_model)) {
+        (void)entry;
+        ++files;
+      }
+      EXPECT_EQ(files, model_manifest.shard_files.size() + 1) << label;
+      std::filesystem::remove_all(from_model);
+      std::filesystem::remove_all(from_file);
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // -------------------------------------------- cross-shard determinism
 
 TEST(ShardRouterTest, GainAndTopKBitIdenticalAcrossShardCounts) {

@@ -16,6 +16,7 @@
 #include "core/direct_credit.h"
 #include "core/fixed_gain.h"
 #include "datagen/cascade_generator.h"
+#include "graph/generators.h"
 #include "probability/time_params.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot_format.h"
@@ -79,7 +80,55 @@ std::string ReadFileBytes(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// FNV-1a of a file's bytes.
+std::uint64_t FileHash(const std::string& path) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : ReadFileBytes(path)) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
 // ------------------------------------------------- round-trip exactness
+
+// The snapshot bytes are pinned: these hashes were recorded from the
+// hash-table credit store the model ran on before it moved onto the
+// frozen layout, so a model that freezes its scan, and serializes its
+// engine session after commits, writes exactly the same files.
+TEST(SnapshotTest, SnapshotBytesMatchGoldenHashes) {
+  auto ex = MakePaperExample();
+  EqualDirectCredit credit;
+  auto paper = BuildModel(ex.graph, ex.log, credit);
+  const std::string path = TempPath("golden.snap");
+  ASSERT_TRUE(paper.WriteSnapshot(path).ok());
+  EXPECT_EQ(FileHash(path), 0xf18b83f0cb3c4934ULL);
+  paper.CommitSeed(PaperExample::kV);
+  ASSERT_TRUE(paper.WriteSnapshot(path).ok());
+  EXPECT_EQ(FileHash(path), 0xf54e33a3adc9ca00ULL);
+
+  auto graph = GeneratePreferentialAttachment({250, 4, 0.6}, 98);
+  ASSERT_TRUE(graph.ok());
+  CascadeConfig cascades;
+  cascades.num_actions = 120;
+  cascades.seed = 99;
+  auto data = GenerateCascadeDataset(std::move(graph).value(), cascades);
+  ASSERT_TRUE(data.ok());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    CdConfig config;
+    config.truncation_threshold = 0.001;
+    config.scan_threads = threads;
+    auto model =
+        CreditDistributionModel::Build(data->graph, data->log, credit, config);
+    ASSERT_TRUE(model.ok());
+    ASSERT_TRUE(model->WriteSnapshot(path).ok());
+    EXPECT_EQ(FileHash(path), 0xc09e67d51b5b5789ULL) << threads << " threads";
+    ASSERT_TRUE(model->SelectSeeds(10).ok());
+    ASSERT_TRUE(model->WriteSnapshot(path).ok());
+    EXPECT_EQ(FileHash(path), 0x532cac71cf7ec111ULL) << threads << " threads";
+  }
+  std::remove(path.c_str());
+}
 
 TEST(SnapshotTest, PaperExampleHeaderAndCounts) {
   auto ex = MakePaperExample();
@@ -307,8 +356,7 @@ TEST(SnapshotTest, ForgedBackwardRecordIntoAnotherSlotIsSkipped) {
   auto ex = MakePaperExample();
   EqualDirectCredit credit;
   auto model = BuildModel(ex.graph, ex.log, credit);
-  SnapshotData data = BuildSnapshotData(model.store(), ex.graph, ex.log,
-                                        /*truncation_threshold=*/0.0, {});
+  SnapshotData data = model.ToSnapshotData();
   const ActionId a = 0;
   const std::uint64_t first = data.action_entry_begin[a];
   const std::uint64_t last = data.action_entry_begin[a + 1] - 1;
@@ -510,8 +558,7 @@ TEST(SnapshotTest, WriterRefusesSlotPastTheGainHeadroom) {
   auto ex = MakePaperExample();
   EqualDirectCredit credit;
   auto model = BuildModel(ex.graph, ex.log, credit);
-  SnapshotData data = BuildSnapshotData(model.store(), ex.graph, ex.log,
-                                        /*truncation_threshold=*/0.0, {});
+  SnapshotData data = model.ToSnapshotData();
   std::uint64_t s = 0;
   while (s < data.fwd_count.size() && data.fwd_count[s] < 2) ++s;
   ASSERT_LT(s, data.fwd_count.size());

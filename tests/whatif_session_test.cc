@@ -1,8 +1,8 @@
-// What-if sessions against the live model (docs/serving.md): a seeded
-// random commit stream is replayed on the snapshot engine and on the
-// shard router, and after every commit every user's marginal gain must
-// bit-equal CreditDistributionModel::MarginalGain under the same
-// commits — before and after a ResetSession, on a 1-shard router of the
+// What-if sessions against the hash-table reference (docs/serving.md,
+// reference_cd.h): a seeded random commit stream is replayed on the
+// snapshot engine and on the shard router, and after every commit every
+// user's marginal gain must bit-equal the reference's MarginalGain under
+// the same commits — before and after a ResetSession, on a 1-shard router of the
 // monolithic snapshot without a pool and on a WorkerPool(4), and for
 // shard counts {1, 3}. Plus the overlay's work counter: a session copies
 // exactly the forward rows Algorithm 5 writes.
@@ -31,6 +31,7 @@
 #include "shard/shard_router.h"
 #include "shard/shard_writer.h"
 #include "one_shard.h"
+#include "reference_cd.h"
 
 namespace influmax {
 namespace {
@@ -65,6 +66,14 @@ CreditDistributionModel BuildLiveModel() {
   return std::move(model).value();
 }
 
+reference::CdModel BuildReference() {
+  const Fixture& fx = GetFixture();
+  static const TimeDecayDirectCredit* credit =
+      new TimeDecayDirectCredit(fx.params);
+  return reference::CdModel(fx.data.graph, fx.data.log, *credit,
+                            /*lambda=*/0.001);
+}
+
 std::string MakeTempDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
   std::filesystem::remove_all(dir);
@@ -74,7 +83,7 @@ std::string MakeTempDir(const std::string& name) {
 
 /// Appends the live creditors of x, over every action x performed, to
 /// `*out` as (creditor, action) pairs.
-void LiveCreditorsOf(const CreditDistributionModel& model, NodeId x,
+void LiveCreditorsOf(const reference::CdModel& model, NodeId x,
                      std::vector<std::pair<NodeId, ActionId>>* out) {
   std::vector<CreditEntry> creditors;
   for (const UserAction& ua : model.log().UserActions(x)) {
@@ -84,7 +93,7 @@ void LiveCreditorsOf(const CreditDistributionModel& model, NodeId x,
   }
 }
 
-/// A commit stream and the live model's gain of every user after each
+/// A commit stream and the reference's gain of every user after each
 /// commit.
 struct LiveSession {
   std::vector<NodeId> commits;
@@ -92,8 +101,8 @@ struct LiveSession {
   std::size_t creditor_commits = 0;        // kind-2 picks that found one
 };
 
-/// Draws a seeded commit stream while committing it on a fresh live
-/// model. The stream cycles through four kinds of commit, the user
+/// Draws a seeded commit stream while committing it on a fresh
+/// reference model. The stream cycles through four kinds of commit, the user
 /// picked at random within each kind:
 ///   0: any user who acted;
 ///   1: a user who shares an action with the previous commit;
@@ -102,7 +111,7 @@ struct LiveSession {
 ///   3: a repeat of an earlier commit (a no-op on both sides).
 LiveSession RecordLiveSession(std::uint64_t seed) {
   const ActionLog& log = GetFixture().data.log;
-  CreditDistributionModel model = BuildLiveModel();
+  reference::CdModel model = BuildReference();
   Rng rng(seed);
   std::vector<NodeId> active;
   for (NodeId u = 0; u < log.num_users(); ++u) {
@@ -146,8 +155,8 @@ LiveSession RecordLiveSession(std::uint64_t seed) {
 }
 
 /// Replays `session` on `server` twice — on a fresh session, then again
-/// after ResetSession — asserting every user's gain bit-equals the live
-/// model's after every commit.
+/// after ResetSession — asserting every user's gain bit-equals the
+/// reference's after every commit.
 template <typename Server>
 void ExpectReplaysBitForBit(Server& server, const LiveSession& session,
                             const std::string& label) {
@@ -224,10 +233,10 @@ std::uint64_t GlobalCounterValue(const char* name) {
 
 TEST(WhatIfSessionTest, OverlayCopiesExactlyTheRowsAlgorithm5Writes) {
   if constexpr (!kObsEnabled) GTEST_SKIP() << "telemetry compiled out";
-  CreditDistributionModel model = BuildLiveModel();
   const std::string dir = MakeTempDir("whatif_entries");
   const std::string path = dir + "/mono.snap";
-  ASSERT_TRUE(model.WriteSnapshot(path).ok());
+  ASSERT_TRUE(BuildLiveModel().WriteSnapshot(path).ok());
+  reference::CdModel model = BuildReference();
   auto view = CreditSnapshotView::Open(path);
   ASSERT_TRUE(view.ok());
 
