@@ -114,6 +114,7 @@ Result<CreditDistributionModel> CreditDistributionModel::Build(
   const std::size_t workers = EffectiveThreadCount(config.scan_threads);
   std::vector<SnapshotData> pools(workers > 1 ? workers : 0);
   std::vector<ArenaSlice> slices(num_actions);
+  std::vector<Status> freeze_status(workers);
   {
     std::vector<ScanArena> arenas =
         config.arena_pool != nullptr ? config.arena_pool->Acquire(workers)
@@ -126,7 +127,10 @@ Result<CreditDistributionModel> CreditDistributionModel::Build(
       data.action_trace_hash[a] = HashActionTrace(trace);
       SnapshotData* entries = workers > 1 ? &pools[t] : &data;
       const std::uint64_t offset = entries->fwd_node.size();
-      FreezeAction(table, a, trace, &freeze[t], &data, entries);
+      Status status = FreezeAction(table, a, trace, &freeze[t], &data, entries);
+      if (!status.ok() && freeze_status[t].ok()) {
+        freeze_status[t] = std::move(status);
+      }
       slices[a] = {static_cast<std::uint32_t>(t), offset,
                    static_cast<std::uint32_t>(entries->fwd_node.size() -
                                               offset)};
@@ -177,6 +181,9 @@ Result<CreditDistributionModel> CreditDistributionModel::Build(
     if (config.arena_pool != nullptr) {
       config.arena_pool->Release(std::move(arenas));
     }
+  }
+  for (Status& status : freeze_status) {
+    if (!status.ok()) return status;
   }
   if (workers > 1) {
     GatherEntries(log, slices, &pools, &data);

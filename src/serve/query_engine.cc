@@ -458,7 +458,8 @@ Status IncrementalRescan(const CreditSnapshotView& view, const Graph& graph,
     data.action_size[a] = static_cast<std::uint32_t>(trace.size());
     data.action_trace_hash[a] = HashActionTrace(trace);
     if (changed_index[a] != ~0ULL) {
-      FreezeAction(tables[changed_index[a]], a, trace, &freeze, &data, &data);
+      INFLUMAX_RETURN_IF_ERROR(FreezeAction(tables[changed_index[a]], a,
+                                            trace, &freeze, &data, &data));
       continue;
     }
     const std::uint64_t old_base = view.action_entry_begin()[a];

@@ -75,9 +75,9 @@ std::uint64_t FingerprintActionLog(const ActionLog& log) {
   return FingerprintTraceHashes(log.num_users(), hashes);
 }
 
-void FreezeAction(const ActionCreditTable& table, ActionId a,
-                  std::span<const ActionTuple> trace, FreezeScratch* scratch,
-                  SnapshotData* slots, SnapshotData* entries) {
+Status FreezeAction(const ActionCreditTable& table, ActionId a,
+                    std::span<const ActionTuple> trace, FreezeScratch* scratch,
+                    SnapshotData* slots, SnapshotData* entries) {
   const std::size_t n = trace.size();
   if (scratch->position_of.size() < slots->num_users) {
     scratch->position_of.resize(slots->num_users, 0);
@@ -92,8 +92,10 @@ void FreezeAction(const ActionCreditTable& table, ActionId a,
   }
 
   // Forward rows: participants in trace order, each row in first-touch
-  // order. Every credited user participates in the action, so its
-  // backward row is counted here, in the same pass.
+  // order. Every credited user must take part in the action, so its
+  // backward row is counted here, in the same pass. A scan guarantees
+  // that; a table refilled from a snapshot file (IncrementalRescan)
+  // only does if the file is honest, so it is checked.
   std::vector<NodeId>& fwd_node = entries->fwd_node;
   for (std::size_t t = 0; t < n; ++t) {
     const NodeId v = trace[t].user;
@@ -104,7 +106,12 @@ void FreezeAction(const ActionCreditTable& table, ActionId a,
       const NodeId u = link.node;
       const double credit = table.credit(link.entry);
       if (!(credit > 0.0)) continue;
-      assert(position_of[u] != 0 && "credited user outside the action");
+      if (u >= position_of.size() || position_of[u] == 0) {
+        for (const ActionTuple& tuple : trace) position_of[tuple.user] = 0;
+        return Status::Corruption(
+            "freeze: action " + std::to_string(a) + " credits user " +
+            std::to_string(u) + ", who does not take part in it");
+      }
       fwd_node.push_back(u);
       entries->fwd_credit.push_back(credit);
       ++slots->bwd_count[slot_at[position_of[u] - 1]];
@@ -147,6 +154,7 @@ void FreezeAction(const ActionCreditTable& table, ActionId a,
   assert(entries->bwd_node.size() == fwd_node.size() &&
          "backward records must biject with forward entries");
   for (const ActionTuple& tuple : trace) position_of[tuple.user] = 0;
+  return Status::OK();
 }
 
 void InitSnapshotSlots(const ActionLog& log, SnapshotData* data) {

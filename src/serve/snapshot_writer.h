@@ -117,10 +117,13 @@ struct FreezeScratch {
 /// order; backward rows follow it too, each in ascending creditor id.
 /// Each credit is read once and no lookup structure is built: backward
 /// rows are counted while the forward rows are written and filled from
-/// them afterwards.
-void FreezeAction(const ActionCreditTable& table, ActionId a,
-                  std::span<const ActionTuple> trace, FreezeScratch* scratch,
-                  SnapshotData* slots, SnapshotData* entries);
+/// them afterwards. Corruption if the table credits a user who is not in
+/// `trace` (a scan never does; a table refilled from a forged snapshot
+/// can); `slots` and `entries` are then partly written and must be
+/// dropped, and `scratch` stays reusable.
+Status FreezeAction(const ActionCreditTable& table, ActionId a,
+                    std::span<const ActionTuple> trace, FreezeScratch* scratch,
+                    SnapshotData* slots, SnapshotData* entries);
 
 /// The quotient pool of `data`, ToFixed(fwd_credit[e] / au[fwd_node[e]])
 /// per entry (core/fixed_gain.h), into `*pool`. InvalidArgument for

@@ -23,6 +23,7 @@
 #include "serve/snapshot_view.h"
 #include "serve/snapshot_writer.h"
 #include "one_shard.h"
+#include "reference_cd.h"
 #include "test_fixtures.h"
 
 namespace influmax {
@@ -156,9 +157,10 @@ TEST(SnapshotTest, PaperExampleMarginalGainsMatchBitForBit) {
   const std::string path = TempPath("paper_mg.snap");
   auto view = WriteAndOpen(model, path);
   SnapshotQueryEngine engine(view);
+  const reference::CdModel live(ex.graph, ex.log, credit, 0.0);
 
   for (NodeId x = 0; x < 6; ++x) {
-    EXPECT_EQ(engine.MarginalGain(x), model.MarginalGain(x)) << "node " << x;
+    EXPECT_EQ(engine.MarginalGain(x), live.MarginalGain(x)) << "node " << x;
   }
   // The paper's worked value: Gamma_{v,u} = 0.75, plus v's own 1/A_v = 1
   // and the w/t/z/u rows v credits.
@@ -174,13 +176,13 @@ TEST(SnapshotTest, PaperExampleTopKMatchesSelectSeeds) {
   auto view = WriteAndOpen(model, path);
   OneShard served_by(view);
 
-  auto live = model.SelectSeeds(6);
-  ASSERT_TRUE(live.ok());
+  reference::CdModel reference(ex.graph, ex.log, credit, 0.0);
+  const auto live = reference.SelectSeeds(6);
   auto served = served_by->TopKSeeds(6);
-  EXPECT_EQ(served.seeds, live->seeds);
-  EXPECT_EQ(served.marginal_gains, live->marginal_gains);
-  EXPECT_EQ(served.cumulative_spread, live->cumulative_spread);
-  EXPECT_EQ(served.gain_evaluations, live->gain_evaluations);
+  EXPECT_EQ(served.seeds, live.seeds);
+  EXPECT_EQ(served.marginal_gains, live.marginal_gains);
+  EXPECT_EQ(served.cumulative_spread, live.cumulative_spread);
+  EXPECT_EQ(served.gain_evaluations, live.gain_evaluations);
   std::remove(path.c_str());
 }
 
@@ -195,17 +197,17 @@ TEST(SnapshotTest, GeneratedDatasetMatchesLiveModelBitForBit) {
   const std::string path = TempPath("gen.snap");
   auto view = WriteAndOpen(model, path);
   SnapshotQueryEngine engine(view);
+  reference::CdModel live(data->graph, data->log, credit, 0.001);
 
   for (NodeId x = 0; x < data->log.num_users(); ++x) {
-    ASSERT_EQ(engine.MarginalGain(x), model.MarginalGain(x)) << "node " << x;
+    ASSERT_EQ(engine.MarginalGain(x), live.MarginalGain(x)) << "node " << x;
   }
-  auto live = model.SelectSeeds(10);
-  ASSERT_TRUE(live.ok());
+  const auto selected = live.SelectSeeds(10);
   auto served = OneShard(view)->TopKSeeds(10);
-  EXPECT_EQ(served.seeds, live->seeds);
-  EXPECT_EQ(served.marginal_gains, live->marginal_gains);
-  EXPECT_EQ(served.cumulative_spread, live->cumulative_spread);
-  EXPECT_EQ(served.gain_evaluations, live->gain_evaluations);
+  EXPECT_EQ(served.seeds, selected.seeds);
+  EXPECT_EQ(served.marginal_gains, selected.marginal_gains);
+  EXPECT_EQ(served.cumulative_spread, selected.cumulative_spread);
+  EXPECT_EQ(served.gain_evaluations, selected.gain_evaluations);
   std::remove(path.c_str());
 }
 
@@ -216,6 +218,7 @@ TEST(SnapshotTest, SessionCommitTracksLiveCommit) {
   const std::string path = TempPath("commit.snap");
   auto view = WriteAndOpen(model, path);
   SnapshotQueryEngine engine(view);
+  reference::CdModel live(ex.graph, ex.log, credit, 0.0);
 
   const std::vector<double> base_gains = [&] {
     std::vector<double> g;
@@ -223,10 +226,10 @@ TEST(SnapshotTest, SessionCommitTracksLiveCommit) {
     return g;
   }();
 
-  model.CommitSeed(PaperExample::kV);
+  live.CommitSeed(PaperExample::kV);
   engine.CommitSeed(PaperExample::kV);
   for (NodeId x = 0; x < 6; ++x) {
-    EXPECT_EQ(engine.MarginalGain(x), model.MarginalGain(x)) << "node " << x;
+    EXPECT_EQ(engine.MarginalGain(x), live.MarginalGain(x)) << "node " << x;
   }
   OneShard router(view);
   router->CommitSeed(PaperExample::kV);
@@ -251,9 +254,11 @@ TEST(SnapshotTest, SnapshotOfModelWithCommittedSeedsKeepsThem) {
   EXPECT_EQ(view.seeds()[0], PaperExample::kV);
 
   SnapshotQueryEngine engine(view);
+  reference::CdModel live(ex.graph, ex.log, credit, 0.0);
+  live.CommitSeed(PaperExample::kV);
   EXPECT_EQ(engine.MarginalGain(PaperExample::kV), 0.0);  // already a seed
   for (NodeId x = 0; x < 6; ++x) {
-    EXPECT_EQ(engine.MarginalGain(x), model.MarginalGain(x)) << "node " << x;
+    EXPECT_EQ(engine.MarginalGain(x), live.MarginalGain(x)) << "node " << x;
   }
   // Frozen seeds survive a session reset.
   engine.ResetSession();
@@ -696,6 +701,56 @@ TEST(SnapshotTest, IncrementalRescanRejectsRewrittenHistoryAndMismatches) {
     EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
     std::remove(seeded_path.c_str());
   }
+  std::remove(path.c_str());
+}
+
+// Open checks a forward record's user against the universe only, not
+// against its action. A rescan refills an extended action's table from
+// those records and freezes it again, so a record naming a user outside
+// the action must be refused there, not followed into the freeze's
+// per-position arrays.
+TEST(SnapshotTest, IncrementalRescanRefusesCreditToAUserOutsideTheAction) {
+  auto ex = MakePaperExample();
+  EqualDirectCredit credit;
+  CdConfig config;
+  config.truncation_threshold = 0.0;
+  // Action 0 is the paper's trace up to t, and u acts alone in action 1;
+  // the extended log appends z to action 0, so u stays outside it.
+  const auto make_log = [](bool extended) {
+    ActionLogBuilder builder(6);
+    builder.Add(PaperExample::kV, 0, 1.0);
+    builder.Add(PaperExample::kY, 0, 1.5);
+    builder.Add(PaperExample::kW, 0, 2.0);
+    builder.Add(PaperExample::kT, 0, 2.5);
+    if (extended) builder.Add(PaperExample::kZ, 0, 3.0);
+    builder.Add(PaperExample::kU, 1, 1.0);
+    auto log = builder.Build();
+    INFLUMAX_CHECK(log.ok());
+    return std::move(log).value();
+  };
+  const ActionLog prefix = make_log(false);
+  const ActionLog extended = make_log(true);
+  auto model = BuildModel(ex.graph, prefix, credit);
+  SnapshotData data = model.ToSnapshotData();
+  const ActionId a = 0;
+  ASSERT_LT(data.action_entry_begin[a], data.action_entry_begin[a + 1]);
+  data.fwd_node[data.action_entry_begin[a]] = PaperExample::kU;
+  const std::string path = TempPath("forged_fwd_node.snap");
+  ASSERT_TRUE(WriteSnapshotFile(data, path).ok());
+  auto view = CreditSnapshotView::Open(path);
+  ASSERT_TRUE(view.ok()) << view.status().message();
+  ASSERT_EQ(view->SlotOf(PaperExample::kU, a), CreditSnapshotView::kNoSlot);
+
+  const std::string out = TempPath("forged_fwd_node_out.snap");
+  for (const std::size_t threads : {1, 4}) {
+    config.scan_threads = threads;
+    const Status status =
+        IncrementalRescan(*view, ex.graph, extended, credit, config, out);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+    EXPECT_TRUE(Mentions(status.message(), "does not take part"))
+        << status.message();
+  }
+  EXPECT_FALSE(std::filesystem::exists(out));
   std::remove(path.c_str());
 }
 
