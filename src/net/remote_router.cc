@@ -112,7 +112,7 @@ Status RemoteShardRouter::ConnectAll(std::uint64_t pin) {
         "); Refresh() to retry"));
     return st;
   }
-  front_.Bind(au_, slots_[0].hello.frozen_seeds);
+  front_.Bind(au_, frozen_seeds_);
   return Status::OK();
 }
 
@@ -142,6 +142,7 @@ Status RemoteShardRouter::ConnectSlots(std::uint64_t pin) {
       graph_fingerprint_ = h.graph_fingerprint;
       log_fingerprint_ = h.log_fingerprint;
       au_ = h.au;
+      frozen_seeds_ = h.frozen_seeds;
       if (au_.size() != num_users_) {
         return Status::Corruption(
             "hello A_u has " + std::to_string(au_.size()) + " entries for " +
@@ -158,7 +159,9 @@ Status RemoteShardRouter::ConnectSlots(std::uint64_t pin) {
 
   // Topology: one generation/dataset, ranges contiguous ascending and
   // covering [0, num_actions) — so the slots' partials count every
-  // action exactly once.
+  // action exactly once. (The later slots were dialed after slot 0's
+  // identity was adopted, so ConnectActiveReplica already compared their
+  // A_u and frozen seeds with slot 0's.)
   ActionId expect = 0;
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     const HelloResponse& h = slots_[s].hello;
@@ -235,6 +238,19 @@ Status RemoteShardRouter::ConnectActiveReplica(Slot& slot,
     return Status::FailedPrecondition(
         "replica serves a different dataset than the session was built "
         "against");
+  }
+  // Each server opens only its own shards, so no server can check that
+  // the shards agree on one global A_u and one frozen seed set: every
+  // hello after slot 0's is compared with slot 0's here. O(num_users).
+  if (num_users_ != 0 && hello->au != au_) {
+    return Status::FailedPrecondition(
+        "slot " + std::to_string(slot.index) +
+        " disagrees with slot 0 about the global A_u");
+  }
+  if (num_users_ != 0 && hello->frozen_seeds != frozen_seeds_) {
+    return Status::FailedPrecondition(
+        "slot " + std::to_string(slot.index) +
+        " disagrees with slot 0 about the frozen seed set");
   }
   if (slot.range_known && (hello->action_begin != slot.action_begin ||
                            hello->action_end != slot.action_end)) {

@@ -112,7 +112,11 @@ class RemoteShardRouter final : private ShardBackend {
  public:
   /// Dials every slot, validates the topology (one generation, ranges
   /// contiguous ascending and covering, matching fingerprints), and
-  /// pulls the global A_u + frozen seeds from slot 0's hello.
+  /// pulls the global A_u + frozen seeds from slot 0's hello. Every other
+  /// slot's hello, and every later reconnect's, must carry the same A_u
+  /// and frozen seeds (FailedPrecondition otherwise): each server opens
+  /// only its own shards, so this is where shards are checked against
+  /// each other.
   static Result<std::unique_ptr<RemoteShardRouter>> Connect(
       const RemoteRouterOptions& options);
 
@@ -302,6 +306,7 @@ class RemoteShardRouter final : private ShardBackend {
   std::uint64_t graph_fingerprint_ = 0;
   std::uint64_t log_fingerprint_ = 0;
   std::vector<std::uint32_t> au_;
+  std::vector<NodeId> frozen_seeds_;
   TraceCollector* trace_ = nullptr;  ///< not owned; may be nullptr
 
   // Fan-out scratch, reused across queries: per-slot send/receive state

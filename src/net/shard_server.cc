@@ -29,6 +29,14 @@ SiteOutcome EvalDropSite(const char* site) {
   return SiteOutcome::kContinue;
 }
 
+/// The generation and action range a server advertises: those of the
+/// shards it opened, read from the manifest.
+void SetServedRange(const ShardedSnapshot& shards, PongResponse* pong) {
+  pong->generation = shards.manifest.generation;
+  pong->action_begin = shards.manifest.range_begin[shards.first_shard];
+  pong->action_end = shards.manifest.range_begin[shards.end_shard()];
+}
+
 }  // namespace
 
 /// One accepted connection: the socket (close/abort serialized by mu —
@@ -43,8 +51,15 @@ struct ShardServer::Conn {
 
 Result<std::unique_ptr<ShardServer>> ShardServer::Start(
     const ShardServerOptions& options) {
+  // The manager opens, validates and maps only the served shard; a
+  // generation without it is refused (FailedPrecondition), at start-up
+  // and on every refresh.
+  const ShardRange range =
+      options.shard < 0
+          ? ShardRange::Whole()
+          : ShardRange::One(static_cast<std::size_t>(options.shard));
   auto manager_or = GenerationManager::Open(options.dir, options.max_sessions,
-                                            options.recover);
+                                            options.recover, range);
   INFLUMAX_RETURN_IF_ERROR(manager_or.status());
 
   std::unique_ptr<ShardServer> server(new ShardServer());
@@ -52,32 +67,13 @@ Result<std::unique_ptr<ShardServer>> ShardServer::Start(
   server->manager_ = std::move(manager_or).value();
 
   {
-    // Validate the shard choice against the opened generation and seed
-    // the ping state. No session needed: nothing publishes yet.
-    const std::uint64_t gen = server->manager_->current_generation();
+    // Seed the ping state, and derive the served shards' global-au pools
+    // now, at start-up, rather than in the first client's hello.
     GenerationManager::Session probe(*server->manager_);
-    const ShardManifest& manifest = probe.shards().manifest;
-    const int num_shards = static_cast<int>(manifest.num_shards());
-    if (options.shard >= num_shards) {
-      return Status::InvalidArgument(
-          "--shard=" + std::to_string(options.shard) + " but generation " +
-          std::to_string(gen) + " has " + std::to_string(num_shards) +
-          " shards");
-    }
-    server->pong_state_.generation = gen;
-    if (options.shard < 0) {
-      server->pong_state_.action_begin = 0;
-      server->pong_state_.action_end = manifest.num_actions;
-    } else {
-      server->pong_state_.action_begin = manifest.range_begin[options.shard];
-      server->pong_state_.action_end = manifest.range_begin[options.shard + 1];
-    }
-    // Derive the global-au pools of the shards this server serves now,
-    // at start-up, rather than in the first client's hello.
-    const int begin = options.shard < 0 ? 0 : options.shard;
-    const int end = options.shard < 0 ? num_shards : begin + 1;
-    for (int i = begin; i < end; ++i) {
-      probe.shards().shard_quotient(static_cast<std::size_t>(i));
+    const ShardedSnapshot& shards = probe.shards();
+    SetServedRange(shards, &server->pong_state_);
+    for (std::size_t i = shards.first_shard; i < shards.end_shard(); ++i) {
+      shards.shard_quotient(i);
     }
   }
 
@@ -142,15 +138,7 @@ Result<bool> ShardServer::Refresh(const Deadline& deadline) {
   INFLUMAX_RETURN_IF_ERROR(changed.status());
   if (*changed) {
     GenerationManager::Session probe(*manager_);
-    const ShardManifest& manifest = probe.shards().manifest;
-    pong_state_.generation = manifest.generation;
-    if (options_.shard < 0) {
-      pong_state_.action_begin = 0;
-      pong_state_.action_end = manifest.num_actions;
-    } else {
-      pong_state_.action_begin = manifest.range_begin[options_.shard];
-      pong_state_.action_end = manifest.range_begin[options_.shard + 1];
-    }
+    SetServedRange(probe.shards(), &pong_state_);
   }
   return changed;
 }
@@ -438,13 +426,12 @@ void ShardServer::HandleConn(Conn* conn) {
           break;
         }
 
+        // Everything below comes from the pinned generation's opened
+        // shards: the manager opened exactly the served ones.
         const ShardedSnapshot& shards = session->shards();
         const ShardManifest& manifest = shards.manifest;
-        shard_begin = options_.shard < 0
-                          ? 0
-                          : static_cast<std::size_t>(options_.shard);
-        shard_end = options_.shard < 0 ? manifest.num_shards()
-                                       : shard_begin + 1;
+        shard_begin = shards.first_shard;
+        shard_end = shards.end_shard();
         num_users = manifest.num_users;
         engines.clear();
         engines.reserve(shard_end - shard_begin);
@@ -452,7 +439,7 @@ void ShardServer::HandleConn(Conn* conn) {
           // The same construction ShardRouter performs: global A_u and
           // the global-au quotient pool, so every partial matches the
           // in-process router bit for bit.
-          engines.emplace_back(shards.views[i], manifest.au,
+          engines.emplace_back(shards.view(i), manifest.au,
                                shards.shard_quotient(i));
         }
         session_seeds = 0;
@@ -467,7 +454,7 @@ void ShardServer::HandleConn(Conn* conn) {
         resp.log_fingerprint = manifest.log_fingerprint;
         resp.truncation_threshold = manifest.truncation_threshold;
         resp.au = manifest.au;
-        const auto frozen = shards.views[shard_begin].seeds();
+        const auto frozen = shards.view(shard_begin).seeds();
         resp.frozen_seeds.assign(frozen.begin(), frozen.end());
         BufferWriter payload;
         EncodeHelloOk(resp, &payload);

@@ -23,7 +23,8 @@ struct ShardServerOptions {
   /// Shard index this process serves, or -1 for the whole generation.
   /// One process per shard is the scale-out deployment; -1 is the
   /// single-process fallback and what the bit-identity tests compare
-  /// against.
+  /// against. The server opens, validates and maps only the shard it
+  /// serves, so its memory and start-up scale with that shard.
   int shard = -1;
   std::size_t max_sessions = 64;  ///< concurrent pinned connections
   bool recover = false;           ///< RecoverGenerationDir on open
@@ -40,6 +41,12 @@ struct ShardServerOptions {
 /// reset vocabulary from a per-connection pinned Session — so a
 /// generation swap never moves data under a connected client, exactly
 /// the in-process Session contract stretched over a socket.
+///
+/// Start() opens a GenerationManager over the served shard only
+/// (ShardRange::One, or the whole generation for shard -1): the other
+/// shards' blobs are never read. Each per-shard check runs here on the
+/// opened blob; the cross-shard ones (frozen seeds, A_u) are the
+/// client's, which sees every server's hello.
 ///
 /// Per-connection state: a GenerationManager::Session (the pin) plus
 /// one SnapshotQueryEngine per served shard built against the pinned
@@ -99,7 +106,9 @@ class ShardServer {
 
   /// RefreshFromDisk under the server's publish lock — the rolling-
   /// restart path: an external splitter flips CURRENT, the server picks
-  /// it up, clients re-pin on their next reconnect.
+  /// it up, clients re-pin on their next reconnect. A generation without
+  /// the served shard is refused with FailedPrecondition (and not
+  /// quarantined); the published generation keeps serving.
   Result<bool> Refresh(const Deadline& deadline = Deadline::Infinite());
 
   /// The underlying manager, for tests and the serving tool (ingest,

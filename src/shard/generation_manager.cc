@@ -85,10 +85,10 @@ std::uint64_t MaxGenerationOnDisk(const std::string& dir) {
 
 }  // namespace
 
-GenerationManager::GenerationManager(std::string dir,
+GenerationManager::GenerationManager(std::string dir, ShardRange range,
                                      std::unique_ptr<Generation> initial,
                                      std::size_t max_sessions)
-    : dir_(std::move(dir)), slots_(max_sessions) {
+    : dir_(std::move(dir)), range_(range), slots_(max_sessions) {
   initial->publish_seq = publish_seq_;
   published_.store(initial.release());
   for (SessionSlot& slot : slots_) {
@@ -103,19 +103,20 @@ GenerationManager::~GenerationManager() {
 }
 
 Result<std::unique_ptr<GenerationManager>> GenerationManager::Open(
-    const std::string& dir, std::size_t max_sessions, bool recover) {
+    const std::string& dir, std::size_t max_sessions, bool recover,
+    ShardRange shards) {
   if (recover) {
     auto report = RecoverGenerationDir(dir);
     INFLUMAX_RETURN_IF_ERROR(report.status());
   }
   auto current = ReadCurrentManifestName(dir);
   INFLUMAX_RETURN_IF_ERROR(current.status());
-  auto shards = OpenShardedSnapshot(dir + "/" + *current);
-  INFLUMAX_RETURN_IF_ERROR(shards.status());
+  auto opened = OpenShardedSnapshot(dir + "/" + *current, shards);
+  INFLUMAX_RETURN_IF_ERROR(opened.status());
   auto generation = std::make_unique<Generation>();
-  generation->shards = std::move(shards).value();
-  return std::unique_ptr<GenerationManager>(
-      new GenerationManager(dir, std::move(generation), max_sessions));
+  generation->shards = std::move(opened).value();
+  return std::unique_ptr<GenerationManager>(new GenerationManager(
+      dir, shards, std::move(generation), max_sessions));
 }
 
 void GenerationManager::Publish(std::unique_ptr<Generation> next) {
@@ -165,6 +166,11 @@ Status GenerationManager::IngestLog(const ActionLog& log, const Graph& graph,
                                     const DirectCreditModel& credit_model,
                                     CdConfig config, std::size_t shard_threads,
                                     IngestStats* stats) {
+  if (!range_.whole()) {
+    return Status::FailedPrecondition(
+        "ingest: this manager opens part of the generation; writing one "
+        "needs every shard");
+  }
   std::uint64_t new_generation = 0;
   std::vector<std::string> written;
   bool current_flipped = false;
@@ -258,7 +264,7 @@ Status GenerationManager::IngestLogImpl(
             .subspan(range_begin[i], range));
     // Every shard blob records its restricted log's fingerprint
     // (SliceShardData and IncrementalRescan both stamp it).
-    if (restricted_fingerprint == cur->shards.views[i].log_fingerprint()) {
+    if (restricted_fingerprint == cur->shards.view(i).log_fingerprint()) {
       reused[i] = 1;
       shard_files[i] = m.shard_files[i];
       shard_stats[i].unchanged_actions = range;
@@ -272,7 +278,7 @@ Status GenerationManager::IngestLogImpl(
         const ActionLog restricted = log.RestrictToActions(actions);
         shard_files[i] = ShardFileName(generation, i);
         shard_status[i] = IncrementalRescan(
-            cur->shards.views[i], graph, restricted, credit_model, config,
+            cur->shards.view(i), graph, restricted, credit_model, config,
             dir_ + "/" + shard_files[i], &shard_stats[i]);
       });
   for (std::size_t i = 0; i < shards; ++i) {
@@ -367,7 +373,7 @@ Result<bool> GenerationManager::RefreshFromDisk(const Deadline& deadline) {
       unchanged = true;
       return Status::OK();
     }
-    auto opened = OpenShardedSnapshot(dir_ + "/" + manifest_name);
+    auto opened = OpenShardedSnapshot(dir_ + "/" + manifest_name, range_);
     INFLUMAX_RETURN_IF_ERROR(opened.status());
     shards = std::move(opened).value();
     return Status::OK();
@@ -401,11 +407,16 @@ Result<bool> GenerationManager::RefreshFromDisk(const Deadline& deadline) {
   return true;
 }
 
-void GenerationManager::StartWatch(
+Status GenerationManager::StartWatch(
     std::function<Result<std::optional<ActionLog>>()> reload,
     const Graph& graph, const DirectCreditModel& credit_model,
     CdConfig config, std::chrono::milliseconds poll_interval,
     std::size_t shard_threads) {
+  if (!range_.whole()) {
+    return Status::FailedPrecondition(
+        "watch: this manager opens part of the generation; ingesting "
+        "needs every shard");
+  }
   INFLUMAX_CHECK(!watch_thread_.joinable());
   {
     std::lock_guard<std::mutex> lock(watch_mu_);
@@ -418,6 +429,7 @@ void GenerationManager::StartWatch(
     WatchLoop(reload, graph, credit_model, config, poll_interval,
               shard_threads);
   });
+  return Status::OK();
 }
 
 void GenerationManager::WatchLoop(

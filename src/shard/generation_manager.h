@@ -59,7 +59,8 @@ struct IngestStats {
 /// thread at a time. The manager must outlive its sessions.
 class GenerationManager {
  public:
-  /// One published generation: the manifest, every shard's mmap'd view.
+  /// One published generation: the manifest and the mmap'd views of the
+  /// shards this manager opens.
   struct Generation {
     ShardedSnapshot shards;
     /// Strictly increasing per publish, never recycled — the token
@@ -73,14 +74,19 @@ class GenerationManager {
   };
 
   /// Opens the generation directory: reads CURRENT, opens and validates
-  /// the manifest it names plus every shard blob. With `recover`, runs
-  /// RecoverGenerationDir first (docs/durability.md): temp/orphan
-  /// cleanup, quarantine of invalid generations, and fallback to the
-  /// newest fully-valid one when CURRENT's target is damaged — the
-  /// restart-after-crash path.
+  /// the manifest it names plus the shard blobs of `shards` (default:
+  /// every blob). Every later generation RefreshFromDisk publishes is
+  /// opened with the same range. A manager opened for a fixed range is
+  /// *partial*: it serves its shards but cannot write a generation
+  /// (IngestLog, StartWatch) nor route a query (Session::router()). With
+  /// `recover`, runs RecoverGenerationDir first (docs/durability.md):
+  /// temp/orphan cleanup, quarantine of invalid generations, and
+  /// fallback to the newest fully-valid one when CURRENT's target is
+  /// damaged — the restart-after-crash path. Recovery validates whole
+  /// generations whatever the range.
   static Result<std::unique_ptr<GenerationManager>> Open(
       const std::string& dir, std::size_t max_sessions = 64,
-      bool recover = false);
+      bool recover = false, ShardRange shards = ShardRange::Whole());
 
   ~GenerationManager();
 
@@ -109,7 +115,9 @@ class GenerationManager {
   /// action count extend the last shard's range. Writes generation g+1's
   /// blobs and manifest, atomically repoints CURRENT, and publishes the
   /// new generation to sessions. A log whose fingerprint equals the
-  /// current generation's is a no-op (stats report generation g).
+  /// current generation's is a no-op (stats report generation g). A
+  /// partial manager refuses with FailedPrecondition: the rescan needs
+  /// every shard's view.
   Status IngestLog(const ActionLog& log, const Graph& graph,
                    const DirectCreditModel& credit_model, CdConfig config,
                    std::size_t shard_threads = 0,
@@ -123,9 +131,11 @@ class GenerationManager {
   /// errors are retried under retry_policy(); a generation that still
   /// fails as Corruption after retries is quarantined
   /// (docs/durability.md) and the error returned — the published
-  /// generation keeps serving either way. `deadline` bounds the retry
-  /// schedule (common/timer.h): backoffs that would overshoot it are
-  /// skipped, so a caller with its own budget (an RPC handler, a
+  /// generation keeps serving either way. A generation that lacks a
+  /// shard of a fixed range is FailedPrecondition: it is valid, so it is
+  /// refused without retries and never quarantined. `deadline` bounds
+  /// the retry schedule (common/timer.h): backoffs that would overshoot
+  /// it are skipped, so a caller with its own budget (an RPC handler, a
   /// watcher tick) gets the last status back in time to degrade.
   Result<bool> RefreshFromDisk(const Deadline& deadline = Deadline::Infinite());
 
@@ -155,8 +165,9 @@ class GenerationManager {
   /// failures), logged once per distinct reason, and retried next
   /// tick while the published generation keeps serving. One
   /// watcher at a time; StopWatch (or the destructor) joins it. The
-  /// references must stay valid until StopWatch.
-  void StartWatch(
+  /// references must stay valid until StopWatch. A partial manager
+  /// refuses with FailedPrecondition and starts nothing.
+  Status StartWatch(
       std::function<Result<std::optional<ActionLog>>()> reload,
       const Graph& graph, const DirectCreditModel& credit_model,
       CdConfig config, std::chrono::milliseconds poll_interval,
@@ -180,6 +191,10 @@ class GenerationManager {
   /// that needs only the pin — a shard server, which builds engines for
   /// its own shards — never pays for engines over every shard. One
   /// thread at a time per session.
+  ///
+  /// router() CHECK-fails on a partial manager's session (ShardRouter's
+  /// constructor refuses a ShardedSnapshot without every shard): a
+  /// router over a subset of the shards would sum partial gains.
   class Session {
    public:
     explicit Session(GenerationManager& manager, WorkerPool* pool = nullptr);
@@ -213,7 +228,8 @@ class GenerationManager {
 
   static constexpr std::uint64_t kFreeSlot = ~0ULL;
 
-  GenerationManager(std::string dir, std::unique_ptr<Generation> initial,
+  GenerationManager(std::string dir, ShardRange range,
+                    std::unique_ptr<Generation> initial,
                     std::size_t max_sessions);
 
   /// Swaps `next` in, retires the old generation, bumps the epoch,
@@ -237,6 +253,7 @@ class GenerationManager {
                  std::size_t shard_threads);
 
   std::string dir_;
+  ShardRange range_;
   RetryPolicy retry_policy_;
   std::atomic<Generation*> published_;
   std::atomic<std::uint64_t> global_epoch_{1};

@@ -7,6 +7,7 @@
 #include "common/binary_io.h"
 #include "common/failpoint.h"
 #include "common/flat_hash.h"
+#include "common/logging.h"
 #include "common/memory.h"
 #include "serve/snapshot_format.h"
 
@@ -206,7 +207,8 @@ Result<ShardManifest> ReadShardManifest(const std::string& path) {
   return manifest;
 }
 
-Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path) {
+Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path,
+                                            ShardRange range) {
   auto manifest = ReadShardManifest(manifest_path);
   INFLUMAX_RETURN_IF_ERROR(manifest.status());
 
@@ -214,8 +216,24 @@ Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path) {
   sharded.dir = DirOf(manifest_path);
   sharded.manifest = std::move(manifest).value();
   const ShardManifest& m = sharded.manifest;
-  sharded.views.reserve(m.num_shards());
-  for (std::size_t i = 0; i < m.num_shards(); ++i) {
+  const std::size_t end =
+      range.end == ShardRange::kLastShard ? m.num_shards() : range.end;
+  if (range.begin >= end) {
+    return Status::InvalidArgument("empty shard range [" +
+                                   std::to_string(range.begin) + ", " +
+                                   std::to_string(end) + ")");
+  }
+  if (end > m.num_shards()) {
+    return Status::FailedPrecondition(
+        "generation " + std::to_string(m.generation) + " has " +
+        std::to_string(m.num_shards()) + " shards, but shards [" +
+        std::to_string(range.begin) + ", " + std::to_string(end) +
+        ") were asked for");
+  }
+  sharded.first_shard = range.begin;
+  sharded.views.reserve(end - range.begin);
+  sharded.global_pools.reserve(end - range.begin);
+  for (std::size_t i = range.begin; i < end; ++i) {
     const std::string path = sharded.dir + "/" + m.shard_files[i];
     auto fingerprint = FingerprintShardFile(path);
     INFLUMAX_RETURN_IF_ERROR(fingerprint.status());
@@ -226,18 +244,18 @@ Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path) {
     }
     auto view = CreditSnapshotView::Open(path);
     INFLUMAX_RETURN_IF_ERROR(view.status());
-    const ActionId range = m.range_begin[i + 1] - m.range_begin[i];
+    const ActionId range_width = m.range_begin[i + 1] - m.range_begin[i];
     if (view->num_users() != m.num_users) {
       return Status::Corruption("shard " + std::to_string(i) + " has " +
                                 std::to_string(view->num_users()) +
                                 " users, manifest says " +
                                 std::to_string(m.num_users));
     }
-    if (view->num_actions() != range) {
+    if (view->num_actions() != range_width) {
       return Status::Corruption("shard " + std::to_string(i) + " holds " +
                                 std::to_string(view->num_actions()) +
                                 " actions, manifest range is " +
-                                std::to_string(range));
+                                std::to_string(range_width));
     }
     if (view->truncation_threshold() != m.truncation_threshold) {
       return Status::Corruption("shard " + std::to_string(i) +
@@ -247,52 +265,65 @@ Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path) {
       return Status::Corruption("shard " + std::to_string(i) +
                                 " was scanned against a different graph");
     }
-    if (i > 0) {
+    if (!sharded.views.empty()) {
       const auto first = sharded.views[0].seeds();
       const auto mine = view->seeds();
       if (first.size() != mine.size() ||
           !std::equal(first.begin(), first.end(), mine.begin())) {
         return Status::Corruption(
-            "shard " + std::to_string(i) +
-            " disagrees with shard 0 about the frozen seed set");
+            "shard " + std::to_string(i) + " disagrees with shard " +
+            std::to_string(range.begin) + " about the frozen seed set");
       }
+    }
+    // A blob's stored pool divides by its local au (the blob must
+    // self-validate), which equals the global divisors only when the
+    // shard spans every action; any other shard gets a global-au pool
+    // from shard_quotient(). A user's global A_u counts at least the
+    // actions the shard saw, so every global quotient is at most the
+    // blob's validated local one: the derived pool keeps the blob's
+    // headroom.
+    auto pool = std::make_unique<ShardedSnapshot::GlobalPool>();
+    const auto local_au = view->au();
+    if (!std::equal(local_au.begin(), local_au.end(), m.au.begin(),
+                    m.au.end())) {
+      for (NodeId u = 0; u < m.num_users; ++u) {
+        if (m.au[u] < local_au[u]) {
+          return Status::Corruption(
+              "shard " + std::to_string(i) + " credits user " +
+              std::to_string(u) +
+              " with more actions than the manifest's A_u");
+        }
+      }
+      pool->derive = true;
     }
     sharded.views.push_back(std::move(view).value());
-  }
-  // A blob's stored pool divides by its local au (the blob must
-  // self-validate), which equals the global divisors only when the shard
-  // spans every action; any other shard gets a global-au pool from
-  // shard_quotient(). A user's global A_u counts at least the actions
-  // the shard saw, so every global quotient is at most the blob's
-  // validated local one: the derived pool keeps the blob's headroom.
-  sharded.global_pools.resize(m.num_shards());
-  for (std::size_t i = 0; i < m.num_shards(); ++i) {
-    sharded.global_pools[i] = std::make_unique<ShardedSnapshot::GlobalPool>();
-    const auto local_au = sharded.views[i].au();
-    if (std::equal(local_au.begin(), local_au.end(), m.au.begin(),
-                   m.au.end())) {
-      continue;
-    }
-    for (NodeId u = 0; u < m.num_users; ++u) {
-      if (m.au[u] < local_au[u]) {
-        return Status::Corruption(
-            "shard " + std::to_string(i) + " credits user " +
-            std::to_string(u) + " with more actions than the manifest's A_u");
-      }
-    }
-    sharded.global_pools[i]->derive = true;
+    sharded.global_pools.push_back(std::move(pool));
   }
   return sharded;
 }
 
+const CreditSnapshotView& ShardedSnapshot::view(std::size_t i) const {
+  INFLUMAX_CHECK(i >= first_shard && i < end_shard())
+      << "shard " << i << " is not open (opened [" << first_shard << ", "
+      << end_shard() << "))";
+  return views[i - first_shard];
+}
+
+std::uint64_t ShardedSnapshot::mapped_bytes() const {
+  std::uint64_t bytes = 0;
+  for (const CreditSnapshotView& v : views) bytes += v.ApproxMemoryBytes();
+  return bytes;
+}
+
 std::span<const FixedGain> ShardedSnapshot::shard_quotient(
     std::size_t i) const {
-  GlobalPool& pool = *global_pools[i];
-  if (!pool.derive) return views[i].fwd_quotient();
+  const CreditSnapshotView& shard = view(i);
+  GlobalPool& pool = *global_pools[i - first_shard];
+  if (!pool.derive) return shard.fwd_quotient();
   std::call_once(pool.once, [&] {
-    const auto credit = views[i].fwd_credit();
-    const auto node = views[i].fwd_node();
-    pool.quotients.resize(views[i].num_entries());
+    const auto credit = shard.fwd_credit();
+    const auto node = shard.fwd_node();
+    pool.quotients.resize(shard.num_entries());
     for (std::uint64_t e = 0; e < pool.quotients.size(); ++e) {
       pool.quotients[e] = ToFixed(credit[e] / manifest.au[node[e]]);
     }

@@ -89,26 +89,59 @@ Result<ShardManifest> ReadShardManifest(const std::string& path);
 /// num_users, per-shard vectors sized to N.
 Status ValidateShardManifest(const ShardManifest& manifest);
 
+/// The shards one process opens: [begin, end) of a manifest's shards.
+/// The default is the whole generation, whatever its shard count, so a
+/// manager that refreshes onto a generation with more or fewer shards
+/// still opens every one of them; a fixed range names global shard
+/// numbers and fails to open a generation that lacks them.
+struct ShardRange {
+  static constexpr std::size_t kLastShard = ~std::size_t{0};
+
+  std::size_t begin = 0;
+  std::size_t end = kLastShard;  ///< kLastShard: through the last shard
+
+  static ShardRange Whole() { return {}; }
+  static ShardRange One(std::size_t shard) { return {shard, shard + 1}; }
+  bool whole() const { return begin == 0 && end == kLastShard; }
+};
+
 /// An opened sharded snapshot: the manifest plus one validated
-/// CreditSnapshotView per shard. Immutable after open; shared freely
-/// across threads (per-session state lives in ShardRouter).
+/// CreditSnapshotView per opened shard. Immutable after open; shared
+/// freely across threads (per-session state lives in ShardRouter).
 struct ShardedSnapshot {
   std::string dir;
   ShardManifest manifest;
-  std::vector<CreditSnapshotView> views;  // [N], manifest order
+  /// Global number of the first opened shard: views[j] is shard
+  /// first_shard + j. Only opened shards have a view — a process serving
+  /// one shard maps one blob.
+  std::size_t first_shard = 0;
+  std::vector<CreditSnapshotView> views;
 
-  /// Shard i's quotient pool under the manifest's *global* au — the
-  /// divisors Theorem 3 actually uses. A shard blob's stored
-  /// kFwdQuotient section divides by its local au, so it serves only
-  /// when the shard covers every action; otherwise a global-au pool is
-  /// derived on the first call for that shard, once per open, and shared
-  /// by every session's engines — a process serving one shard derives
-  /// one pool. Open checks global A_u >= local A_u, so the derived pools
-  /// inherit the blobs' headroom. Thread-safe.
+  std::size_t end_shard() const { return first_shard + views.size(); }
+  /// Every shard of the manifest is open: what an in-process router and
+  /// an ingest need (a subset would sum partial gains).
+  bool whole() const {
+    return first_shard == 0 && views.size() == manifest.num_shards();
+  }
+  /// Shard i's view by global shard number; CHECK-fails when shard i is
+  /// not open.
+  const CreditSnapshotView& view(std::size_t i) const;
+  /// Bytes mapped by the opened views.
+  std::uint64_t mapped_bytes() const;
+
+  /// Shard i's quotient pool (global shard number, opened shards only)
+  /// under the manifest's *global* au — the divisors Theorem 3 actually
+  /// uses. A shard blob's stored kFwdQuotient section divides by its
+  /// local au, so it serves only when the shard covers every action;
+  /// otherwise a global-au pool is derived on the first call for that
+  /// shard, once per open, and shared by every session's engines — a
+  /// process serving one shard derives one pool. Open checks global
+  /// A_u >= local A_u, so the derived pools inherit the blobs' headroom.
+  /// Thread-safe.
   std::span<const FixedGain> shard_quotient(std::size_t i) const;
 
-  /// Per shard [N]: whether its pool must be derived, and the derived
-  /// pool once shard_quotient() has filled it.
+  /// Per opened shard, parallel to views: whether its pool must be
+  /// derived, and the derived pool once shard_quotient() has filled it.
   struct GlobalPool {
     bool derive = false;
     std::once_flag once;
@@ -117,11 +150,20 @@ struct ShardedSnapshot {
   std::vector<std::unique_ptr<GlobalPool>> global_pools;
 };
 
-/// Opens `manifest_path` and every shard blob it names (relative to the
-/// manifest's directory), cross-checking each blob against the manifest:
-/// file fingerprint, user universe, action count == range width, lambda,
-/// graph fingerprint, and frozen-seed agreement across shards.
-Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path);
+/// Opens `manifest_path` and the shard blobs of `range` it names
+/// (relative to the manifest's directory). Only those blobs are
+/// fingerprinted, mapped and validated; the others are never touched.
+/// Each opened blob is checked against the manifest: file fingerprint,
+/// the full CreditSnapshotView::Open validation, user universe, action
+/// count == range width, lambda, graph fingerprint, and global A_u >=
+/// local A_u. Opened shards must agree on the frozen seed set; shards
+/// in different processes cannot see each other, so across a fleet the
+/// client compares the seeds and A_u of every server's hello
+/// (RemoteShardRouter). A range the generation does not have — a
+/// server for shard 3 and a 2-shard generation — is FailedPrecondition,
+/// not Corruption: the generation is valid, just not servable here.
+Result<ShardedSnapshot> OpenShardedSnapshot(
+    const std::string& manifest_path, ShardRange range = ShardRange::Whole());
 
 /// CURRENT pointer of a generation directory: a one-line file naming the
 /// live manifest. WriteCurrent replaces it atomically (temp + rename) so

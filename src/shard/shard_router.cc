@@ -54,7 +54,12 @@ ShardRouter::ShardRouter(const ShardedSnapshot& shards, WorkerPool* pool)
   // Register the metric names up front so scrapes see them from the
   // first query, not only once the sampled probe first fires.
   (void)GetRouterMetrics();
-  INFLUMAX_CHECK(!shards.views.empty());
+  // A router over a subset of the shards would sum partial gains: only a
+  // whole generation routes (a shard server builds its own engines).
+  INFLUMAX_CHECK(!shards.views.empty() && shards.whole())
+      << "ShardRouter needs every shard; opened [" << shards.first_shard
+      << ", " << shards.end_shard() << ") of "
+      << shards.manifest.num_shards();
   engines_.reserve(shards.views.size());
   for (std::size_t i = 0; i < shards.views.size(); ++i) {
     // Each engine divides by the global A_u, so it also needs the

@@ -40,7 +40,8 @@ namespace influmax {
 /// running concurrently.
 class ShardRouter final : private ShardBackend {
  public:
-  /// `shards` (and `pool`, when given) must outlive the router.
+  /// `shards` (and `pool`, when given) must outlive the router, and must
+  /// hold every shard of its manifest (CHECK-enforced).
   explicit ShardRouter(const ShardedSnapshot& shards,
                        WorkerPool* pool = nullptr);
 

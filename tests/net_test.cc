@@ -870,6 +870,61 @@ Status ErrorOf(const Frame& frame) {
   return StatusFromError(*error);
 }
 
+TEST(ShardServerTest, RefreshToAGenerationWithoutTheServedShardIsRefused) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("net_refresh_missing_shard");
+  WriteGenerationDir(model, dir, 4, /*generation=*/1);
+
+  ShardServerOptions options;
+  options.dir = dir;
+  options.shard = 3;
+  auto server = ShardServer::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  const int port = (*server)->port();
+
+  // CURRENT flips to a valid 2-shard generation: it has no shard 3.
+  WriteGenerationDir(model, dir, 2, /*generation=*/2);
+  auto refreshed = (*server)->Refresh();
+  ASSERT_FALSE(refreshed.ok());
+  EXPECT_EQ(refreshed.status().code(), StatusCode::kFailedPrecondition)
+      << refreshed.status().ToString();
+  EXPECT_EQ((*server)->current_generation(), 1u);
+  // Refused, not quarantined: the generation is valid, only not
+  // servable by this process.
+  EXPECT_TRUE(std::filesystem::exists(dir + "/" + ManifestFileName(2)));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/" + ShardFileName(2, 1)));
+
+  // Ping and hello still answer from generation 1 with shard 3's range.
+  auto manifest = ReadShardManifest(dir + "/" + ManifestFileName(1));
+  ASSERT_TRUE(manifest.ok());
+  auto probe = TcpConn::Connect("127.0.0.1", port, Deadline::AfterMs(2000));
+  ASSERT_TRUE(probe.ok());
+  const Frame pong_frame = RawExchange(*probe, 0, MsgType::kPing, {});
+  ASSERT_EQ(pong_frame.header.type, static_cast<std::uint8_t>(MsgType::kPong))
+      << ErrorOf(pong_frame).ToString();
+  BufferReader pong_reader(pong_frame.payload);
+  auto pong = DecodePong(&pong_reader);
+  ASSERT_TRUE(pong.ok());
+  EXPECT_EQ(pong->generation, 1u);
+  EXPECT_EQ(pong->action_begin, manifest->range_begin[3]);
+  EXPECT_EQ(pong->action_end, manifest->range_begin[4]);
+
+  auto [conn, generation] = RawSession(port);
+  EXPECT_EQ(generation, 1u);
+  BufferWriter payload;
+  EncodeGainPartials(GainPartialsRequest{{0, 1}}, &payload);
+  const Frame reply = RawExchange(conn, generation, MsgType::kGainPartials,
+                                  payload.TakeBuffer());
+  EXPECT_EQ(reply.header.type,
+            static_cast<std::uint8_t>(MsgType::kGainPartialsOk))
+      << ErrorOf(reply).ToString();
+
+  (*server)->Stop();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ShardServerTest, RetiredFoldTypesGetInvalidArgument) {
   auto data = MakeDataset(0.05);
   EqualDirectCredit credit;
@@ -986,15 +1041,20 @@ TEST(ShardServerTest, OverCapGainPartialsRefusedBeforeFolding) {
 
 /// A replica that lies: it relays frames between one client and a real
 /// shard server, one connection at a time, and passes every
-/// kGainPartialsOk reply through `forge` while forging is on. A forge
+/// kGainPartialsOk reply through `forge` and every kHelloOk reply
+/// through `forge_hello` (when given) while forging is on. A forge
 /// returning false replaces the reply with an InvalidArgument error
 /// frame instead.
 class ForgingProxy {
  public:
   using Forge = std::function<bool(GainPartialsResponse*)>;
+  using HelloForge = std::function<void(HelloResponse*)>;
 
-  ForgingProxy(int upstream_port, Forge forge)
-      : upstream_port_(upstream_port), forge_(std::move(forge)) {
+  ForgingProxy(int upstream_port, Forge forge,
+               HelloForge forge_hello = nullptr)
+      : upstream_port_(upstream_port),
+        forge_(std::move(forge)),
+        forge_hello_(std::move(forge_hello)) {
     auto listener = TcpListener::Bind(0);
     INFLUMAX_CHECK(listener.ok());
     listener_ = std::move(*listener);
@@ -1057,12 +1117,25 @@ class ForgingProxy {
         reply->payload = forged.TakeBuffer();
         ++forged_;
       }
+      if (forging_ && forge_hello_ &&
+          reply->header.type ==
+              static_cast<std::uint8_t>(MsgType::kHelloOk)) {
+        BufferReader reader(reply->payload);
+        auto hello = DecodeHelloOk(&reader);
+        INFLUMAX_CHECK(hello.ok());
+        forge_hello_(&*hello);
+        BufferWriter forged;
+        EncodeHelloOk(*hello, &forged);
+        reply->payload = forged.TakeBuffer();
+        ++forged_;
+      }
       if (!SendFrame(client, std::move(*reply), deadline()).ok()) return;
     }
   }
 
   const int upstream_port_;
   const Forge forge_;
+  const HelloForge forge_hello_;
   TcpListener listener_;
   std::thread thread_;
   std::mutex mu_;
@@ -1153,6 +1226,54 @@ TEST(RemoteRouterTest, ForgedGainPartialsRepliesAreRejected) {
       EXPECT_GT(CounterValue("net.failovers"), failovers);
     }
   }
+}
+
+TEST(RemoteRouterTest, SlotsThatDisagreeOnSeedsOrAuAreRefused) {
+  // Each server opens only its own shard, so no server can compare the
+  // frozen seeds or the global A_u across shards: the client compares
+  // every slot's hello with slot 0's.
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("net_hello_agreement");
+  WriteGenerationDir(model, dir, 2);
+  ServerFleet fleet = StartFleet(dir, 2);
+
+  struct Case {
+    const char* name;
+    ForgingProxy::HelloForge forge;
+    const char* what;
+  };
+  const Case cases[] = {
+      {"frozen seeds",
+       [](HelloResponse* h) { h->frozen_seeds.push_back(0); },
+       "frozen seed set"},
+      {"global au", [](HelloResponse* h) { h->au[0] += 1; }, "A_u"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ForgingProxy proxy(
+        fleet.servers[1]->port(),
+        [](GainPartialsResponse*) { return true; }, c.forge);
+    RemoteRouterOptions options;
+    options.replica_sets = {fleet.replica_sets[0],
+                            {{"127.0.0.1", proxy.port()}}};
+    options.retry.max_attempts = 1;
+    auto remote = RemoteShardRouter::Connect(options);
+    ASSERT_FALSE(remote.ok());
+    EXPECT_EQ(remote.status().code(), StatusCode::kFailedPrecondition)
+        << remote.status().ToString();
+    EXPECT_NE(remote.status().message().find(c.what), std::string::npos)
+        << remote.status().ToString();
+    EXPECT_GE(proxy.forged(), 1u);
+
+    // The same slot passes once its hello is honest.
+    proxy.set_forging(false);
+    auto honest = RemoteShardRouter::Connect(options);
+    ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  }
+  fleet.servers.clear();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RemoteRouterTest, DeterministicSlotErrorKeepsEveryStreamInSync) {

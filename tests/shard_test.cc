@@ -418,6 +418,115 @@ TEST(ShardManifestTest, RejectsTruncatedAndMangledManifests) {
   std::filesystem::remove_all(dir);
 }
 
+// ------------------------------------------------------ partial opens
+
+TEST(PartialOpenTest, AManagerForOneShardMapsExactlyThatShard) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("partial_footprint");
+  const ShardedSnapshot whole = SplitAndOpen(model, dir, 4);
+  const ShardManifest& m = whole.manifest;
+  ASSERT_EQ(m.num_shards(), 4u);
+
+  std::uint64_t total_bytes = 0;
+  for (std::size_t i = 0; i < m.num_shards(); ++i) {
+    SCOPED_TRACE("shard " + std::to_string(i));
+    const std::uint64_t file_bytes =
+        std::filesystem::file_size(dir + "/" + m.shard_files[i]);
+    total_bytes += file_bytes;
+    auto manager = GenerationManager::Open(dir, 4, /*recover=*/false,
+                                           ShardRange::One(i));
+    ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+    GenerationManager::Session session(**manager);
+    const ShardedSnapshot& opened = session.shards();
+    EXPECT_EQ(opened.views.size(), 1u);
+    EXPECT_EQ(opened.first_shard, i);
+    EXPECT_FALSE(opened.whole());
+    EXPECT_EQ(opened.mapped_bytes(), file_bytes);
+    EXPECT_EQ(opened.view(i).num_actions(),
+              m.range_begin[i + 1] - m.range_begin[i]);
+    // The served shard's global-au pool is the whole open's, bit for bit.
+    const auto pool = opened.shard_quotient(i);
+    const auto reference = whole.shard_quotient(i);
+    EXPECT_TRUE(std::equal(pool.begin(), pool.end(), reference.begin(),
+                           reference.end()));
+  }
+  auto all = GenerationManager::Open(dir);
+  ASSERT_TRUE(all.ok());
+  GenerationManager::Session session(**all);
+  EXPECT_EQ(session.shards().views.size(), 4u);
+  EXPECT_TRUE(session.shards().whole());
+  EXPECT_EQ(session.shards().mapped_bytes(), total_bytes);
+
+  // A range the generation does not have is refused as a precondition,
+  // not as damage.
+  auto missing = GenerationManager::Open(dir, 4, /*recover=*/false,
+                                         ShardRange::One(4));
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kFailedPrecondition)
+      << missing.status().ToString();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PartialOpenTest, EachShardIsValidatedByTheProcessThatOpensIt) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("partial_corrupt");
+  SplitAndOpen(model, dir, 4);
+  const std::string manifest_path = dir + "/" + ManifestFileName(1);
+
+  // Break shard 2's payload past the prelude: its A_u section count
+  // (the u64 at byte 64). The file fingerprint (size + prelude) still
+  // matches, so only the full view validation can catch it.
+  const std::string shard_path = dir + "/" + ShardFileName(1, 2);
+  std::string bytes = ReadFileBytes(shard_path);
+  const std::uint64_t bogus_count = ~0ULL;
+  bytes.replace(64, 8, reinterpret_cast<const char*>(&bogus_count), 8);
+  std::ofstream(shard_path, std::ios::binary | std::ios::trunc) << bytes;
+
+  EXPECT_TRUE(OpenShardedSnapshot(manifest_path, ShardRange::One(0)).ok());
+  auto served = OpenShardedSnapshot(manifest_path, ShardRange::One(2));
+  ASSERT_FALSE(served.ok());
+  EXPECT_EQ(served.status().code(), StatusCode::kCorruption)
+      << served.status().ToString();
+  auto whole = OpenShardedSnapshot(manifest_path);
+  ASSERT_FALSE(whole.ok());
+  EXPECT_EQ(whole.status().code(), StatusCode::kCorruption)
+      << whole.status().ToString();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PartialOpenTest, APartialManagerServesButCannotWriteOrRoute) {
+  auto data = MakeDataset(0.05);
+  EqualDirectCredit credit;
+  const auto model = BuildModel(data.graph, data.log, credit, 0.001);
+  const std::string dir = MakeTempDir("partial_writer");
+  SplitAndOpen(model, dir, 2);
+  auto manager = GenerationManager::Open(dir, 4, /*recover=*/false,
+                                         ShardRange::One(1));
+  ASSERT_TRUE(manager.ok()) << manager.status().ToString();
+
+  CdConfig config;
+  config.truncation_threshold = 0.001;
+  const Status ingest =
+      (*manager)->IngestLog(data.log, data.graph, credit, config);
+  EXPECT_EQ(ingest.code(), StatusCode::kFailedPrecondition)
+      << ingest.ToString();
+  const Status watch = (*manager)->StartWatch(
+      [] { return Result<std::optional<ActionLog>>(std::nullopt); },
+      data.graph, credit, config, std::chrono::milliseconds(10));
+  EXPECT_EQ(watch.code(), StatusCode::kFailedPrecondition)
+      << watch.ToString();
+  EXPECT_EQ((*manager)->current_generation(), 1u);
+
+  // A router over one shard of two would sum half of every gain.
+  GenerationManager::Session session(**manager);
+  EXPECT_DEATH(session.router(), "needs every shard");
+  std::filesystem::remove_all(dir);
+}
+
 // -------------------------------------------------- generation swaps
 
 TEST(GenerationManagerTest, IngestMatchesFullRebuildAndKeepsSessions) {

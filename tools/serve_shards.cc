@@ -402,10 +402,7 @@ int RunServe(GenerationManager& manager, WorkerPool* pool,
         continue;
       }
       const ShardManifest& m = session.shards().manifest;
-      std::uint64_t mapped = 0;
-      for (const CreditSnapshotView& view : session.shards().views) {
-        mapped += view.ApproxMemoryBytes();
-      }
+      const std::uint64_t mapped = session.shards().mapped_bytes();
       // Lifecycle counters come from the metrics registry — the same
       // values `metrics` and the Prometheus dump expose — so stats stays
       // one scrape, not a parallel set of ad-hoc counters. Under
@@ -1405,7 +1402,7 @@ int Main(int argc, char** argv) {
     // not a full log parse + fingerprint (see StartWatch's contract).
     auto last_size = std::make_shared<std::uintmax_t>(0);
     auto last_mtime = std::make_shared<std::filesystem::file_time_type>();
-    (*manager)->StartWatch(
+    const Status watching = (*manager)->StartWatch(
         [log_path, last_size,
          last_mtime]() -> Result<std::optional<ActionLog>> {
           std::error_code ec;
@@ -1425,6 +1422,7 @@ int Main(int argc, char** argv) {
         },
         watch_graph, *watch_credit->model, config,
         std::chrono::milliseconds(poll_ms));
+    if (!watching.ok()) return Fail(watching);
     std::fprintf(stderr, "watching %s every %d ms\n", log_path.c_str(),
                  poll_ms);
   }

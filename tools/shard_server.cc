@@ -8,11 +8,13 @@
 //
 // --port=0 picks an ephemeral port; the chosen ports are printed as the
 // first stdout line (`listening port=... metrics_port=... generation=...
-// actions=[b,e)`) so scripts and tests can scrape them. --shard=-1
+// shard=...`) so scripts and tests can scrape them. --shard=-1
 // (default) serves every shard of the generation — the single-process
 // fallback; a scale-out deployment runs one process per shard and a
 // RemoteShardRouter (serve_shards --connect) fans each query out to
-// them and adds their fixed-point partial gains.
+// them and adds their fixed-point partial gains. --shard=N opens, maps
+// and validates shard N's blob only, and refuses (at start-up or on
+// refresh) a generation that has no shard N.
 //
 // The daemon then reads commands from stdin (EOF stops the server —
 // killing the parent pipe is a clean shutdown):
