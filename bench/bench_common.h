@@ -113,12 +113,11 @@ struct CdRun {
 
 inline CdRun RunCdPipeline(const Graph& graph, const ActionLog& train,
                            const InfluenceTimeParams& params, double lambda,
-                           NodeId k, ScanArenaPool* arena_pool = nullptr) {
+                           NodeId k) {
   CdRun run;
   TimeDecayDirectCredit credit(params);
   CdConfig config;
   config.truncation_threshold = lambda;
-  config.arena_pool = arena_pool;
   WallTimer scan_timer;
   auto model = CreditDistributionModel::Build(graph, train, credit, config);
   INFLUMAX_CHECK(model.ok()) << model.status();

@@ -89,10 +89,6 @@ void BM_ScanActionLog(benchmark::State& state) {
   const MicroFixture& fx = Fixture(static_cast<NodeId>(state.range(0)));
   TimeDecayDirectCredit credit(fx.params);
   CdConfig config;
-  // Back-to-back Build() calls are exactly the multi-dataset batching
-  // shape: the pool hands each scan the previous one's arenas.
-  ScanArenaPool arena_pool;
-  config.arena_pool = &arena_pool;
   for (auto _ : state) {
     auto model = CreditDistributionModel::Build(fx.data.graph, fx.data.log,
                                                 credit, config);
@@ -451,45 +447,6 @@ void BM_InitialGainPass(benchmark::State& state) {
   state.counters["gain_evals"] = static_cast<double>(evals);
 }
 BENCHMARK(BM_InitialGainPass)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-// Intra-action scan sharding (ScanDagRangeSharded): one huge action —
-// every node of the fixture graph activating in id order — scanned with
-// the range argument's worker count. Equal credit (gamma = 1/d_in, no
-// time decay) keeps the transitive credits alive for several hops, so
-// the DAG is deep *and* the merge is entry-heavy: the wavefront phase B
-// (not the gamma precompute) is what the thread scaling measures.
-// Thread count 1 falls through to the serial ScanDagRange, so the /1
-// row is the baseline the sharded rows are compared against; all rows
-// produce bit-identical tables.
-void BM_HugeActionScan(benchmark::State& state) {
-  const MicroFixture& fx = Fixture(kGainBenchNodes);
-  EqualDirectCredit credit;
-  static auto* traces = new std::map<NodeId, std::vector<ActionTuple>>();
-  std::vector<ActionTuple>& trace = (*traces)[kGainBenchNodes];
-  if (trace.empty()) {
-    for (NodeId u = 0; u < fx.data.graph.num_nodes(); ++u) {
-      trace.push_back({u, 0, static_cast<Timestamp>(u)});
-    }
-  }
-  const PropagationDag dag = BuildPropagationDag(fx.data.graph, trace);
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  std::vector<ScanArena> arenas(threads == 0 ? 1 : threads);
-  std::uint64_t entries = 0;
-  for (auto _ : state) {
-    ActionCreditTable table;
-    ScanDagRangeSharded(dag, credit, /*lambda=*/0.001, /*begin_pos=*/0,
-                        threads, &table, arenas);
-    entries = table.num_entries();
-    benchmark::DoNotOptimize(entries);
-  }
-  std::vector<std::uint32_t> levels;
-  state.counters["levels"] = static_cast<double>(dag.ComputeLevels(&levels));
-  state.counters["threads"] = static_cast<double>(threads);
-  state.counters["entries"] = static_cast<double>(entries);
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(dag.size()));
-}
-BENCHMARK(BM_HugeActionScan)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_CdEvaluatorSpread(benchmark::State& state) {
   const MicroFixture& fx = Fixture(static_cast<NodeId>(state.range(0)));

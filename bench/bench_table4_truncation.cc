@@ -47,18 +47,13 @@ int Main(int argc, char** argv) {
       double spread;
     };
     std::vector<Row> rows;
-    // One Build() per lambda over the same dataset: the arena pool hands
-    // each scan the previous scan's grown per-worker buffers
-    // (multi-dataset batching, docs/parallelism.md).
-    ScanArenaPool arena_pool;
     for (double lambda : lambdas) {
       std::fprintf(stderr, "[table4] %s: lambda = %g...\n",
                    preset.name.c_str(), lambda);
       Row row;
       row.lambda = lambda;
       row.run = bench::RunCdPipeline(data->graph, data->log, *params, lambda,
-                                     static_cast<NodeId>(opts.k),
-                                     &arena_pool);
+                                     static_cast<NodeId>(opts.k));
       row.spread = evaluator->Spread(row.run.selection.seeds);
       rows.push_back(std::move(row));
     }

@@ -14,23 +14,6 @@ std::vector<NodeId> PropagationDag::InitiatorUsers() const {
   return out;
 }
 
-std::uint32_t PropagationDag::ComputeLevels(
-    std::vector<std::uint32_t>* levels) const {
-  levels->clear();
-  levels->reserve(users_.size());
-  std::uint32_t num_levels = 0;
-  // Positions are a topological order, so one forward pass suffices.
-  for (NodeId pos = 0; pos < size(); ++pos) {
-    std::uint32_t level = 0;
-    for (const NodeId parent : Parents(pos)) {
-      level = std::max(level, (*levels)[parent] + 1);
-    }
-    levels->push_back(level);
-    num_levels = std::max(num_levels, level + 1);
-  }
-  return num_levels;
-}
-
 NodeId PropagationDag::PositionOf(NodeId user) const {
   for (NodeId pos = 0; pos < size(); ++pos) {
     if (users_[pos] == user) return pos;

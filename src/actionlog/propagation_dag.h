@@ -64,17 +64,6 @@ class PropagationDag {
   /// Total number of parent edges |E(a)|.
   std::size_t num_edges() const { return parents_.size(); }
 
-  /// Longest-path depth of every position: 0 for initiators, else
-  /// 1 + max over parents. Positions of equal level never depend on each
-  /// other (every parent is at a strictly smaller level), which makes the
-  /// level index a wavefront schedule: the rows of one level can be built
-  /// concurrently once all earlier levels are finalized
-  /// (ScanDagRangeSharded's phase B, docs/parallelism.md). Appends into
-  /// `*levels` after clearing it and returns the number of distinct
-  /// levels (max level + 1; 0 for an empty DAG). O(|E(a)|), computed
-  /// once per scan.
-  std::uint32_t ComputeLevels(std::vector<std::uint32_t>* levels) const;
-
  private:
   friend PropagationDag BuildPropagationDag(const Graph& g,
                                             std::span<const ActionTuple>

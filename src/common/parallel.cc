@@ -1,7 +1,6 @@
 #include "common/parallel.h"
 
 #include <algorithm>
-#include <barrier>
 
 #include "obs/metrics.h"
 
@@ -84,54 +83,6 @@ void ParallelForDynamic(
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= total) return;
       body(t, i);
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(workers - 1);
-  for (std::size_t t = 1; t < workers; ++t) {
-    threads.emplace_back([&drain, t] { drain(t); });
-  }
-  // The calling thread is worker 0: N workers cost N - 1 spawns.
-  drain(0);
-  for (auto& th : threads) th.join();
-}
-
-void ParallelForLevels(
-    std::span<const std::size_t> level_begin, std::size_t num_threads,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (level_begin.size() < 2) return;
-  const std::size_t total = level_begin.back();
-  if (total == 0) return;
-  const std::size_t workers =
-      std::min(EffectiveThreadCount(num_threads), total);
-  if (workers == 1) {
-    for (std::size_t i = 0; i < total; ++i) body(0, i);
-    return;
-  }
-  const std::size_t num_levels = level_begin.size() - 1;
-  std::atomic<std::size_t> cursor{level_begin[0]};
-  std::atomic<std::size_t> level{0};
-  // The completion step runs on exactly one thread while every worker is
-  // parked at the barrier, so plain resets of the shared cursor are safe
-  // (a worker may have bumped it past the level end; the reset clobbers
-  // the overshoot). arrive_and_wait publishes the completed level's
-  // writes to every worker it releases.
-  const auto on_completion = [&]() noexcept {
-    const std::size_t next = level.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (next < num_levels) {
-      cursor.store(level_begin[next], std::memory_order_relaxed);
-    }
-  };
-  std::barrier barrier(static_cast<std::ptrdiff_t>(workers), on_completion);
-  const auto drain = [&](std::size_t t) {
-    for (std::size_t l = 0; l < num_levels; ++l) {
-      const std::size_t end = level_begin[l + 1];
-      for (;;) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= end) break;
-        body(t, i);
-      }
-      barrier.arrive_and_wait();
     }
   };
   std::vector<std::thread> threads;

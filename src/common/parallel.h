@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -42,23 +41,6 @@ void ParallelForChunked(
 /// resolved worker the indices run inline in ascending order.
 void ParallelForDynamic(
     std::size_t total, std::size_t num_threads,
-    const std::function<void(std::size_t thread_index, std::size_t index)>&
-        body);
-
-/// Level-synchronous (wavefront) variant: `level_begin` partitions the
-/// index space [0, level_begin.back()) into the contiguous levels
-/// [level_begin[L], level_begin[L + 1]); every index of level L completes
-/// before any index of level L + 1 starts. Within a level, indices are
-/// claimed dynamically (shared counter); across levels, one std::barrier
-/// separates the waves, so workers are spawned once for the whole loop,
-/// not once per level — the property that makes thousands of shallow
-/// levels affordable. The barrier gives each level's writes a
-/// happens-before edge into every later level's reads. Same inline
-/// guarantee and caller participation as the loops above; with one
-/// resolved worker the indices run inline in ascending order (which
-/// visits the levels in order, since `level_begin` is ascending).
-void ParallelForLevels(
-    std::span<const std::size_t> level_begin, std::size_t num_threads,
     const std::function<void(std::size_t thread_index, std::size_t index)>&
         body);
 

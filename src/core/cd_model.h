@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -27,10 +26,11 @@ struct CdConfig {
   /// exact scan (tests do this).
   double truncation_threshold = 0.001;
 
-  /// Worker threads for the scan (0 = all hardware threads). Actions
-  /// are scanned and frozen independently, so the scan parallelizes
-  /// across actions with byte-identical frozen images for any thread
-  /// count.
+  /// Worker threads for the scan (0 = all hardware threads), in Build()
+  /// and IncrementalRescan. Actions are scanned and frozen independently,
+  /// one action per worker at a time, so frozen images are
+  /// byte-identical for any thread count; a single huge action is
+  /// scanned by one worker (docs/parallelism.md).
   std::size_t scan_threads = 0;
 
   /// Worker threads for the CELF greedy (0 = all hardware threads): the
@@ -38,20 +38,6 @@ struct CdConfig {
   /// the engine's const gains (docs/parallelism.md). Seeds, gains, and
   /// evaluation counts are bit-identical for any value.
   std::size_t select_threads = 0;
-
-  /// Actions whose trace reaches this many tuples are scanned with the
-  /// intra-action sharded path (ScanDagRangeSharded) instead of pinning
-  /// one scan worker. 0 disables intra-action sharding; with
-  /// scan_threads == 1 the serial path is taken silently regardless
-  /// (there is no pool to shard across).
-  NodeId scan_shard_min_positions = 4096;
-
-  /// Optional cross-Build arena pool (multi-dataset batching): when set,
-  /// Build() draws its per-worker scan arenas from the pool and returns
-  /// them after the scan, so back-to-back Build() calls over datasets
-  /// sharing a graph reuse the arena allocations. Borrowed for the
-  /// duration of one Build() at a time; never owned.
-  ScanArenaPool* arena_pool = nullptr;
 
   /// Thread-count knobs above this are rejected by Validate(): a
   /// negative int cast through std::size_t lands far beyond it, and no
@@ -174,29 +160,6 @@ void ScanDagRange(const PropagationDag& dag,
                   const DirectCreditModel& credit_model, double lambda,
                   NodeId begin_pos, ActionCreditTable* table,
                   std::vector<CreditEntry>* creditor_scratch);
-
-/// Intra-action sharded variant of ScanDagRange for one huge action:
-/// phase A splits [begin_pos, dag.size()) into DAG-node ranges and
-/// precomputes every surviving direct credit (parent position, gamma)
-/// into per-shard arenas in parallel (Gamma is a pure function of the
-/// tuple, the hot cost under Eq. 9's exponentials); phase B merges on a
-/// level-synchronous (wavefront) schedule: rows within one DAG level
-/// depend only on finalized rows of strictly earlier levels, so each
-/// worker builds its positions' creditor rows into per-row sub-tables
-/// (RowArena-backed), and a deterministic stitch then inserts them into
-/// the flat table in position order — replicating the serial scan's
-/// AddCredit first-touch sequence exactly, so entry values *and*
-/// adjacency order are bit-identical for any thread count (and snapshots
-/// stay byte-identical). DAGs too narrow to pay for level barriers
-/// (average level width < 2) fall back to the serial position-ordered
-/// merge over the precomputed gammas. `arenas` is per-worker scratch
-/// (one per worker; fewer arenas clamp the worker count); see
-/// docs/parallelism.md.
-void ScanDagRangeSharded(const PropagationDag& dag,
-                         const DirectCreditModel& credit_model, double lambda,
-                         NodeId begin_pos, std::size_t num_threads,
-                         ActionCreditTable* table,
-                         std::span<ScanArena> arenas);
 
 }  // namespace influmax
 

@@ -2,9 +2,7 @@
 #define INFLUMAX_CORE_CREDIT_STORE_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/flat_hash.h"
@@ -140,124 +138,6 @@ class ActionCreditTable {
   std::vector<double> credits_;                       // entry -> credit
   AdjIndex forward_;
   AdjIndex backward_;
-};
-
-/// Append-only arena of CreditEntry rows with *stable addresses*: memory
-/// comes in geometrically growing chunks that never move or shrink while
-/// rows are open, so a finished row stays readable from other threads
-/// while this arena keeps growing — the property the wavefront scan's
-/// cross-level reads depend on (a worker at level L reads rows that
-/// workers finished at levels < L while appending its own).
-///
-/// Exactly one row is open at a time. The open row is contiguous: when it
-/// outgrows the current chunk it is copied to the front of a larger fresh
-/// chunk (the stale partial copy is abandoned; geometric chunk growth
-/// bounds the total waste by one chunk). Finished rows never move.
-class RowArena {
- public:
-  /// Starts a new row at the current cursor.
-  void OpenRow() {
-    if (chunks_.empty()) AddChunk(kMinChunkEntries);
-    row_begin_ = cursor_;
-  }
-
-  /// Appends one entry to the open row.
-  void Push(CreditEntry entry) {
-    if (cursor_ == chunk_end_) Spill();
-    *cursor_++ = entry;
-  }
-
-  /// The open row's entry at `index` (for in-place accumulation).
-  CreditEntry& At(std::uint32_t index) { return row_begin_[index]; }
-
-  /// Entries appended to the open row so far.
-  std::uint32_t RowSize() const {
-    return static_cast<std::uint32_t>(cursor_ - row_begin_);
-  }
-
-  /// Closes the open row and returns its stable span.
-  std::span<const CreditEntry> FinishRow() {
-    std::span<const CreditEntry> row(row_begin_, cursor_);
-    row_begin_ = cursor_;
-    return row;
-  }
-
-  /// Drops every row but keeps the single largest chunk, so steady-state
-  /// reuse (across actions, or across Build() calls via ScanArenaPool)
-  /// stops allocating once the high-water chunk is big enough.
-  void Reset();
-
- private:
-  static constexpr std::size_t kMinChunkEntries = 1024;
-
-  void AddChunk(std::size_t entries);
-  void Spill();  // moves the open row to the front of a larger chunk
-
-  std::vector<std::pair<std::unique_ptr<CreditEntry[]>, std::size_t>>
-      chunks_;  // (storage, capacity)
-  CreditEntry* row_begin_ = nullptr;
-  CreditEntry* cursor_ = nullptr;
-  CreditEntry* chunk_end_ = nullptr;
-};
-
-/// Reusable per-thread scratch for the Algorithm 2 scan: each worker
-/// snapshots creditor lists into its own arena, and the wavefront merge
-/// builds its per-row sub-tables here — so no path holds a span into a
-/// table it is mutating, and none allocates in steady state.
-struct ScanArena {
-  std::vector<CreditEntry> creditors;
-
-  // Wavefront merge (ScanDagRangeSharded phase B): this worker's per-row
-  // sub-tables, and the creditor-id -> row-slot index of the row under
-  // construction. The index value packs (row epoch << 32 | slot): a
-  // stale epoch reads as "absent", so switching rows is one counter
-  // bump instead of an O(capacity) Clear() — the map is only cleared
-  // (and the epoch reset) once per sharded scan.
-  RowArena rows;
-  FlatHashMap<NodeId, std::uint64_t> row_index;
-  std::uint32_t row_epoch = 0;
-};
-
-/// A contiguous slice of one worker's arena: which worker produced it,
-/// where it starts, and how long it is. The build records one per action
-/// as it freezes the action into its worker's entry pools, so the
-/// gather can lay the slices out in action order.
-struct ArenaSlice {
-  std::uint32_t worker = 0;
-  std::uint64_t offset = 0;
-  std::uint32_t count = 0;
-};
-
-/// Pool of scan arenas that survives across Build() calls so
-/// back-to-back scans (multi-dataset batching: bench_table4's
-/// one-Build-per-lambda loop, dataset presets sharing a graph) reuse the
-/// arena allocations instead of re-growing them from zero each time. Not
-/// thread-safe: one Build() borrows the pool at a time.
-class ScanArenaPool {
- public:
-  /// Moves `n` arenas out of the pool (default-constructing any the pool
-  /// does not hold yet). Buffer capacities survive the moves; arenas the
-  /// pool holds beyond `n` stay pooled for a wider later Build().
-  std::vector<ScanArena> Acquire(std::size_t n) {
-    std::vector<ScanArena> out;
-    out.reserve(n);
-    while (out.size() < n && !arenas_.empty()) {
-      out.push_back(std::move(arenas_.back()));
-      arenas_.pop_back();
-    }
-    out.resize(n);
-    return out;
-  }
-
-  /// Returns arenas to the pool for the next Build().
-  void Release(std::vector<ScanArena> arenas) {
-    for (ScanArena& arena : arenas) arenas_.push_back(std::move(arena));
-  }
-
-  std::size_t size() const { return arenas_.size(); }
-
- private:
-  std::vector<ScanArena> arenas_;
 };
 
 }  // namespace influmax

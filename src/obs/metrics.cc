@@ -11,8 +11,6 @@
 namespace influmax {
 namespace obs_internal {
 
-thread_local ShardCache tls_shard_cache;
-
 namespace {
 
 /// Global liveness table mapping never-recycled registry ids to registry

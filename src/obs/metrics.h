@@ -122,7 +122,11 @@ struct ShardCache {
   std::uint64_t registry_id = 0;  // 0 = empty
   MetricShard* shard = nullptr;
 };
-extern thread_local ShardCache tls_shard_cache;
+// Defined here, inline and constinit, so every access is a plain TLS
+// access: an extern thread_local defined in another translation unit is
+// reached through gcc's TLS wrapper function, on which UBSan reported a
+// member access within a null pointer.
+inline constinit thread_local ShardCache tls_shard_cache;
 
 }  // namespace obs_internal
 

@@ -45,6 +45,16 @@ CreditDistributionModel::~CreditDistributionModel() = default;
 
 namespace {
 
+/// A contiguous slice of one worker's entry pools: which worker produced
+/// it, where it starts, and how long it is. The build records one per
+/// action as it freezes the action, so the gather can lay the slices out
+/// in action order.
+struct ArenaSlice {
+  std::uint32_t worker = 0;
+  std::uint64_t offset = 0;
+  std::uint32_t count = 0;
+};
+
 /// Lays the workers' entry pools out in action order: each action's
 /// slice is copied whole, and its slots' begins and its backward
 /// records' entry indices are moved by the distance the slice moved.
@@ -116,13 +126,16 @@ Result<CreditDistributionModel> CreditDistributionModel::Build(
   std::vector<ArenaSlice> slices(num_actions);
   std::vector<Status> freeze_status(workers);
   {
-    std::vector<ScanArena> arenas =
-        config.arena_pool != nullptr ? config.arena_pool->Acquire(workers)
-                                     : std::vector<ScanArena>(workers);
+    std::vector<std::vector<CreditEntry>> creditors(workers);
     std::vector<FreezeScratch> freeze(workers);
-    const auto freeze_one = [&](std::size_t t, ActionId a,
-                                const ActionCreditTable& table) {
+    ParallelForDynamic(num_actions, workers, [&](std::size_t t,
+                                                 std::size_t action) {
+      const auto a = static_cast<ActionId>(action);
       const auto trace = log.ActionTrace(a);
+      const PropagationDag dag = BuildPropagationDag(graph, trace);
+      ActionCreditTable table;
+      ScanDagRange(dag, credit_model, lambda, /*begin_pos=*/0, &table,
+                   &creditors[t]);
       data.action_size[a] = static_cast<std::uint32_t>(trace.size());
       data.action_trace_hash[a] = HashActionTrace(trace);
       SnapshotData* entries = workers > 1 ? &pools[t] : &data;
@@ -134,53 +147,7 @@ Result<CreditDistributionModel> CreditDistributionModel::Build(
       slices[a] = {static_cast<std::uint32_t>(t), offset,
                    static_cast<std::uint32_t>(entries->fwd_node.size() -
                                               offset)};
-    };
-    const auto scan_one = [&](std::size_t t, ActionId a) {
-      const PropagationDag dag = BuildPropagationDag(graph, log.ActionTrace(a));
-      ActionCreditTable table;
-      ScanDagRange(dag, credit_model, lambda, /*begin_pos=*/0, &table,
-                   &arenas[t].creditors);
-      freeze_one(t, a, table);
-    };
-    const NodeId shard_floor = config.scan_shard_min_positions;
-    if (workers > 1 && shard_floor > 0) {
-      // Straggler actions go first, each sharded internally across all
-      // workers, so one giant trace no longer pins a single worker while
-      // the rest of the pool idles. A straggler is an action that clears
-      // the floor AND exceeds a fair per-worker share of the whole log —
-      // a log of several uniformly large actions parallelizes better
-      // action-per-worker than one at a time through the sharded path.
-      // Actions stay independent, so the routing cannot change any
-      // result.
-      const std::uint64_t fair_share = log.num_tuples() / workers;
-      std::vector<ActionId> small_actions;
-      small_actions.reserve(num_actions);
-      for (ActionId a = 0; a < num_actions; ++a) {
-        if (log.ActionSize(a) < shard_floor ||
-            log.ActionSize(a) <= fair_share) {
-          small_actions.push_back(a);
-          continue;
-        }
-        const PropagationDag dag =
-            BuildPropagationDag(graph, log.ActionTrace(a));
-        ActionCreditTable table;
-        ScanDagRangeSharded(dag, credit_model, lambda, /*begin_pos=*/0,
-                            config.scan_threads, &table, arenas);
-        freeze_one(0, a, table);
-      }
-      ParallelForDynamic(small_actions.size(), workers,
-                         [&](std::size_t thread, std::size_t i) {
-                           scan_one(thread, small_actions[i]);
-                         });
-    } else {
-      ParallelForDynamic(num_actions, workers,
-                         [&](std::size_t thread, std::size_t action) {
-                           scan_one(thread, static_cast<ActionId>(action));
-                         });
-    }
-    if (config.arena_pool != nullptr) {
-      config.arena_pool->Release(std::move(arenas));
-    }
+    });
   }
   for (Status& status : freeze_status) {
     if (!status.ok()) return status;

@@ -418,8 +418,8 @@ Status IncrementalRescan(const CreditSnapshotView& view, const Graph& graph,
 
   // Rebuild only the changed tables: reconstruct the frozen credits in
   // their original first-touch order, then resume Algorithm 2 at the
-  // first appended position. Actions are independent, so this
-  // parallelizes like Build().
+  // first appended position. Actions are independent, so they fan out
+  // one action per worker, as in Build().
   std::vector<ActionCreditTable> tables(changed.size());
   ParallelForDynamic(
       changed.size(), config.scan_threads,

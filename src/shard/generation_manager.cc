@@ -139,9 +139,11 @@ void GenerationManager::Publish(std::unique_ptr<Generation> next) {
 }
 
 void GenerationManager::ReclaimRetired() {
-  // Identical reclamation condition to ConcurrentFlatHashMap: a retired
-  // generation is unmapped only when every registered session has pinned
-  // an epoch past its retirement (or released its slot). A session that
+  // A retired generation is unmapped only when every registered session
+  // has pinned an epoch past its retirement (or released its slot): a
+  // session pins before it loads the pointer, and Publish swaps before
+  // it stamps, so a session still holding the old pointer pinned an
+  // epoch no later than the stamp. A session that
   // never refreshes keeps its generation mapped — that is the contract,
   // not a leak.
   std::uint64_t min_pinned = kFreeSlot;
@@ -548,8 +550,8 @@ GenerationManager::Session::Session(GenerationManager& manager,
   for (SessionSlot& slot : manager.slots_) {
     std::uint64_t expected = kFreeSlot;
     // Claim with a sub-epoch pin so a concurrent publish can never
-    // reclaim the generation loaded just below (same pin-before-load
-    // order as ConcurrentFlatHashMap::Guard).
+    // reclaim the generation loaded just below: the pin must precede
+    // the load (see ReclaimRetired).
     if (slot.epoch.compare_exchange_strong(expected,
                                            manager.global_epoch_.load())) {
       slot_ = &slot.epoch;

@@ -178,8 +178,6 @@ TEST(CdDifferentialTest, LiveModelMatchesHashTableReferenceBitForBit) {
           config.truncation_threshold = lambda;
           config.scan_threads = scan_threads;
           config.select_threads = select_threads;
-          // Route the largest actions through the sharded scan too.
-          config.scan_shard_min_positions = 64;
 
           auto model =
               CreditDistributionModel::Build(ds.data.graph, log, credit, config);

@@ -81,37 +81,6 @@ TEST(CdConfigTest, ValidateRejectsNonsenseKnobs) {
   EXPECT_TRUE(sane.Validate().ok());
 }
 
-TEST(CdConfigTest, ShardFloorWithOneScanThreadTakesSerialPathSilently) {
-  // scan_shard_min_positions > 0 with scan_threads == 1 is not an error:
-  // there is no worker pool to shard across, so Build routes every
-  // action through the serial scan and the result is identical to a
-  // shard-disabled config.
-  auto ex = MakePaperExample();
-  EqualDirectCredit credit;
-
-  CdConfig sharded_but_serial = ExactScan();
-  sharded_but_serial.scan_threads = 1;
-  sharded_but_serial.scan_shard_min_positions = 1;  // everything qualifies
-  auto a = CreditDistributionModel::Build(ex.graph, ex.log, credit,
-                                          sharded_but_serial);
-  ASSERT_TRUE(a.ok());
-
-  CdConfig shard_disabled = ExactScan();
-  shard_disabled.scan_threads = 1;
-  shard_disabled.scan_shard_min_positions = 0;
-  auto b = CreditDistributionModel::Build(ex.graph, ex.log, credit,
-                                          shard_disabled);
-  ASSERT_TRUE(b.ok());
-
-  ASSERT_EQ(a->credit_entries(), b->credit_entries());
-  const SnapshotData fa = a->ToSnapshotData();
-  const SnapshotData fb = b->ToSnapshotData();
-  EXPECT_EQ(fa.fwd_node, fb.fwd_node);
-  EXPECT_EQ(fa.fwd_credit, fb.fwd_credit);
-  EXPECT_EQ(fa.bwd_node, fb.bwd_node);
-  EXPECT_EQ(fa.bwd_entry, fb.bwd_entry);
-}
-
 TEST(CdScanTest, RejectsMismatchedLog) {
   auto ex = MakePaperExample();
   ActionLogBuilder lb(3);

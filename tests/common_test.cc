@@ -289,57 +289,6 @@ TEST(ParallelTest, SingleItemRunsInlineEvenWithManyThreads) {
   });
 }
 
-TEST(ParallelTest, LevelsCoverAllIndicesOnceAndRespectBarriers) {
-  // 5 levels of uneven width over 100 indices; a level's indices must
-  // all run strictly after every index of earlier levels.
-  const std::vector<std::size_t> level_begin = {0, 1, 40, 41, 90, 100};
-  std::vector<std::atomic<int>> hits(100);
-  std::atomic<std::size_t> completed{0};
-  std::vector<std::atomic<std::size_t>> done_below(level_begin.size());
-  for (auto& d : done_below) d.store(0);
-  const auto level_of = [&](std::size_t i) {
-    std::size_t l = 0;
-    while (level_begin[l + 1] <= i) ++l;
-    return l;
-  };
-  std::atomic<bool> order_violated{false};
-  ParallelForLevels(level_begin, 4, [&](std::size_t, std::size_t i) {
-    const std::size_t l = level_of(i);
-    // Every index of every earlier level must already have completed.
-    for (std::size_t earlier = 0; earlier < l; ++earlier) {
-      const std::size_t width =
-          level_begin[earlier + 1] - level_begin[earlier];
-      if (done_below[earlier].load() != width) order_violated = true;
-    }
-    hits[i].fetch_add(1);
-    done_below[l].fetch_add(1);
-    completed.fetch_add(1);
-  });
-  EXPECT_EQ(completed.load(), 100u);
-  EXPECT_FALSE(order_violated.load());
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelTest, LevelsSingleWorkerRunsInlineInOrder) {
-  const std::vector<std::size_t> level_begin = {0, 2, 5};
-  std::vector<int> order;
-  ParallelForLevels(level_begin, 1, [&](std::size_t t, std::size_t i) {
-    EXPECT_EQ(t, 0u);
-    order.push_back(static_cast<int>(i));
-  });
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelTest, LevelsEmptyAndDegenerateAreNoops) {
-  bool called = false;
-  ParallelForLevels({}, 4,
-                    [&](std::size_t, std::size_t) { called = true; });
-  const std::vector<std::size_t> empty_levels = {0, 0, 0};
-  ParallelForLevels(empty_levels, 4,
-                    [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
 TEST(ParallelTest, CallerParticipatesAsWorkerZero) {
   // With N workers only N - 1 threads spawn; worker 0 is the caller.
   const auto caller = std::this_thread::get_id();

@@ -8,7 +8,6 @@
 #include <thread>
 #include <vector>
 
-#include "actionlog/propagation_dag.h"
 #include "common/logging.h"
 #include "core/cd_model.h"
 #include "core/direct_credit.h"
@@ -180,13 +179,13 @@ TEST(ParallelCelfTest, TopKSeedsAfterSessionChurnStillIdentical) {
   std::remove(path.c_str());
 }
 
-// The intra-action sharded scan must leave the store bit-identical to
-// the serial scan: snapshot freezing preserves entry values *and*
-// adjacency order, so byte-identical snapshot files are the strongest
-// equality there is. The dataset gets one huge action (every node, id
-// order) dominating a handful of small ones, so it clears both the
-// shard floor and Build's fair-share straggler rule and the sharded
-// path actually engages.
+// A log dominated by one huge action must freeze to the same bytes at
+// every scan thread count: snapshot freezing preserves entry values
+// *and* adjacency order, so byte-identical snapshot files are the
+// strongest equality there is. The huge action (every node, id order)
+// holds more than half the log's tuples, so one worker scans it while
+// the others take the handful of small actions, and the gather must
+// still lay every slice out in action order.
 TEST(ParallelCelfTest, ShardedScanSnapshotBytesIdentical) {
   const NodeId nodes = 400;
   auto graph_result = GeneratePreferentialAttachment({nodes, 4, 0.6}, 94);
@@ -206,9 +205,7 @@ TEST(ParallelCelfTest, ShardedScanSnapshotBytesIdentical) {
   }
   auto log = builder.Build();
   ASSERT_TRUE(log.ok());
-  // The huge action must exceed the fair per-worker share for every
-  // multi-thread count below, or Build routes it action-per-worker and
-  // the sharded path sits idle.
+  // The huge action must outweigh all the small ones together.
   ASSERT_GT(static_cast<std::uint64_t>(nodes), log->num_tuples() / 2);
 
   EqualDirectCredit credit;
@@ -217,7 +214,6 @@ TEST(ParallelCelfTest, ShardedScanSnapshotBytesIdentical) {
     CdConfig config;
     config.truncation_threshold = 0.001;
     config.scan_threads = threads;
-    config.scan_shard_min_positions = 64;  // well under the huge action
     auto model =
         CreditDistributionModel::Build(data->graph, *log, credit, config);
     ASSERT_TRUE(model.ok());
@@ -233,38 +229,6 @@ TEST(ParallelCelfTest, ShardedScanSnapshotBytesIdentical) {
     }
     EXPECT_EQ(bytes, baseline_bytes)
         << threads << " scan threads diverged from the serial scan";
-  }
-}
-
-// ScanDagRangeSharded against ScanDagRange directly, resuming mid-DAG
-// (the incremental-rescan seam) and with sharding forced on.
-TEST(ParallelCelfTest, ShardedScanMatchesSerialFromAnyBeginPos) {
-  const SyntheticDataset data = MakeDataset(250, 40, 96);
-  EqualDirectCredit credit;
-  // The largest action in the log, scanned standalone.
-  ActionId biggest = 0;
-  for (ActionId a = 0; a < data.log.num_actions(); ++a) {
-    if (data.log.ActionSize(a) > data.log.ActionSize(biggest)) biggest = a;
-  }
-  const PropagationDag dag =
-      BuildPropagationDag(data.graph, data.log.ActionTrace(biggest));
-  ASSERT_GT(dag.size(), 8u);
-  for (const NodeId begin_pos : {NodeId{0}, dag.size() / 2}) {
-    ActionCreditTable serial;
-    std::vector<CreditEntry> scratch;
-    ScanDagRange(dag, credit, /*lambda=*/0.0, begin_pos, &serial, &scratch);
-    ActionCreditTable sharded;
-    std::vector<ScanArena> arenas(7);
-    ScanDagRangeSharded(dag, credit, /*lambda=*/0.0, begin_pos,
-                        /*num_threads=*/7, &sharded, arenas);
-    ASSERT_EQ(sharded.num_entries(), serial.num_entries())
-        << "begin_pos " << begin_pos;
-    for (NodeId v = 0; v < data.graph.num_nodes(); ++v) {
-      for (const auto& [u, entry] : serial.CreditedUsers(v)) {
-        EXPECT_EQ(sharded.Credit(v, u), serial.Credit(v, u))
-            << "pair (" << v << ", " << u << ") begin_pos " << begin_pos;
-      }
-    }
   }
 }
 
@@ -308,168 +272,6 @@ TEST(ParallelCelfTest, CommitSeedParallelSnapshotBytesIdentical) {
     }
     EXPECT_EQ(bytes, baseline_bytes)
         << threads << " commit threads diverged from the serial commit";
-  }
-}
-
-// Sharded-scan boundary case: an action whose length is *exactly*
-// scan_shard_min_positions (and exactly the fair per-worker share edge)
-// must still produce byte-identical snapshots whichever routing it gets.
-TEST(ParallelCelfTest, ShardedScanExactlyAtFloorBytesIdentical) {
-  const NodeId nodes = 256;
-  auto graph_result = GeneratePreferentialAttachment({nodes, 4, 0.6}, 100);
-  ASSERT_TRUE(graph_result.ok());
-  const Graph graph = std::move(graph_result).value();
-  ActionLogBuilder builder(nodes);
-  // One action covering every node (length == nodes == the floor below),
-  // plus a few small ones so the fair-share rule has a log to weigh.
-  for (NodeId u = 0; u < nodes; ++u) {
-    builder.Add(u, 0, static_cast<Timestamp>(u));
-  }
-  for (NodeId u = 0; u < 16; ++u) {
-    builder.Add(u, 1, static_cast<Timestamp>(u));
-    builder.Add(u, 2, static_cast<Timestamp>(u + 1));
-  }
-  auto log = builder.Build();
-  ASSERT_TRUE(log.ok());
-
-  EqualDirectCredit credit;
-  std::string baseline_bytes;
-  for (const std::size_t threads : kThreadCounts) {
-    CdConfig config;
-    config.truncation_threshold = 0.001;
-    config.scan_threads = threads;
-    config.scan_shard_min_positions = nodes;  // exactly the action length
-    auto model =
-        CreditDistributionModel::Build(graph, *log, credit, config);
-    ASSERT_TRUE(model.ok());
-    const std::string path =
-        TempPath("floor_scan_" + std::to_string(threads) + ".snap");
-    ASSERT_TRUE(model->WriteSnapshot(path).ok());
-    const std::string bytes = ReadFileBytes(path);
-    std::remove(path.c_str());
-    if (threads == 1) {
-      baseline_bytes = bytes;
-      continue;
-    }
-    EXPECT_EQ(bytes, baseline_bytes) << threads << " scan threads";
-  }
-}
-
-// Sharded-scan boundary case: a truncation threshold high enough that
-// whole stretches of the DAG (every multi-parent position) keep zero
-// gammas — the wavefront must handle all-empty rows and still match the
-// serial scan exactly.
-TEST(ParallelCelfTest, ShardedScanTruncationFilteredShardsMatchSerial) {
-  const SyntheticDataset data = MakeDataset(250, 40, 101);
-  EqualDirectCredit credit;
-  ActionId biggest = 0;
-  for (ActionId a = 0; a < data.log.num_actions(); ++a) {
-    if (data.log.ActionSize(a) > data.log.ActionSize(biggest)) biggest = a;
-  }
-  const PropagationDag dag =
-      BuildPropagationDag(data.graph, data.log.ActionTrace(biggest));
-  ASSERT_GT(dag.size(), 8u);
-  // Equal credit hands out 1/d_in: lambda = 0.6 keeps only d_in == 1
-  // positions, lambda = 1.1 keeps none at all.
-  for (const double lambda : {0.6, 1.1}) {
-    ActionCreditTable serial;
-    std::vector<CreditEntry> scratch;
-    ScanDagRange(dag, credit, lambda, /*begin_pos=*/0, &serial, &scratch);
-    ActionCreditTable sharded;
-    std::vector<ScanArena> arenas(7);
-    ScanDagRangeSharded(dag, credit, lambda, /*begin_pos=*/0,
-                        /*num_threads=*/7, &sharded, arenas);
-    ASSERT_EQ(sharded.num_entries(), serial.num_entries())
-        << "lambda " << lambda;
-    for (NodeId v = 0; v < data.graph.num_nodes(); ++v) {
-      for (const auto& [u, entry] : serial.CreditedUsers(v)) {
-        EXPECT_EQ(sharded.Credit(v, u), serial.Credit(v, u))
-            << "pair (" << v << ", " << u << ") lambda " << lambda;
-      }
-    }
-  }
-}
-
-// Sharded-scan degenerate shapes: a single-level DAG (simultaneous
-// activations — no parents at all) and a pure chain (every level has
-// width 1, where the wavefront falls back to the serial merge). Both
-// must match the serial scan entry for entry.
-TEST(ParallelCelfTest, ShardedScanDegenerateDagsMatchSerial) {
-  const NodeId nodes = 64;
-  GraphBuilder graph_builder(nodes);
-  for (NodeId u = 0; u + 1 < nodes; ++u) {
-    graph_builder.AddReciprocalEdge(u, u + 1);
-  }
-  auto graph = graph_builder.Build();
-  ASSERT_TRUE(graph.ok());
-  EqualDirectCredit credit;
-
-  // Single level: every user acts at t = 0, so nobody parents anybody
-  // and the wavefront is one (empty-rows) wave.
-  std::vector<ActionTuple> simultaneous;
-  for (NodeId u = 0; u < nodes; ++u) simultaneous.push_back({u, 0, 0.0});
-  // Chain: id-order activations over the path graph — level i holds
-  // exactly position i, the narrow-DAG fallback.
-  std::vector<ActionTuple> chain;
-  for (NodeId u = 0; u < nodes; ++u) {
-    chain.push_back({u, 0, static_cast<Timestamp>(u)});
-  }
-  for (const auto* trace : {&simultaneous, &chain}) {
-    const PropagationDag dag = BuildPropagationDag(*graph, *trace);
-    std::vector<std::uint32_t> levels;
-    const std::uint32_t num_levels = dag.ComputeLevels(&levels);
-    ActionCreditTable serial;
-    std::vector<CreditEntry> scratch;
-    ScanDagRange(dag, credit, /*lambda=*/0.0, /*begin_pos=*/0, &serial,
-                 &scratch);
-    ActionCreditTable sharded;
-    std::vector<ScanArena> arenas(4);
-    ScanDagRangeSharded(dag, credit, /*lambda=*/0.0, /*begin_pos=*/0,
-                        /*num_threads=*/4, &sharded, arenas);
-    ASSERT_EQ(sharded.num_entries(), serial.num_entries())
-        << num_levels << " levels";
-    for (NodeId v = 0; v < nodes; ++v) {
-      for (const auto& [u, entry] : serial.CreditedUsers(v)) {
-        EXPECT_EQ(sharded.Credit(v, u), serial.Credit(v, u))
-            << "pair (" << v << ", " << u << "), " << num_levels
-            << " levels";
-      }
-    }
-  }
-}
-
-// Builds drawing their arenas from a shared ScanArenaPool must stay
-// byte-identical to pool-less builds — reuse is a pure allocation
-// optimization (ROADMAP "multi-dataset batching").
-TEST(ParallelCelfTest, ArenaPoolReuseKeepsSnapshotsIdentical) {
-  const SyntheticDataset data = MakeDataset(200, 100, 102);
-  EqualDirectCredit credit;
-  CdConfig config;
-  config.truncation_threshold = 0.001;
-  config.scan_threads = 3;
-  config.scan_shard_min_positions = 32;  // exercise the sharded path too
-
-  auto reference =
-      CreditDistributionModel::Build(data.graph, data.log, credit, config);
-  ASSERT_TRUE(reference.ok());
-  const std::string ref_path = TempPath("pool_reference.snap");
-  ASSERT_TRUE(reference->WriteSnapshot(ref_path).ok());
-  const std::string expected = ReadFileBytes(ref_path);
-  std::remove(ref_path.c_str());
-
-  ScanArenaPool pool;
-  config.arena_pool = &pool;
-  for (int round = 0; round < 3; ++round) {
-    auto model =
-        CreditDistributionModel::Build(data.graph, data.log, credit, config);
-    ASSERT_TRUE(model.ok());
-    const std::string path =
-        TempPath("pool_round_" + std::to_string(round) + ".snap");
-    ASSERT_TRUE(model->WriteSnapshot(path).ok());
-    const std::string bytes = ReadFileBytes(path);
-    std::remove(path.c_str());
-    EXPECT_EQ(bytes, expected) << "pool round " << round;
-    EXPECT_EQ(pool.size(), 3u) << "arenas returned after round " << round;
   }
 }
 
