@@ -131,8 +131,6 @@ class ActionLogBuilder {
     raw_.push_back({user, action, time});
   }
 
-  std::size_t pending_tuples() const { return raw_.size(); }
-
   /// Validates, densifies actions, dedupes, sorts, and builds indexes.
   /// The builder is left empty and reusable.
   Result<ActionLog> Build();

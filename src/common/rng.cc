@@ -11,15 +11,6 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(1.0 - NextDouble());
 }
 
-double Rng::NextGaussian() {
-  // Box-Muller; we discard the second value to keep the generator
-  // stateless between calls (reproducibility over speed here).
-  double u1 = 1.0 - NextDouble();  // (0, 1]
-  double u2 = NextDouble();
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * 3.14159265358979323846 * u2);
-}
-
 std::uint64_t Rng::NextZipf(double alpha, std::uint64_t max_value) {
   assert(alpha > 1.0);
   assert(max_value >= 1);

@@ -85,9 +85,6 @@ class Rng {
     return lo + (hi - lo) * NextDouble();
   }
 
-  /// Standard normal draw (Box-Muller, one value per call).
-  double NextGaussian();
-
   /// Draws from a discrete power-law on {1, 2, ...} with exponent `alpha`
   /// (> 1), truncated at `max_value`, via inverse-transform sampling of the
   /// continuous Pareto and rounding down.

@@ -3,11 +3,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "actionlog/action_log.h"
 #include "common/status.h"
+#include "core/celf.h"
 #include "core/credit_store.h"
 #include "core/direct_credit.h"
 #include "graph/graph.h"
@@ -33,11 +35,11 @@ struct CdConfig {
   /// scanned by one worker (docs/parallelism.md).
   std::size_t scan_threads = 0;
 
-  /// Worker threads for the CELF greedy (0 = all hardware threads): the
-  /// initial marginal-gain pass and batched stale re-evaluations fan out
-  /// the engine's const gains (docs/parallelism.md). Seeds, gains, and
-  /// evaluation counts are bit-identical for any value.
-  std::size_t select_threads = 0;
+  /// Worker threads for the CELF greedy (0 = all hardware threads): above
+  /// 1, SelectSeeds fans its gain batches out over one WorkerPool, which
+  /// measured no faster than one thread (docs/parallelism.md). Seeds,
+  /// gains, and evaluation counts are bit-identical for any value.
+  std::size_t select_threads = 1;
 
   /// Thread-count knobs above this are rejected by Validate(): a
   /// negative int cast through std::size_t lands far beyond it, and no
@@ -57,23 +59,23 @@ struct CdConfig {
 /// freezes each action into the snapshot layout right after scanning it
 /// (serve/snapshot_writer.h: forward rows in first-touch order, backward
 /// rows by creditor id); the per-action hash table is scan scratch only.
-/// SelectSeeds() then runs greedy + CELF (Algorithm 3) with Theorem 3's
-/// gains (Algorithm 4) and the Lemma 2/3 updates (Algorithm 5) through
-/// a SnapshotQueryEngine over an in-memory view of that image — the
-/// engine that serves snapshots, so the model and the served snapshot
-/// agree by construction. Commits are the engine's session, so
-/// SelectSeeds can be called once per Build; greedy selection is
-/// incremental, so one call with the largest k of interest yields seeds
-/// for every smaller k as prefixes.
+/// That image is served as a whole 1-shard generation by a ShardRouter:
+/// SelectSeeds(), MarginalGain() and CommitSeed() are one session of the
+/// query front that serves snapshots (Algorithm 3's CELF greedy over
+/// Theorem 3's gains and Algorithm 5's updates), kept out of the serving
+/// metrics, so the model and the served snapshot agree by construction.
+/// SelectSeeds starts from an empty session, so it runs once per Build,
+/// before any CommitSeed; greedy selection is incremental, so one call
+/// with the largest k of interest yields seeds for every smaller k.
 ///
-/// The model's definitions live in the serve library (influmax_serve),
-/// beside the engine and the snapshot writer they use; link it.
+/// The model's definitions live in the shard library (influmax_shard),
+/// beside the router and the snapshot writer they use; link it.
 class CreditDistributionModel {
  public:
-  /// Scans `log` over `graph` under `credit_model`. All three referents
-  /// must outlive the returned object. InvalidArgument for a log that
-  /// does not match the graph, a bad config, or credits the fixed-point
-  /// gain cannot hold (docs/gain_kernel.md).
+  /// Scans `log` over `graph` under `credit_model`; `log` must outlive
+  /// the returned object. InvalidArgument for a log that does not match
+  /// the graph, a bad config, or credits the fixed-point gain cannot
+  /// hold (docs/gain_kernel.md).
   static Result<CreditDistributionModel> Build(
       const Graph& graph, const ActionLog& log,
       const DirectCreditModel& credit_model, const CdConfig& config);
@@ -82,41 +84,34 @@ class CreditDistributionModel {
   CreditDistributionModel& operator=(CreditDistributionModel&&) noexcept;
   ~CreditDistributionModel();
 
-  /// Result of the greedy + CELF selection.
-  struct SeedSelection {
-    std::vector<NodeId> seeds;            // in pick order
-    std::vector<double> marginal_gains;   // gain of each pick
-    std::vector<double> cumulative_spread;  // sigma_cd of each prefix
-    /// Marginal-gain evaluations (computeMG calls) — the CELF efficiency
-    /// metric; plain greedy would use k * |candidates|.
-    std::uint64_t gain_evaluations = 0;
-  };
+  /// Result of the greedy + CELF selection (core/celf.h).
+  using SeedSelection = influmax::SeedSelection;
 
   /// Picks up to `k` seeds (fewer if gains hit zero or candidates run
-  /// out). One-shot: a second call returns FailedPrecondition.
+  /// out) and leaves them committed. FailedPrecondition while the
+  /// session holds any commit (an earlier selection or CommitSeed).
   Result<SeedSelection> SelectSeeds(NodeId k);
 
   /// Marginal gain sigma_cd(S + x) - sigma_cd(S) of candidate `x` against
   /// the *current* internal seed set (Algorithm 4 / Theorem 3); 0 when x
   /// is already a seed or never acted. Const and safe to call
-  /// concurrently while no commit runs. Exposed for tests; SelectSeeds
-  /// uses it internally.
+  /// concurrently while no commit runs.
   double MarginalGain(NodeId x) const;
 
   /// Commits `x` as a seed: applies Algorithm 5's UC/SC updates to the
-  /// engine's copy-on-write session. No-op when x is already a seed or
-  /// out of range. Exposed for tests; SelectSeeds uses it internally.
+  /// router's copy-on-write session. No-op when x is already a seed or
+  /// out of range.
   void CommitSeed(NodeId x);
 
   /// Live UC entries: the frozen scan's count, less the entries commits
   /// have erased since.
   std::uint64_t credit_entries() const;
 
-  /// Approximate heap bytes: the frozen image plus the engine's
+  /// Approximate heap bytes: the frozen image plus the router's
   /// workspaces.
   std::uint64_t ApproxMemoryBytes() const;
 
-  /// The credits as the scan froze them (commits live in the engine's
+  /// The credits as the scan froze them (commits live in the router's
   /// session, not here): an in-memory CreditSnapshotView, with no seeds.
   const CreditSnapshotView& frozen() const;
 
@@ -125,29 +120,25 @@ class CreditDistributionModel {
   /// serializes.
   SnapshotData ToSnapshotData() const;
 
-  /// The inputs this model was built over (serving layer provenance).
-  const Graph& graph() const { return *graph_; }
+  /// The log this model was built over.
   const ActionLog& log() const { return *log_; }
-  const CdConfig& config() const { return config_; }
 
   /// Seeds committed so far (by SelectSeeds or manual CommitSeed calls),
   /// in commit order.
-  const std::vector<NodeId>& committed_seeds() const;
+  std::span<const NodeId> committed_seeds() const;
 
   /// Serializes ToSnapshotData() into a mmap-able snapshot file
   /// (src/serve/snapshot_format.h; narrative spec in docs/serving.md).
   Status WriteSnapshot(const std::string& path) const;
 
  private:
-  struct Frozen;  // the frozen image, its view and the engine over it
+  struct Frozen;  // the frozen image, its view and the router over it
 
-  CreditDistributionModel(const Graph& graph, const ActionLog& log);
+  explicit CreditDistributionModel(const ActionLog& log);
 
-  const Graph* graph_;
   const ActionLog* log_;
   CdConfig config_;
   std::unique_ptr<Frozen> frozen_;
-  bool selection_done_ = false;
 };
 
 /// Algorithm 2's inner loop over one action DAG: accumulates credits for

@@ -50,11 +50,19 @@ struct CelfScratch {
   }
 };
 
-/// Algorithm 3's greedy + CELF lazy-forward top-k, shared verbatim by
-/// the live model (CreditDistributionModel::SelectSeeds) and the query
-/// front (QueryFront::TopKSeeds) so their queue disciplines can never
-/// drift: the serving layer's bit-identical contract depends on both
-/// replaying exactly this code.
+/// What RunCelfTopK fills; also named CreditDistributionModel::
+/// SeedSelection and SnapshotSeedSelection.
+struct SeedSelection {
+  std::vector<NodeId> seeds;              // in pick order
+  std::vector<double> marginal_gains;     // gain of each pick
+  std::vector<double> cumulative_spread;  // sigma_cd of each prefix
+  std::uint64_t gain_evaluations = 0;     // CELF computeMG calls
+};
+
+/// Algorithm 3's greedy + CELF lazy-forward top-k. Its one library
+/// caller is QueryFront::TopKSeeds, which serves snapshots and runs the
+/// live model's SelectSeeds alike; the test reference
+/// (tests/reference_cd.h) replays it over the hash-table Algorithm 5.
 ///
 /// The initial pass asks `gains_of` for every active candidate's gain in
 /// one batch (is_active(x) for x in [0, num_users)); the heap is built
@@ -79,15 +87,13 @@ struct CelfScratch {
 /// `gains_of(std::span<const NodeId> nodes, double* gains)` writes the
 /// gain of every node against the current seed set; it may fan the
 /// batch out over `num_workers` workers. `commit(x)` adds x to the seed
-/// set; it never runs while a gain call is in flight. `Selection` is the
-/// caller's {seeds, marginal_gains, cumulative_spread, gain_evaluations}
-/// struct; evaluations are added to it.
-template <typename Selection, typename ActiveFn, typename GainsFn,
-          typename CommitFn>
+/// set; it never runs while a gain call is in flight. Picks are appended
+/// to `selection` and evaluations added to it.
+template <typename ActiveFn, typename GainsFn, typename CommitFn>
 void RunCelfTopK(NodeId k, double spread_budget, std::size_t num_workers,
                  NodeId num_users, const ActiveFn& is_active,
                  const GainsFn& gains_of, const CommitFn& commit,
-                 CelfScratch* scratch, Selection* selection) {
+                 CelfScratch* scratch, SeedSelection* selection) {
   std::vector<CelfQueueEntry>& heap = scratch->heap;
   std::vector<NodeId>& nodes = scratch->nodes;
   std::vector<double>& gains = scratch->gains;

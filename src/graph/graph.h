@@ -83,7 +83,6 @@ class Graph {
 
   /// Flat access to the CSR arrays (used by performance-sensitive loops).
   const std::vector<NodeId>& out_targets() const { return out_targets_; }
-  const std::vector<NodeId>& in_sources() const { return in_sources_; }
 
   /// Returns the transpose graph (every edge reversed).
   Graph Transposed() const;
@@ -118,9 +117,6 @@ class GraphBuilder {
     AddEdge(a, b);
     AddEdge(b, a);
   }
-
-  /// Number of queued (pre-dedup) edges.
-  std::size_t pending_edges() const { return edges_.size(); }
 
   /// Sorts, deduplicates, validates, and produces the immutable Graph.
   /// The builder is left empty and reusable.

@@ -15,8 +15,8 @@
 namespace influmax {
 
 /// Algorithm 5 over the frozen layout: the per-shard backend of the
-/// query front (shard/query_front.h, docs/serving.md), and the engine
-/// the live model's greedy runs on (core/cd_model.h).
+/// query front (shard/query_front.h, docs/serving.md), for served
+/// generations and the live model's 1-shard router (core/cd_model.h).
 ///
 /// The engine answers any number of sessions against one immutable
 /// snapshot, mapped from a file or held in memory: committed seeds live
@@ -32,8 +32,8 @@ namespace influmax {
 /// does not matter, so any partition of the credits into shards adds up
 /// to the same bits; a credit that Algorithm 5 brings down to
 /// kZeroEpsilon or below is erased (stored as 0.0). The greedy, the
-/// spread and the session's seed order live in the query front (or in
-/// the live model); a 1-shard ShardRouter is monolithic serving.
+/// spread and the session's seed order live in the query front; a
+/// 1-shard ShardRouter is monolithic serving.
 ///
 /// Concurrency contract: one engine per thread. The underlying view is
 /// shared freely; an engine's session state is neither locked nor
@@ -86,10 +86,6 @@ class SnapshotQueryEngine {
 
   /// Rewinds the session to the snapshot's base state in O(touched).
   void ResetSession();
-
-  /// Seeds committed in this session, in commit order (frozen snapshot
-  /// seeds excluded).
-  const std::vector<NodeId>& session_seeds() const { return committed_; }
 
   /// Slot s's forward-row credits as this session sees them: the view's
   /// row with Algorithm 5's updates applied, 0.0 where an entry was

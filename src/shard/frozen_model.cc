@@ -1,19 +1,20 @@
 // CreditDistributionModel on the frozen layout: Build scans each action
 // (Algorithm 2, core/cd_model.cc) and freezes it into the snapshot image
-// right away; the greedy runs through a SnapshotQueryEngine over an
-// in-memory view of that image. Compiled into the serve library, beside
-// the engine and the writer it uses.
-#include <limits>
+// right away; the image is served as a whole 1-shard generation by a
+// ShardRouter, whose query front runs the greedy. Compiled into the
+// shard library, beside the router and the writer it uses.
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "actionlog/propagation_dag.h"
 #include "common/parallel.h"
 #include "core/cd_model.h"
-#include "core/celf.h"
 #include "serve/query_engine.h"
 #include "serve/snapshot_view.h"
 #include "serve/snapshot_writer.h"
+#include "shard/shard_manifest.h"
+#include "shard/shard_router.h"
 
 namespace influmax {
 
@@ -21,22 +22,31 @@ struct CreditDistributionModel::Frozen {
   Frozen(SnapshotData image, std::vector<FixedGain> pool)
       : data(std::move(image)),
         quotient(std::move(pool)),
-        view(CreditSnapshotView::InMemory(data, quotient)),
-        engine(view) {
-    // The serving metrics count served queries; the live model's greedy
-    // is not one.
-    engine.set_obs_enabled(false);
+        shards(InMemoryShardedSnapshot(
+            CreditSnapshotView::InMemory(data, quotient))) {
+    Route(nullptr);
   }
+
+  /// A fresh router over the image that fans gains out over `pool` (if
+  /// any), out of the serving metrics: the model's greedy is not served.
+  void Route(std::unique_ptr<WorkerPool> pool) {
+    router.reset();
+    gain_pool = std::move(pool);
+    router = std::make_unique<ShardRouter>(shards, gain_pool.get());
+    router->set_obs_enabled(false);
+  }
+
+  const SnapshotQueryEngine& engine() const { return router->shard_engine(0); }
 
   SnapshotData data;
   std::vector<FixedGain> quotient;
-  CreditSnapshotView view;
-  SnapshotQueryEngine engine;
+  ShardedSnapshot shards;  // the image as a whole 1-shard generation
+  std::unique_ptr<WorkerPool> gain_pool;  // the router's, if any
+  std::unique_ptr<ShardRouter> router;
 };
 
-CreditDistributionModel::CreditDistributionModel(const Graph& graph,
-                                                 const ActionLog& log)
-    : graph_(&graph), log_(&log) {}
+CreditDistributionModel::CreditDistributionModel(const ActionLog& log)
+    : log_(&log) {}
 CreditDistributionModel::CreditDistributionModel(
     CreditDistributionModel&&) noexcept = default;
 CreditDistributionModel& CreditDistributionModel::operator=(
@@ -117,11 +127,13 @@ Result<CreditDistributionModel> CreditDistributionModel::Build(
   // is parallel across actions with results independent of the thread
   // count. Each worker scans an action into a hash table, freezes it
   // while the table is still hot, and drops the table, so only one
-  // table per worker is ever live. With one worker the actions run
-  // inline in ascending order and freeze straight into the image; with
-  // more, each worker freezes into its own entry pools and the pools
-  // are gathered in action order afterwards.
-  const std::size_t workers = EffectiveThreadCount(config.scan_threads);
+  // table per worker is ever live. There are never more workers than
+  // actions. With one the actions run inline in ascending order and
+  // freeze straight into the image; with more, each worker freezes into
+  // its own entry pools and the pools are gathered in action order.
+  const std::size_t workers =
+      std::min<std::size_t>(EffectiveThreadCount(config.scan_threads),
+                            std::max<ActionId>(num_actions, 1));
   std::vector<SnapshotData> pools(workers > 1 ? workers : 0);
   std::vector<ArenaSlice> slices(num_actions);
   std::vector<Status> freeze_status(workers);
@@ -165,7 +177,7 @@ Result<CreditDistributionModel> CreditDistributionModel::Build(
 
   std::vector<FixedGain> quotient;
   INFLUMAX_RETURN_IF_ERROR(DeriveQuotientPool(data, &quotient));
-  CreditDistributionModel model(graph, log);
+  CreditDistributionModel model(log);
   model.config_ = config;
   model.frozen_ =
       std::make_unique<Frozen>(std::move(data), std::move(quotient));
@@ -173,27 +185,27 @@ Result<CreditDistributionModel> CreditDistributionModel::Build(
 }
 
 double CreditDistributionModel::MarginalGain(NodeId x) const {
-  return frozen_->engine.MarginalGain(x);
+  return frozen_->router->MarginalGain(x);
 }
 
 void CreditDistributionModel::CommitSeed(NodeId x) {
-  frozen_->engine.CommitSeed(x);
+  frozen_->router->CommitSeed(x);
 }
 
-const std::vector<NodeId>& CreditDistributionModel::committed_seeds() const {
-  return frozen_->engine.session_seeds();
+std::span<const NodeId> CreditDistributionModel::committed_seeds() const {
+  return frozen_->router->session_seeds();
 }
 
 const CreditSnapshotView& CreditDistributionModel::frozen() const {
-  return frozen_->view;
+  return frozen_->shards.views[0];
 }
 
 std::uint64_t CreditDistributionModel::credit_entries() const {
-  const CreditSnapshotView& view = frozen_->view;
+  const CreditSnapshotView& view = frozen();
   if (committed_seeds().empty()) return view.num_entries();
   std::uint64_t live = 0;
   for (std::uint64_t s = 0; s < view.num_slots(); ++s) {
-    for (const double credit : frozen_->engine.SessionRow(s)) {
+    for (const double credit : frozen_->engine().SessionRow(s)) {
       live += credit > 0.0 ? 1 : 0;
     }
   }
@@ -201,8 +213,8 @@ std::uint64_t CreditDistributionModel::credit_entries() const {
 }
 
 std::uint64_t CreditDistributionModel::ApproxMemoryBytes() const {
-  return frozen_->view.ApproxMemoryBytes() +
-         frozen_->engine.ApproxMemoryBytes();
+  return frozen().ApproxMemoryBytes() +
+         frozen_->router->ApproxMemoryBytes();
 }
 
 SnapshotData CreditDistributionModel::ToSnapshotData() const {
@@ -211,8 +223,8 @@ SnapshotData CreditDistributionModel::ToSnapshotData() const {
   // The frozen image with the session applied: each row keeps its
   // entries whose credit is still positive, in their frozen order, and
   // each backward row its records whose entry survived, renumbered.
-  const CreditSnapshotView& view = f.view;
-  const SnapshotQueryEngine& engine = f.engine;
+  const CreditSnapshotView& view = frozen();
+  const SnapshotQueryEngine& engine = f.engine();
   SnapshotData out;
   out.num_users = f.data.num_users;
   out.num_actions = f.data.num_actions;
@@ -268,7 +280,7 @@ SnapshotData CreditDistributionModel::ToSnapshotData() const {
     }
   }
   out.action_entry_begin[out.num_actions] = out.fwd_node.size();
-  out.seeds = committed_seeds();
+  out.seeds.assign(committed_seeds().begin(), committed_seeds().end());
   return out;
 }
 
@@ -279,36 +291,20 @@ Status CreditDistributionModel::WriteSnapshot(const std::string& path) const {
 
 Result<CreditDistributionModel::SeedSelection>
 CreditDistributionModel::SelectSeeds(NodeId k) {
-  if (selection_done_) {
+  // TopKSeeds resets the session first: refuse rather than drop commits.
+  if (!committed_seeds().empty()) {
     return Status::FailedPrecondition(
-        "SelectSeeds already ran on this model (the greedy loop consumes "
-        "its session); Build() a fresh model to select again");
+        "SelectSeeds needs a session without commits (an earlier "
+        "SelectSeeds or CommitSeed); Build() a fresh model to select again");
   }
-  selection_done_ = true;
-
-  // Algorithm 3: greedy with CELF lazy-forward evaluation, both hot
-  // paths parallel on select_threads workers with results bit-identical
-  // to the serial greedy (docs/parallelism.md). Every batched gain call
-  // — the initial pass over all active users, and the speculative
-  // stale re-evaluations — is embarrassingly parallel because the
-  // engine's gain only reads: each gain lands in its own slot. The
-  // greedy itself is the shared RunCelfTopK — exactly the code the
-  // serving layer's query front replays, so the two cannot drift.
-  SnapshotQueryEngine& engine = frozen_->engine;
-  SeedSelection selection;
-  CelfScratch scratch;
-  RunCelfTopK(
-      k, std::numeric_limits<double>::infinity(),
-      EffectiveThreadCount(config_.select_threads), log_->num_users(),
-      [this](NodeId x) { return log_->ActionsPerformedBy(x) != 0; },
-      [&](std::span<const NodeId> nodes, double* gains) {
-        ParallelForDynamic(nodes.size(), config_.select_threads,
-                           [&](std::size_t, std::size_t i) {
-                             gains[i] = engine.MarginalGain(nodes[i]);
-                           });
-      },
-      [&](NodeId x) { engine.CommitSeed(x); }, &scratch, &selection);
-  return selection;
+  // Algorithm 3 through the query front that serves snapshots, on one
+  // pool for the run when there are workers and candidates to share.
+  const auto au = frozen().au();
+  const std::size_t workers =
+      std::min<std::size_t>(EffectiveThreadCount(config_.select_threads),
+                            au.size() - std::ranges::count(au, 0u));
+  if (workers > 1) frozen_->Route(std::make_unique<WorkerPool>(workers));
+  return frozen_->router->TopKSeeds(k);
 }
 
 }  // namespace influmax

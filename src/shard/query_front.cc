@@ -104,8 +104,9 @@ Status QueryFront::CommitSeed(NodeId x) {
   INFLUMAX_RETURN_IF_ERROR(Usable());
   if (x >= num_users_ || is_seed_[x]) return Status::OK();
   const FrontMetrics& m = GetFrontMetrics();
-  m.commits->Increment();
-  ObsSpan span(ring_, kSpanRouterCommit, x, m.commit_latency);
+  const bool obs = backend_->obs_enabled();
+  if (obs) m.commits->Increment();
+  ObsSpan span(ring_, kSpanRouterCommit, x, obs ? m.commit_latency : nullptr);
   if (Status st = backend_->Commit(x); !st.ok()) {
     // Some shards may have applied the commit, some not: their partials
     // would mix seed sets, so the session refuses every query until a
@@ -146,16 +147,16 @@ Result<SnapshotSeedSelection> QueryFront::TopKSeeds(NodeId k,
                                                     double spread_budget) {
   if (!unbound_.ok()) return unbound_;
   const FrontMetrics& m = GetFrontMetrics();
-  m.topk_queries->Increment();
-  ObsSpan span(ring_, kSpanRouterTopk, k, m.topk_latency);
+  const bool obs = backend_->obs_enabled();
+  if (obs) m.topk_queries->Increment();
+  ObsSpan span(ring_, kSpanRouterTopk, k, obs ? m.topk_latency : nullptr);
   INFLUMAX_RETURN_IF_ERROR(ResetSession());
-  // The shared CELF driver (RunCelfTopK): the live model's queue
-  // discipline with the backend's summed gains and commits plugged in,
-  // so seeds, gains and evaluation counts are bit-identical for any
-  // backend and worker count. A backend error cannot leave the driver's
-  // callbacks, so it sticks: later gains read 0.0, which ends the
-  // greedy at its gain <= 0 break, and the error — not a partial
-  // selection — is returned.
+  // The CELF driver (RunCelfTopK) with the backend's summed gains and
+  // commits plugged in, so seeds, gains and evaluation counts are
+  // bit-identical for any backend and worker count. A backend error
+  // cannot leave the driver's callbacks, so it sticks: later gains read
+  // 0.0, which ends the greedy at its gain <= 0 break, and the error —
+  // not a partial selection — is returned.
   SnapshotSeedSelection selection;
   Status error;
   RunCelfTopK(

@@ -13,15 +13,8 @@
 
 namespace influmax {
 
-/// Seed-selection result of the query front; field-for-field the shape of
-/// CreditDistributionModel::SeedSelection, and — on the same log, graph,
-/// and lambda — bit-for-bit the same values.
-struct SnapshotSeedSelection {
-  std::vector<NodeId> seeds;              // in pick order
-  std::vector<double> marginal_gains;     // gain of each pick
-  std::vector<double> cumulative_spread;  // sigma_cd of each prefix
-  std::uint64_t gain_evaluations = 0;     // CELF computeMG calls
-};
+/// The query front's name for the one CELF result type (core/celf.h).
+using SnapshotSeedSelection = SeedSelection;
 
 /// The narrow seam between the query front and the shards that hold the
 /// credits (docs/sharding.md). Two transports implement it: ShardRouter
@@ -47,12 +40,15 @@ class ShardBackend {
   /// Workers one Gains call runs on; above 1 the CELF greedy batches its
   /// stale re-evaluations (docs/parallelism.md).
   virtual std::size_t gain_workers() const = 0;
+
+  /// Whether the front records its commit and top-k metrics.
+  virtual bool obs_enabled() const { return true; }
 };
 
 /// The one query front over any ShardBackend: Algorithm 3's greedy +
-/// CELF (the shared RunCelfTopK), Theorem 3's telescoping spread, and
-/// the guards and seed set every query needs, written once for both
-/// transports.
+/// CELF (RunCelfTopK), Theorem 3's telescoping spread, and the guards
+/// and seed set every query needs, written once for both transports and
+/// for the live model, which selects through a 1-shard ShardRouter.
 ///
 /// The front owns the session seed set: the generation's frozen seeds
 /// plus the session's commits in commit order (a remote backend replays
@@ -105,8 +101,8 @@ class QueryFront {
   /// this set").
   Result<double> SpreadOf(std::span<const NodeId> seeds);
 
-  /// CELF greedy top-k from a fresh session: replays Algorithm 3 and
-  /// matches CreditDistributionModel::SelectSeeds(k) exactly. A finite
+  /// CELF greedy top-k from a fresh session (Algorithm 3); also the live
+  /// model's CreditDistributionModel::SelectSeeds(k). A finite
   /// `spread_budget` stops before any pick that would push cumulative
   /// spread beyond it. The session is left holding the selection.
   Result<SnapshotSeedSelection> TopKSeeds(

@@ -302,6 +302,24 @@ Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path,
   return sharded;
 }
 
+ShardedSnapshot InMemoryShardedSnapshot(CreditSnapshotView view) {
+  ShardedSnapshot sharded;
+  ShardManifest& m = sharded.manifest;
+  m.num_users = view.num_users();
+  m.num_actions = view.num_actions();
+  m.graph_fingerprint = view.graph_fingerprint();
+  m.log_fingerprint = view.log_fingerprint();
+  m.truncation_threshold = view.truncation_threshold();
+  m.range_begin = {0, view.num_actions()};
+  m.au.assign(view.au().begin(), view.au().end());
+  m.shard_fingerprints = {0};
+  m.shard_files = {""};
+  sharded.views.push_back(std::move(view));
+  sharded.global_pools.push_back(  // the stored pool already fits this A_u
+      std::make_unique<ShardedSnapshot::GlobalPool>());
+  return sharded;
+}
+
 const CreditSnapshotView& ShardedSnapshot::view(std::size_t i) const {
   INFLUMAX_CHECK(i >= first_shard && i < end_shard())
       << "shard " << i << " is not open (opened [" << first_shard << ", "

@@ -165,6 +165,12 @@ struct ShardedSnapshot {
 Result<ShardedSnapshot> OpenShardedSnapshot(
     const std::string& manifest_path, ShardRange range = ShardRange::Whole());
 
+/// Wraps `view`, an image held in memory (the live model's), as a whole
+/// 1-shard generation for a ShardRouter: no directory, file or file
+/// fingerprint, and the view's own A_u as the global one. What `view`
+/// spans must outlive the result.
+ShardedSnapshot InMemoryShardedSnapshot(CreditSnapshotView view);
+
 /// CURRENT pointer of a generation directory: a one-line file naming the
 /// live manifest. WriteCurrent replaces it atomically (temp + rename) so
 /// a reader never observes a partial pointer.

@@ -64,8 +64,8 @@ class ShardRouter final : private ShardBackend {
     return front_.SpreadOf(seeds).value();
   }
 
-  /// CELF greedy top-k from a fresh session; matches the live model's
-  /// SelectSeeds bit for bit (seeds, gains, evaluation counts).
+  /// CELF greedy top-k from a fresh session; the live model's
+  /// SelectSeeds runs this same call over its own image.
   SnapshotSeedSelection TopKSeeds(
       NodeId k,
       double spread_budget = std::numeric_limits<double>::infinity()) {
@@ -96,9 +96,13 @@ class ShardRouter final : private ShardBackend {
   SpanRing* span_ring() const { return front_.span_ring(); }
 
   /// Telemetry switch, mirroring SnapshotQueryEngine::set_obs_enabled:
-  /// gates the router's sampled gain probe (the per-query metrics and
-  /// spans of coarse operations stay on — they are not on a hot path).
-  void set_obs_enabled(bool enabled) { obs_enabled_ = enabled; }
+  /// off, neither the router's gain probe, nor its engines, nor its
+  /// front's commit and top-k metrics record. The live model's router
+  /// runs this way: its greedy is not a served query.
+  void set_obs_enabled(bool enabled) {
+    obs_enabled_ = enabled;
+    for (SnapshotQueryEngine& e : engines_) e.set_obs_enabled(enabled);
+  }
 
   /// Sum of the shard engines' workspaces plus the front's — the
   /// per-session cost on top of the shared mappings.
@@ -112,6 +116,7 @@ class ShardRouter final : private ShardBackend {
   std::size_t gain_workers() const override {
     return pool_ == nullptr ? 1 : pool_->num_workers();
   }
+  bool obs_enabled() const override { return obs_enabled_; }
 
   /// The sum of every shard's partial for a candidate x, through the
   /// sampled telemetry probe.

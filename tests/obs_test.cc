@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -544,6 +545,76 @@ TEST(EngineObsTest, CoarseOpsCountExactlyAndSwitchOffCleanly) {
   EXPECT_EQ(GlobalCounterValue("serve.reset.count"), frozen_reset);
   EXPECT_EQ(GlobalCounterValue("serve.commit.count"), frozen_commit);
   std::remove(path.c_str());
+}
+
+// ------------------------------- the live model stays out of serving
+
+/// Every serve.* and shard.router.* value in the registry: counters and
+/// gauges by value, timers by record count.
+std::map<std::string, std::int64_t> ServingMetricValues() {
+  const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
+  const auto serving = [](const std::string& name) {
+    return name.starts_with("serve.") || name.starts_with("shard.router.");
+  };
+  std::map<std::string, std::int64_t> values;
+  for (const auto& c : snap.counters) {
+    if (serving(c.name)) values[c.name] = static_cast<std::int64_t>(c.value);
+  }
+  for (const auto& g : snap.gauges) {
+    if (serving(g.name)) values[g.name] = g.value;
+  }
+  for (const auto& t : snap.timers) {
+    if (serving(t.name)) {
+      values[t.name] = static_cast<std::int64_t>(t.hist.count());
+    }
+  }
+  return values;
+}
+
+TEST(ModelObsTest, LiveModelStaysOutOfServingMetrics) {
+  // The live model selects through the same query front and router that
+  // serve snapshots; none of its gains, commits, resets or selections
+  // may show up as served queries. Each gain pass asks more candidates
+  // than the sampled probes' 1-in-kObsSampleEvery tick lets by.
+  auto data = BuildPresetDataset(FlixsterSmallPreset(0.05));
+  ASSERT_TRUE(data.ok());
+  std::vector<NodeId> candidates;
+  for (NodeId x = 0; x < data->log.num_users(); ++x) {
+    if (data->log.ActionsPerformedBy(x) != 0) candidates.push_back(x);
+  }
+  ASSERT_FALSE(candidates.empty());
+  EqualDirectCredit credit;
+  for (const std::size_t select_threads : {1u, 4u}) {
+    SCOPED_TRACE("select_threads=" + std::to_string(select_threads));
+    const std::map<std::string, std::int64_t> before = ServingMetricValues();
+    CdConfig config;
+    config.select_threads = select_threads;
+    auto model =
+        CreditDistributionModel::Build(data->graph, data->log, credit, config);
+    ASSERT_TRUE(model.ok());
+    double sum = 0.0;
+    const auto gain_pass = [&] {
+      for (std::uint64_t i = 0; i < 4 * kObsSampleEvery; ++i) {
+        sum += model->MarginalGain(candidates[i % candidates.size()]);
+      }
+    };
+    gain_pass();
+    auto selection = model->SelectSeeds(10);
+    ASSERT_TRUE(selection.ok());
+    ASSERT_FALSE(selection->seeds.empty());
+    gain_pass();
+    NodeId extra = 0;
+    while (model->MarginalGain(extra) <= 0.0) ++extra;
+    model->CommitSeed(extra);
+    EXPECT_EQ(model->committed_seeds().size(), selection->seeds.size() + 1);
+    EXPECT_GT(sum, 0.0);
+
+    const std::map<std::string, std::int64_t> after = ServingMetricValues();
+    for (const auto& [name, value] : after) {
+      const auto it = before.find(name);
+      EXPECT_EQ(value, it == before.end() ? 0 : it->second) << name;
+    }
+  }
 }
 
 // ------------------------------------- recording across generation swaps
