@@ -35,10 +35,9 @@ struct CdConfig {
   /// scanned by one worker (docs/parallelism.md).
   std::size_t scan_threads = 0;
 
-  /// Worker threads for the CELF greedy (0 = all hardware threads): above
-  /// 1, SelectSeeds fans its gain batches out over one WorkerPool, which
-  /// measured no faster than one thread (docs/parallelism.md). Seeds,
-  /// gains, and evaluation counts are bit-identical for any value.
+  /// Validated, but SelectSeeds runs the greedy on one thread whatever
+  /// its value: more threads measured slower (docs/parallelism.md).
+  /// Existing configs set it, so it stays until they stop (ROADMAP).
   std::size_t select_threads = 1;
 
   /// Thread-count knobs above this are rejected by Validate(): a
@@ -137,7 +136,6 @@ class CreditDistributionModel {
   explicit CreditDistributionModel(const ActionLog& log);
 
   const ActionLog* log_;
-  CdConfig config_;
   std::unique_ptr<Frozen> frozen_;
 };
 

@@ -23,26 +23,17 @@ struct CreditDistributionModel::Frozen {
       : data(std::move(image)),
         quotient(std::move(pool)),
         shards(InMemoryShardedSnapshot(
-            CreditSnapshotView::InMemory(data, quotient))) {
-    Route(nullptr);
+            CreditSnapshotView::InMemory(data, quotient))),
+        router(shards) {
+    router.set_obs_enabled(false);  // the model's greedy is not served
   }
 
-  /// A fresh router over the image that fans gains out over `pool` (if
-  /// any), out of the serving metrics: the model's greedy is not served.
-  void Route(std::unique_ptr<WorkerPool> pool) {
-    router.reset();
-    gain_pool = std::move(pool);
-    router = std::make_unique<ShardRouter>(shards, gain_pool.get());
-    router->set_obs_enabled(false);
-  }
-
-  const SnapshotQueryEngine& engine() const { return router->shard_engine(0); }
+  const SnapshotQueryEngine& engine() const { return router.shard_engine(0); }
 
   SnapshotData data;
   std::vector<FixedGain> quotient;
   ShardedSnapshot shards;  // the image as a whole 1-shard generation
-  std::unique_ptr<WorkerPool> gain_pool;  // the router's, if any
-  std::unique_ptr<ShardRouter> router;
+  ShardRouter router;
 };
 
 CreditDistributionModel::CreditDistributionModel(const ActionLog& log)
@@ -178,22 +169,21 @@ Result<CreditDistributionModel> CreditDistributionModel::Build(
   std::vector<FixedGain> quotient;
   INFLUMAX_RETURN_IF_ERROR(DeriveQuotientPool(data, &quotient));
   CreditDistributionModel model(log);
-  model.config_ = config;
   model.frozen_ =
       std::make_unique<Frozen>(std::move(data), std::move(quotient));
   return model;
 }
 
 double CreditDistributionModel::MarginalGain(NodeId x) const {
-  return frozen_->router->MarginalGain(x);
+  return frozen_->router.MarginalGain(x);
 }
 
 void CreditDistributionModel::CommitSeed(NodeId x) {
-  frozen_->router->CommitSeed(x);
+  frozen_->router.CommitSeed(x);
 }
 
 std::span<const NodeId> CreditDistributionModel::committed_seeds() const {
-  return frozen_->router->session_seeds();
+  return frozen_->router.session_seeds();
 }
 
 const CreditSnapshotView& CreditDistributionModel::frozen() const {
@@ -214,7 +204,7 @@ std::uint64_t CreditDistributionModel::credit_entries() const {
 
 std::uint64_t CreditDistributionModel::ApproxMemoryBytes() const {
   return frozen().ApproxMemoryBytes() +
-         frozen_->router->ApproxMemoryBytes();
+         frozen_->router.ApproxMemoryBytes();
 }
 
 SnapshotData CreditDistributionModel::ToSnapshotData() const {
@@ -297,14 +287,8 @@ CreditDistributionModel::SelectSeeds(NodeId k) {
         "SelectSeeds needs a session without commits (an earlier "
         "SelectSeeds or CommitSeed); Build() a fresh model to select again");
   }
-  // Algorithm 3 through the query front that serves snapshots, on one
-  // pool for the run when there are workers and candidates to share.
-  const auto au = frozen().au();
-  const std::size_t workers =
-      std::min<std::size_t>(EffectiveThreadCount(config_.select_threads),
-                            au.size() - std::ranges::count(au, 0u));
-  if (workers > 1) frozen_->Route(std::make_unique<WorkerPool>(workers));
-  return frozen_->router->TopKSeeds(k);
+  // Algorithm 3 through the query front that serves snapshots.
+  return frozen_->router.TopKSeeds(k);
 }
 
 }  // namespace influmax

@@ -1,7 +1,7 @@
 // Randomized differential test of the live model against the hash-table
 // reference (tests/reference_cd.h): over generator presets (plus one
 // dataset with a huge action, for the sharded scan), truncation
-// thresholds {0, 0.001}, scan_threads {1, 4} and select_threads {1, 4},
+// thresholds {0, 0.001} and scan_threads {1, 4},
 // the library's MarginalGain, its gains after a seeded stream of
 // CommitSeed calls, its SelectSeeds and its serialized snapshots must
 // bit-equal the reference's.
@@ -169,52 +169,48 @@ TEST(CdDifferentialTest, LiveModelMatchesHashTableReferenceBitForBit) {
       const Expected expected = RunReference(ds, credit, lambda);
       ASSERT_GE(expected.selection.seeds.size(), 2u) << ds.name;
       for (const std::size_t scan_threads : {1u, 4u}) {
-        for (const std::size_t select_threads : {1u, 4u}) {
-          const std::string label =
-              ds.name + " lambda " + std::to_string(lambda) + " scan x" +
-              std::to_string(scan_threads) + " select x" +
-              std::to_string(select_threads);
-          CdConfig config;
-          config.truncation_threshold = lambda;
-          config.scan_threads = scan_threads;
-          config.select_threads = select_threads;
+        const std::string label =
+            ds.name + " lambda " + std::to_string(lambda) + " scan x" +
+            std::to_string(scan_threads);
+        CdConfig config;
+        config.truncation_threshold = lambda;
+        config.scan_threads = scan_threads;
 
-          auto model =
-              CreditDistributionModel::Build(ds.data.graph, log, credit, config);
-          ASSERT_TRUE(model.ok()) << label;
-          EXPECT_EQ(SnapshotBytes(model->ToSnapshotData(), "lib_before"),
-                    expected.bytes_before)
-              << label;
-          for (std::size_t i = 0; i <= expected.stream.size(); ++i) {
-            if (i > 0) model->CommitSeed(expected.stream[i - 1]);
-            for (NodeId u = 0; u < log.num_users(); ++u) {
-              ASSERT_TRUE(
-                  SameBits(model->MarginalGain(u), expected.gains[i][u]))
-                  << label << " after " << i << " commits, gain of " << u;
-            }
+        auto model =
+            CreditDistributionModel::Build(ds.data.graph, log, credit, config);
+        ASSERT_TRUE(model.ok()) << label;
+        EXPECT_EQ(SnapshotBytes(model->ToSnapshotData(), "lib_before"),
+                  expected.bytes_before)
+            << label;
+        for (std::size_t i = 0; i <= expected.stream.size(); ++i) {
+          if (i > 0) model->CommitSeed(expected.stream[i - 1]);
+          for (NodeId u = 0; u < log.num_users(); ++u) {
+            ASSERT_TRUE(
+                SameBits(model->MarginalGain(u), expected.gains[i][u]))
+                << label << " after " << i << " commits, gain of " << u;
           }
-          EXPECT_EQ(model->credit_entries(), expected.entries_after) << label;
-          EXPECT_EQ(SnapshotBytes(model->ToSnapshotData(), "lib_after"),
-                    expected.bytes_after)
-              << label;
+        }
+        EXPECT_EQ(model->credit_entries(), expected.entries_after) << label;
+        EXPECT_EQ(SnapshotBytes(model->ToSnapshotData(), "lib_after"),
+                  expected.bytes_after)
+            << label;
 
-          auto fresh =
-              CreditDistributionModel::Build(ds.data.graph, log, credit, config);
-          ASSERT_TRUE(fresh.ok()) << label;
-          auto selection = fresh->SelectSeeds(kTopK);
-          ASSERT_TRUE(selection.ok()) << label;
-          const auto& want = expected.selection;
-          EXPECT_EQ(selection->gain_evaluations, want.gain_evaluations)
-              << label;
-          ASSERT_EQ(selection->seeds, want.seeds) << label;
-          for (std::size_t i = 0; i < want.seeds.size(); ++i) {
-            EXPECT_TRUE(SameBits(selection->marginal_gains[i],
-                                 want.marginal_gains[i]))
-                << label << " pick " << i;
-            EXPECT_TRUE(SameBits(selection->cumulative_spread[i],
-                                 want.cumulative_spread[i]))
-                << label << " pick " << i;
-          }
+        auto fresh =
+            CreditDistributionModel::Build(ds.data.graph, log, credit, config);
+        ASSERT_TRUE(fresh.ok()) << label;
+        auto selection = fresh->SelectSeeds(kTopK);
+        ASSERT_TRUE(selection.ok()) << label;
+        const auto& want = expected.selection;
+        EXPECT_EQ(selection->gain_evaluations, want.gain_evaluations)
+            << label;
+        ASSERT_EQ(selection->seeds, want.seeds) << label;
+        for (std::size_t i = 0; i < want.seeds.size(); ++i) {
+          EXPECT_TRUE(SameBits(selection->marginal_gains[i],
+                               want.marginal_gains[i]))
+              << label << " pick " << i;
+          EXPECT_TRUE(SameBits(selection->cumulative_spread[i],
+                               want.cumulative_spread[i]))
+              << label << " pick " << i;
         }
       }
     }

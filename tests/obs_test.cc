@@ -549,12 +549,13 @@ TEST(EngineObsTest, CoarseOpsCountExactlyAndSwitchOffCleanly) {
 
 // ------------------------------- the live model stays out of serving
 
-/// Every serve.* and shard.router.* value in the registry: counters and
-/// gauges by value, timers by record count.
+/// Every serve.*, shard.router.* and pool.* value in the registry:
+/// counters and gauges by value, timers by record count.
 std::map<std::string, std::int64_t> ServingMetricValues() {
   const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
   const auto serving = [](const std::string& name) {
-    return name.starts_with("serve.") || name.starts_with("shard.router.");
+    return name.starts_with("serve.") || name.starts_with("shard.router.") ||
+           name.starts_with("pool.");
   };
   std::map<std::string, std::int64_t> values;
   for (const auto& c : snap.counters) {
@@ -584,36 +585,32 @@ TEST(ModelObsTest, LiveModelStaysOutOfServingMetrics) {
   }
   ASSERT_FALSE(candidates.empty());
   EqualDirectCredit credit;
-  for (const std::size_t select_threads : {1u, 4u}) {
-    SCOPED_TRACE("select_threads=" + std::to_string(select_threads));
-    const std::map<std::string, std::int64_t> before = ServingMetricValues();
-    CdConfig config;
-    config.select_threads = select_threads;
-    auto model =
-        CreditDistributionModel::Build(data->graph, data->log, credit, config);
-    ASSERT_TRUE(model.ok());
-    double sum = 0.0;
-    const auto gain_pass = [&] {
-      for (std::uint64_t i = 0; i < 4 * kObsSampleEvery; ++i) {
-        sum += model->MarginalGain(candidates[i % candidates.size()]);
-      }
-    };
-    gain_pass();
-    auto selection = model->SelectSeeds(10);
-    ASSERT_TRUE(selection.ok());
-    ASSERT_FALSE(selection->seeds.empty());
-    gain_pass();
-    NodeId extra = 0;
-    while (model->MarginalGain(extra) <= 0.0) ++extra;
-    model->CommitSeed(extra);
-    EXPECT_EQ(model->committed_seeds().size(), selection->seeds.size() + 1);
-    EXPECT_GT(sum, 0.0);
-
-    const std::map<std::string, std::int64_t> after = ServingMetricValues();
-    for (const auto& [name, value] : after) {
-      const auto it = before.find(name);
-      EXPECT_EQ(value, it == before.end() ? 0 : it->second) << name;
+  const std::map<std::string, std::int64_t> before = ServingMetricValues();
+  CdConfig config;
+  auto model =
+      CreditDistributionModel::Build(data->graph, data->log, credit, config);
+  ASSERT_TRUE(model.ok());
+  double sum = 0.0;
+  const auto gain_pass = [&] {
+    for (std::uint64_t i = 0; i < 4 * kObsSampleEvery; ++i) {
+      sum += model->MarginalGain(candidates[i % candidates.size()]);
     }
+  };
+  gain_pass();
+  auto selection = model->SelectSeeds(10);
+  ASSERT_TRUE(selection.ok());
+  ASSERT_FALSE(selection->seeds.empty());
+  gain_pass();
+  NodeId extra = 0;
+  while (model->MarginalGain(extra) <= 0.0) ++extra;
+  model->CommitSeed(extra);
+  EXPECT_EQ(model->committed_seeds().size(), selection->seeds.size() + 1);
+  EXPECT_GT(sum, 0.0);
+
+  const std::map<std::string, std::int64_t> after = ServingMetricValues();
+  for (const auto& [name, value] : after) {
+    const auto it = before.find(name);
+    EXPECT_EQ(value, it == before.end() ? 0 : it->second) << name;
   }
 }
 

@@ -66,11 +66,9 @@ void ExpectSelectionsIdentical(
   }
 }
 
-// SelectSeeds with the parallel initial pass and batched stale
-// re-evaluations, over an image frozen by a parallel scan
-// (scan_threads), must reproduce the serial greedy bit for bit — seed order, every gain, and the CELF evaluation count — for any
-// thread count (the count is the lazy-forward efficiency metric;
-// speculative evaluations must never leak into it).
+// SelectSeeds over an image frozen by a parallel scan (scan_threads)
+// must reproduce the serial build's greedy bit for bit — seed order,
+// every gain, and the CELF evaluation count — for any thread count.
 TEST(ParallelCelfTest, SelectSeedsIdenticalForAnyThreadCount) {
   const SyntheticDataset data = MakeDataset(300, 150, 91);
   EqualDirectCredit credit;
@@ -78,7 +76,6 @@ TEST(ParallelCelfTest, SelectSeedsIdenticalForAnyThreadCount) {
   for (const std::size_t threads : kThreadCounts) {
     CdConfig config;
     config.truncation_threshold = 0.001;
-    config.select_threads = threads;
     config.scan_threads = threads;  // parallel scan and freeze
     auto model =
         CreditDistributionModel::Build(data.graph, data.log, credit, config);
@@ -92,7 +89,7 @@ TEST(ParallelCelfTest, SelectSeedsIdenticalForAnyThreadCount) {
       continue;
     }
     ExpectSelectionsIdentical(baseline, *selection,
-                              std::to_string(threads) + " select threads");
+                              std::to_string(threads) + " scan threads");
   }
 }
 
