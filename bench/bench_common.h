@@ -102,7 +102,8 @@ inline std::vector<PreparedDataset> PrepareRequestedDatasets(
 
 /// Runs the full CD pipeline (scan + greedy) on a training log and
 /// returns the selection plus timings — the unit of work most benches
-/// repeat.
+/// repeat. `threads` (a bench's --threads) sizes the Algorithm 2 scan;
+/// 0 = all cores.
 struct CdRun {
   CreditDistributionModel::SeedSelection selection;
   double scan_seconds = 0.0;
@@ -113,11 +114,12 @@ struct CdRun {
 
 inline CdRun RunCdPipeline(const Graph& graph, const ActionLog& train,
                            const InfluenceTimeParams& params, double lambda,
-                           NodeId k) {
+                           NodeId k, std::int64_t threads) {
   CdRun run;
   TimeDecayDirectCredit credit(params);
   CdConfig config;
   config.truncation_threshold = lambda;
+  config.scan_threads = static_cast<std::size_t>(threads);
   WallTimer scan_timer;
   auto model = CreditDistributionModel::Build(graph, train, credit, config);
   INFLUMAX_CHECK(model.ok()) << model.status();

@@ -56,7 +56,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "[fig5] %s: CD scan + greedy...\n",
                  prepared.name.c_str());
     const bench::CdRun cd = bench::RunCdPipeline(
-        graph, train, prepared.time_params, opts.lambda, k);
+        graph, train, prepared.time_params, opts.lambda, k, opts.threads);
 
     const std::vector<std::string> names = {"IC", "LT", "CD"};
     const std::vector<std::vector<NodeId>> seed_sets = {

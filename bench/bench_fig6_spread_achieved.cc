@@ -34,7 +34,8 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "[fig6] %s: selecting seeds with 5 methods...\n",
                  prepared.name.c_str());
     const bench::CdRun cd = bench::RunCdPipeline(
-        graph, train, prepared.time_params, opts.lambda, k_max);
+        graph, train, prepared.time_params, opts.lambda, k_max,
+        opts.threads);
 
     auto em = LearnIcProbabilitiesEm(graph, train, EmConfig{});
     INFLUMAX_CHECK(em.ok()) << em.status();

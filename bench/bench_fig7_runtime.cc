@@ -63,7 +63,8 @@ int Main(int argc, char** argv) {
     // CD scan + greedy.
     WallTimer cd_timer;
     const bench::CdRun cd = bench::RunCdPipeline(
-        graph, train, prepared.time_params, opts.lambda, k_max);
+        graph, train, prepared.time_params, opts.lambda, k_max,
+        opts.threads);
     const double cd_seconds = cd_timer.ElapsedSeconds();
 
     std::printf(

@@ -50,7 +50,7 @@ int Main(int argc, char** argv) {
           data->log, budget, static_cast<std::uint64_t>(opts.seed) + point);
       const bench::CdRun run = bench::RunCdPipeline(
           data->graph, sample, *params, opts.lambda,
-          static_cast<NodeId>(opts.k));
+          static_cast<NodeId>(opts.k), opts.threads);
       table.AddRow({std::to_string(sample.num_tuples()),
                     FormatDouble(run.scan_seconds, 2),
                     FormatDouble(run.select_seconds, 2),

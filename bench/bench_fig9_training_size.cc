@@ -41,7 +41,7 @@ int Main(int argc, char** argv) {
                  preset.name.c_str());
     const bench::CdRun reference = bench::RunCdPipeline(
         data->graph, data->log, *params, opts.lambda,
-        static_cast<NodeId>(opts.k));
+        static_cast<NodeId>(opts.k), opts.threads);
 
     // Spread is measured by the full-log CD evaluator (the best proxy for
     // ground truth, as in Figure 6).
@@ -65,7 +65,7 @@ int Main(int argc, char** argv) {
       INFLUMAX_CHECK(sample_params.ok()) << sample_params.status();
       const bench::CdRun run = bench::RunCdPipeline(
           data->graph, sample, *sample_params, opts.lambda,
-          static_cast<NodeId>(opts.k));
+          static_cast<NodeId>(opts.k), opts.threads);
       const double spread = evaluator->Spread(run.selection.seeds);
       const int true_seeds =
           SeedIntersectionSize(run.selection.seeds, reference.selection.seeds);

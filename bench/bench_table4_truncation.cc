@@ -53,7 +53,8 @@ int Main(int argc, char** argv) {
       Row row;
       row.lambda = lambda;
       row.run = bench::RunCdPipeline(data->graph, data->log, *params, lambda,
-                                     static_cast<NodeId>(opts.k));
+                                     static_cast<NodeId>(opts.k),
+                                     opts.threads);
       row.spread = evaluator->Spread(row.run.selection.seeds);
       rows.push_back(std::move(row));
     }

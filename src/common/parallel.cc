@@ -9,14 +9,15 @@ namespace influmax {
 namespace {
 
 // WorkerPool telemetry (docs/observability.md). Only the threaded
-// dispatch path records; the inline path (no spawned threads or
-// total <= 1) stays untouched — it is the determinism escape hatch and
-// runs per tiny job. Worker utilization over a window is
-// pool.busy_ns / (window * workers).
+// dispatch path records, plus one count per caller that found the pool
+// held; the inline path (no spawned threads or total <= 1) stays
+// untouched — it is the determinism escape hatch and runs per tiny job.
+// Worker utilization over a window is pool.busy_ns / (window * workers).
 struct PoolMetrics {
   Counter* jobs;
   Counter* items;
   Counter* busy_ns;
+  Counter* busy_fallbacks;
   Timer* queue_wait;
   Timer* job_latency;
 };
@@ -28,6 +29,7 @@ const PoolMetrics& GetPoolMetrics() {
         reg.FindOrCreateCounter("pool.jobs"),
         reg.FindOrCreateCounter("pool.items"),
         reg.FindOrCreateCounter("pool.busy_ns"),
+        reg.FindOrCreateCounter("pool.busy_fallbacks"),
         reg.FindOrCreateTimer("pool.queue_wait"),
         reg.FindOrCreateTimer("pool.job_latency"),
     };
@@ -96,11 +98,16 @@ void ParallelForDynamic(
 }
 
 WorkerPool::WorkerPool(std::size_t num_threads) {
+  (void)GetPoolMetrics();
   const std::size_t workers = EffectiveThreadCount(num_threads);
   threads_.reserve(workers - 1);
   for (std::size_t t = 1; t < workers; ++t) {
     threads_.emplace_back([this, t] { WorkerLoop(t); });
   }
+  // Return only once every worker is parked: from then on a worker
+  // takes a lock only for a job.
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [this] { return started_ == threads_.size(); });
 }
 
 WorkerPool::~WorkerPool() {
@@ -113,20 +120,25 @@ WorkerPool::~WorkerPool() {
 }
 
 void WorkerPool::WorkerLoop(std::size_t worker_index) {
+  // A thread's first metric write claims its shard under the registry
+  // mutex. Claim it now, before the constructor returns, so a process
+  // that forks between jobs never forks while a worker holds that lock.
+  if constexpr (kObsEnabled) GetPoolMetrics().busy_ns->Add(0);
   std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mu_);
+  ++started_;
+  done_cv_.notify_all();
   for (;;) {
-    std::shared_ptr<Job> job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      job_cv_.wait(lock, [&] { return stop_ || job_seq_ != seen; });
-      if (stop_) return;
-      seen = job_seq_;
-      job = job_;
-    }
+    job_cv_.wait(lock, [&] { return stop_ || job_seq_ != seen; });
+    if (stop_) return;
+    seen = job_seq_;
+    const std::shared_ptr<Job> job = job_;
+    lock.unlock();
     if constexpr (kObsEnabled) {
       GetPoolMetrics().queue_wait->Record(MonotonicNowNs() - job->publish_ns);
     }
     Drain(*job, worker_index);
+    lock.lock();
   }
 }
 
@@ -158,13 +170,16 @@ void WorkerPool::DrainLoop(Job& job, std::size_t worker_index) {
   }
 }
 
-void WorkerPool::ParallelFor(
+bool WorkerPool::TryParallelFor(
     std::size_t total,
     const std::function<void(std::size_t, std::size_t)>& body) {
-  if (total == 0) return;
-  if (threads_.empty() || total == 1) {
+  if (threads_.empty() || total <= 1) {
     for (std::size_t i = 0; i < total; ++i) body(0, i);
-    return;
+    return true;
+  }
+  if (busy_.exchange(true, std::memory_order_acquire)) {
+    if constexpr (kObsEnabled) GetPoolMetrics().busy_fallbacks->Increment();
+    return false;
   }
   auto job = std::make_shared<Job>();
   job->body = &body;
@@ -187,13 +202,24 @@ void WorkerPool::ParallelFor(
   // returned, `body` cannot dangle (late workers find the cursor
   // exhausted and never touch it), so the caller leaves without paying
   // for parked threads' wakeups.
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [&] {
-    return job->completed.load(std::memory_order_acquire) == job->total;
-  });
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    done_cv_.wait(lock, [&] {
+      return job->completed.load(std::memory_order_acquire) == job->total;
+    });
+  }
   if constexpr (kObsEnabled) {
     GetPoolMetrics().job_latency->Record(MonotonicNowNs() - job->publish_ns);
   }
+  busy_.store(false, std::memory_order_release);
+  return true;
+}
+
+void WorkerPool::ParallelFor(
+    std::size_t total,
+    const std::function<void(std::size_t, std::size_t)>& body) {
+  if (TryParallelFor(total, body)) return;
+  for (std::size_t i = 0; i < total; ++i) body(0, i);
 }
 
 }  // namespace influmax

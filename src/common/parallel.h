@@ -48,23 +48,29 @@ void ParallelForDynamic(
 /// which is fine for scans that run for milliseconds but not for a
 /// serving fan-out that runs per query. A WorkerPool spawns its threads
 /// once and parks them on a condition variable between jobs, so
-/// steady-state ParallelFor calls spawn zero threads (the ROADMAP's
-/// "persistent worker pool" open item; the ShardRouter's per-query shard
-/// fan-out is the first user — docs/sharding.md).
+/// steady-state jobs spawn zero threads. A GenerationManager owns one
+/// and every session's ShardRouter fans its per-shard commits, resets
+/// and batched gains out on it (docs/parallelism.md).
 ///
-/// ParallelFor has ParallelForDynamic's semantics: workers repeatedly
-/// claim the next index from a shared counter and run
+/// A job has ParallelForDynamic's semantics: workers repeatedly claim
+/// the next index from a shared counter and run
 /// `body(thread_index, index)`; the calling thread participates as
-/// worker 0, spawned threads are workers 1..num_workers()-1. Same inline
-/// guarantee: with no spawned threads (pool built on a 1-thread request
-/// or 1-core machine) or total <= 1, the body runs inline on the caller
-/// in ascending index order.
+/// worker 0, spawned threads are workers 1..num_workers()-1. With no
+/// spawned threads (a pool built on a 1-thread request or a 1-core
+/// machine) or total <= 1, the body runs inline on the caller in
+/// ascending index order.
 ///
-/// Concurrency contract: one ParallelFor at a time (it blocks until the
-/// job drains, so distinct callers must externally serialize — in the
-/// serving layer each session owns its pool use for the duration of a
-/// query). Not reentrant: calling ParallelFor from inside a body
-/// deadlocks.
+/// Concurrency contract: the pool is shared by try-acquire. It runs one
+/// job at a time; a caller that finds it held — by another thread, or
+/// by its own job when it calls from inside a body — never waits:
+/// TryParallelFor returns false and ParallelFor runs the indices inline.
+/// So any number of threads may share one pool, nested calls cannot
+/// deadlock, and the pool never adds more than num_workers() - 1
+/// threads however many callers there are.
+///
+/// Fork safety: every worker claims its metrics shard (src/obs/) before
+/// the constructor returns and is parked when it does, so a parked
+/// worker holds no lock a forked child could need.
 class WorkerPool {
  public:
   /// Spawns EffectiveThreadCount(num_threads) - 1 persistent threads
@@ -78,8 +84,18 @@ class WorkerPool {
   /// Total workers a job runs on: spawned threads + the caller.
   std::size_t num_workers() const { return threads_.size() + 1; }
 
-  /// Runs `body(thread_index, index)` over [0, total) with dynamic
-  /// claiming. Blocks until every index has completed.
+  /// Runs `body(thread_index, index)` over [0, total) on the pool and
+  /// returns true once every index has completed. Returns false without
+  /// running anything when the job needs the pool's threads and another
+  /// job holds them (including the caller's own, from inside a body).
+  bool TryParallelFor(
+      std::size_t total,
+      const std::function<void(std::size_t thread_index, std::size_t index)>&
+          body);
+
+  /// TryParallelFor, or, when the pool is held, every index inline on
+  /// the caller (thread_index 0, ascending). Never blocks on another
+  /// caller. Blocks until every index has completed.
   void ParallelFor(
       std::size_t total,
       const std::function<void(std::size_t thread_index, std::size_t index)>&
@@ -117,6 +133,9 @@ class WorkerPool {
   std::uint64_t job_seq_ = 0;
   std::shared_ptr<Job> job_;
   bool stop_ = false;
+  std::size_t started_ = 0;  // workers parked at least once (constructor)
+  // Held by the one job in flight: the try-acquire of TryParallelFor.
+  std::atomic<bool> busy_{false};
 };
 
 }  // namespace influmax

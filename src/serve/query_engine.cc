@@ -72,10 +72,12 @@ SnapshotQueryEngine::SnapshotQueryEngine(
   (void)GetEngineMetrics();
   INFLUMAX_CHECK(au_.size() >= view.num_users());
   INFLUMAX_CHECK(quot_.size() == view.num_entries());
-  ovl_offset_.assign(view.num_slots(), kNotOverlaid);
-  if (view.num_slots() > 0) {
-    zero_row_.assign(std::ranges::max(view.fwd_count()), 0.0);
-  }
+  ovl_row_.assign(view.num_slots(), nullptr);
+  const std::uint32_t longest_row =
+      view.num_slots() > 0 ? std::ranges::max(view.fwd_count()) : 0;
+  // At least one entry, so an erased row never reads as nullptr.
+  zero_row_.assign(std::max<std::uint32_t>(longest_row, 1), 0.0);
+  ovl_block_entries_ = std::max<std::size_t>(kOverlayBlockEntries, longest_row);
   sc_cur_.assign(view.slot_sc().begin(), view.slot_sc().end());
   sc_dirty_.assign(view.num_slots(), 0);
   is_seed_.assign(view.num_users(), 0);
@@ -85,24 +87,39 @@ SnapshotQueryEngine::SnapshotQueryEngine(
 }
 
 const double* SnapshotQueryEngine::RowOf(std::uint64_t s) const {
-  const std::uint64_t off = ovl_offset_[s];
-  if (off == kNotOverlaid) {
-    return view_->fwd_credit().data() + view_->fwd_begin()[s];
+  const double* row = ovl_row_[s];
+  if (row != nullptr) return row;
+  return view_->fwd_credit().data() + view_->fwd_begin()[s];
+}
+
+double* SnapshotQueryEngine::AllocateRow(std::uint32_t n) {
+  if (ovl_blocks_used_ == 0 || ovl_block_fill_ + n > ovl_block_entries_) {
+    if (ovl_blocks_used_ == ovl_blocks_.size()) {
+      // Uninitialized: every entry is written by the row copy before it
+      // is read, and untouched pages cost no resident memory.
+      ovl_blocks_.push_back(
+          std::make_unique_for_overwrite<double[]>(ovl_block_entries_));
+    }
+    ++ovl_blocks_used_;
+    ovl_block_fill_ = 0;
   }
-  if (off == kErased) return zero_row_.data();
-  return ovl_buf_.data() + off;
+  double* row = ovl_blocks_[ovl_blocks_used_ - 1].get() + ovl_block_fill_;
+  ovl_block_fill_ += n;
+  ovl_entries_ += n;
+  return row;
 }
 
 double* SnapshotQueryEngine::WritableRow(std::uint64_t s) {
-  std::uint64_t off = ovl_offset_[s];
-  if (off == kNotOverlaid) {
-    off = ovl_buf_.size();
+  double* row = ovl_row_[s];
+  if (row == nullptr) {
+    const std::uint32_t n = view_->fwd_count()[s];
     const double* base = view_->fwd_credit().data() + view_->fwd_begin()[s];
-    ovl_buf_.insert(ovl_buf_.end(), base, base + view_->fwd_count()[s]);
-    ovl_offset_[s] = off;
+    row = AllocateRow(n);
+    std::copy(base, base + n, row);
+    ovl_row_[s] = row;
     ovl_slots_.push_back(s);
   }
-  return ovl_buf_.data() + off;
+  return row;
 }
 
 void SnapshotQueryEngine::CollectLiveCreditors(
@@ -153,10 +170,10 @@ GainAccum SnapshotQueryEngine::PartialGain(NodeId x) const {
     const std::uint64_t fb = fwd_begin[s];
     const std::uint32_t fc = fwd_count[s];
     FixedGain mga = inv_ax;
-    if (ovl_offset_[s] == kNotOverlaid) {
+    const double* credits = ovl_row_[s];
+    if (credits == nullptr) {
       for (std::uint32_t i = 0; i < fc; ++i) mga += quot[fb + i];
     } else {
-      const double* credits = RowOf(s);
       for (std::uint32_t i = 0; i < fc; ++i) {
         mga += ToFixed(credits[i] / au[fwd_node[fb + i]]);
       }
@@ -272,7 +289,7 @@ void SnapshotQueryEngine::CommitSeed(NodeId x) {
   if constexpr (kObsEnabled) {
     if (obs_enabled_) obs_t0 = MonotonicNowNs();
   }
-  const std::uint64_t copied_before = ovl_buf_.size();
+  const std::uint64_t copied_before = ovl_entries_;
   const auto uo = view_->user_offsets();
   const std::uint64_t slot_begin = uo[x];
   const std::uint64_t slot_end = uo[x + 1];
@@ -285,8 +302,8 @@ void SnapshotQueryEngine::CommitSeed(NodeId x) {
   const auto fwd_count = view_->fwd_count();
   for (std::uint64_t s = slot_begin; s < slot_end; ++s) {
     if (fwd_count[s] == 0) continue;
-    if (ovl_offset_[s] == kNotOverlaid) ovl_slots_.push_back(s);
-    ovl_offset_[s] = kErased;
+    if (ovl_row_[s] == nullptr) ovl_slots_.push_back(s);
+    ovl_row_[s] = zero_row_.data();
   }
   is_seed_[x] = 1;
   committed_.push_back(x);
@@ -294,7 +311,7 @@ void SnapshotQueryEngine::CommitSeed(NodeId x) {
     if (obs_enabled_) {
       const EngineMetrics& m = GetEngineMetrics();
       m.commits->Increment();
-      m.overlay_entries->Add(ovl_buf_.size() - copied_before);
+      m.overlay_entries->Add(ovl_entries_ - copied_before);
       m.commit_latency->Record(MonotonicNowNs() - obs_t0);
     }
   }
@@ -309,12 +326,15 @@ void SnapshotQueryEngine::ResetSession() {
       // before the rewind clears it.
       const EngineMetrics& m = GetEngineMetrics();
       m.overlay_slots->Record(ovl_slots_.size());
-      m.overlay_bytes->Record(ovl_buf_.size() * sizeof(double));
+      m.overlay_bytes->Record(ovl_entries_ * sizeof(double));
     }
   }
-  for (std::uint64_t s : ovl_slots_) ovl_offset_[s] = kNotOverlaid;
+  for (std::uint64_t s : ovl_slots_) ovl_row_[s] = nullptr;
   ovl_slots_.clear();
-  ovl_buf_.clear();  // keeps capacity: steady-state queries do not allocate
+  // Keeps the blocks: steady-state queries do not allocate.
+  ovl_blocks_used_ = 0;
+  ovl_block_fill_ = 0;
+  ovl_entries_ = 0;
   const auto base_sc = view_->slot_sc();
   for (std::uint64_t s : sc_touched_) {
     sc_cur_[s] = base_sc[s];
@@ -337,7 +357,8 @@ std::uint64_t SnapshotQueryEngine::ApproxMemoryBytes() const {
     return static_cast<std::uint64_t>(v.capacity()) * sizeof(v[0]);
   };
   const CommitScratch& scratch = commit_scratch_;
-  return bytes_of(ovl_offset_) + bytes_of(ovl_buf_) +
+  return bytes_of(ovl_row_) +
+         ovl_blocks_.size() * ovl_block_entries_ * sizeof(double) +
          bytes_of(ovl_slots_) + bytes_of(zero_row_) + bytes_of(sc_cur_) +
          bytes_of(sc_touched_) + bytes_of(sc_dirty_) + bytes_of(is_seed_) +
          bytes_of(committed_) + bytes_of(scratch.credited) +

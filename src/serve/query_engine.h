@@ -2,6 +2,7 @@
 #define INFLUMAX_SERVE_QUERY_ENGINE_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -147,6 +148,11 @@ class SnapshotQueryEngine {
   /// row reads all 0.0, so its user is never a live creditor.
   double* WritableRow(std::uint64_t s);
 
+  /// Room for an n-entry row copy in the overlay blocks: bump-allocated
+  /// from the block being filled, moving to the next block (kept from an
+  /// earlier session, else allocated) when it does not fit.
+  double* AllocateRow(std::uint32_t n);
+
   /// Appends the live creditors of slot s (positive credit to the slot's
   /// user, read through the overlay) to `*out`, in backward-record order.
   void CollectLiveCreditors(
@@ -174,15 +180,24 @@ class SnapshotQueryEngine {
   bool obs_enabled_ = true;
 
   // Copy-on-write credit overlay, one forward row per written slot:
-  // offset of the row's copy in ovl_buf_, kNotOverlaid while the row
-  // reads from the view, kErased once its user became a seed (the row
-  // then reads zero_row_, sized to the view's largest fwd_count).
-  static constexpr std::uint64_t kNotOverlaid = ~0ULL;
-  static constexpr std::uint64_t kErased = ~0ULL - 1;
-  std::vector<std::uint64_t> ovl_offset_;  // [S]
-  std::vector<double> ovl_buf_;            // bump-allocated row copies
+  // ovl_row_[s] is nullptr while the row reads from the view, zero_row_
+  // (sized to the view's largest fwd_count) once its user became a seed,
+  // else the row's copy in an overlay block.
+  std::vector<double*> ovl_row_;           // [S]
   std::vector<std::uint64_t> ovl_slots_;   // written, for O(touched) reset
   std::vector<double> zero_row_;
+
+  // Overlay blocks of ovl_block_entries_ doubles each. ResetSession
+  // rewinds them and keeps them; nothing reallocates or frees a block
+  // before the engine dies, so a session's overlay costs its high-water
+  // mark once, whichever pool worker runs the engine's commits (a
+  // growing vector left its old buffers in every worker's malloc arena).
+  static constexpr std::size_t kOverlayBlockEntries = std::size_t{1} << 16;
+  std::vector<std::unique_ptr<double[]>> ovl_blocks_;
+  std::size_t ovl_block_entries_ = 0;
+  std::size_t ovl_blocks_used_ = 0;  // blocks opened this session
+  std::size_t ovl_block_fill_ = 0;   // entries used in the last of them
+  std::uint64_t ovl_entries_ = 0;    // entries copied this session
 
   // SC shadow: base values copied at construction, per-slot undo log.
   std::vector<double> sc_cur_;             // [S]

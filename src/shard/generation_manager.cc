@@ -544,9 +544,17 @@ Status GenerationManager::last_watch_status() const {
 
 // ---------------------------------------------------------------- Session
 
-GenerationManager::Session::Session(GenerationManager& manager,
-                                    WorkerPool* pool)
-    : manager_(&manager), pool_(pool), slot_(nullptr) {
+WorkerPool* GenerationManager::ShardPool(std::size_t num_shards) {
+  if (!range_.whole() || num_shards < 2) return nullptr;
+  std::call_once(pool_once_, [this, num_shards] {
+    pool_ = std::make_unique<WorkerPool>(
+        std::min(num_shards, EffectiveThreadCount(0)));
+  });
+  return pool_.get();
+}
+
+GenerationManager::Session::Session(GenerationManager& manager)
+    : manager_(&manager), slot_(nullptr) {
   for (SessionSlot& slot : manager.slots_) {
     std::uint64_t expected = kFreeSlot;
     // Claim with a sub-epoch pin so a concurrent publish can never
@@ -566,7 +574,9 @@ GenerationManager::Session::Session(GenerationManager& manager,
 
 ShardRouter& GenerationManager::Session::router() {
   if (router_ == nullptr) {
-    router_ = std::make_unique<ShardRouter>(generation_->shards, pool_);
+    const ShardedSnapshot& shards = generation_->shards;
+    router_ = std::make_unique<ShardRouter>(
+        shards, manager_->ShardPool(shards.views.size()));
   }
   return *router_;
 }

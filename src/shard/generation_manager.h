@@ -196,9 +196,16 @@ class GenerationManager {
   /// router() CHECK-fails on a partial manager's session (ShardRouter's
   /// constructor refuses a ShardedSnapshot without every shard): a
   /// router over a subset of the shards would sum partial gains.
+  ///
+  /// Every router of a generation with two or more shards fans its
+  /// commits, resets and batched gains out on the manager's one shard
+  /// pool, sized min(shards, hardware threads) by the first such
+  /// router() call (not by Open). Sessions share it by try-acquire: one
+  /// that finds it busy runs its shards inline, with the same bits, so
+  /// N concurrent sessions never add more than the pool's threads.
   class Session {
    public:
-    explicit Session(GenerationManager& manager, WorkerPool* pool = nullptr);
+    explicit Session(GenerationManager& manager);
     ~Session();
 
     Session(const Session&) = delete;
@@ -216,7 +223,6 @@ class GenerationManager {
 
    private:
     GenerationManager* manager_;
-    WorkerPool* pool_;
     std::atomic<std::uint64_t>* slot_;
     const Generation* generation_;
     std::unique_ptr<ShardRouter> router_;
@@ -232,6 +238,11 @@ class GenerationManager {
   GenerationManager(std::string dir, ShardRange range,
                     std::unique_ptr<Generation> initial,
                     std::size_t max_sessions);
+
+  /// The shard pool for a router over `num_shards` shards: nullptr for
+  /// a partial manager or a single shard, else the manager's pool,
+  /// built on the first call. Safe from concurrent sessions.
+  WorkerPool* ShardPool(std::size_t num_shards);
 
   /// Swaps `next` in, retires the old generation, bumps the epoch,
   /// reclaims. Writer-side.
@@ -262,6 +273,10 @@ class GenerationManager {
   std::vector<Generation*> retired_;  // writer-private
   std::atomic<std::size_t> retired_count_{0};  // mirrors retired_.size()
   std::vector<SessionSlot> slots_;
+
+  // The sessions' shared shard pool (ShardPool).
+  std::once_flag pool_once_;
+  std::unique_ptr<WorkerPool> pool_;
 
   // Watcher state.
   std::thread watch_thread_;

@@ -35,13 +35,15 @@ namespace influmax {
 /// Concurrency contract: one router per serving thread; const queries
 /// (MarginalGain) may run concurrently with each other but not with
 /// mutating calls. The optional WorkerPool fans out commits, resets and
-/// batched gain passes; with a persistent pool, steady-state queries
-/// spawn zero threads. The pool must not be shared with another router
-/// running concurrently.
+/// batched gain passes; a single gain stays on the caller. The pool may
+/// be shared: every GenerationManager session's router uses its
+/// manager's pool, and a router that finds it busy runs its shards
+/// inline, with the same bits (common/parallel.h).
 class ShardRouter final : private ShardBackend {
  public:
   /// `shards` (and `pool`, when given) must outlive the router, and must
-  /// hold every shard of its manifest (CHECK-enforced).
+  /// hold every shard of its manifest (CHECK-enforced). Without a pool
+  /// the router runs every shard on the caller.
   explicit ShardRouter(const ShardedSnapshot& shards,
                        WorkerPool* pool = nullptr);
 
@@ -126,7 +128,8 @@ class ShardRouter final : private ShardBackend {
   /// clock-timed (shard.fold.* timers + span ring).
   double TimedGainOf(NodeId x) const;
 
-  /// Runs body(i) over shards: pool fan-out when available, else serial.
+  /// Runs body(i) over shards: pool fan-out when there is a pool and it
+  /// is free, else serial.
   void ForEachShard(const std::function<void(std::size_t)>& body);
 
   WorkerPool* pool_;

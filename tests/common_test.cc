@@ -384,6 +384,58 @@ TEST(WorkerPoolTest, CallerParticipatesAsWorkerZero) {
   EXPECT_EQ(caller_was_worker_zero.load(), zero_indices.load());
 }
 
+TEST(WorkerPoolTest, TryParallelForRefusesWhileHeldAndNestedCallsRunInline) {
+  WorkerPool pool(2);
+  // Hold the pool: both indices of this job wait for the release.
+  std::atomic<int> holding{0};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    EXPECT_TRUE(pool.TryParallelFor(2, [&](std::size_t, std::size_t) {
+      holding.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    }));
+  });
+  while (holding.load() < 2) std::this_thread::yield();
+  std::atomic<int> calls{0};
+  EXPECT_FALSE(pool.TryParallelFor(
+      4, [&](std::size_t, std::size_t) { calls.fetch_add(1); }));
+  EXPECT_EQ(calls.load(), 0);
+  // ParallelFor does not wait for the holder: it runs inline, in order.
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.ParallelFor(4, [&](std::size_t t, std::size_t i) {
+    EXPECT_EQ(t, 0u);
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3}));
+  release.store(true);
+  holder.join();
+
+  // From inside a job, on the caller and on the worker alike, the pool
+  // is held by that job: a nested call is refused, or runs inline.
+  constexpr std::size_t kOuter = 16;
+  std::atomic<int> refused{0};
+  std::atomic<int> inline_indices{0};
+  EXPECT_TRUE(pool.TryParallelFor(kOuter, [&](std::size_t, std::size_t) {
+    if (!pool.TryParallelFor(3, [](std::size_t, std::size_t) {})) {
+      refused.fetch_add(1);
+    }
+    const auto me = std::this_thread::get_id();
+    pool.ParallelFor(3, [&](std::size_t t, std::size_t) {
+      if (t == 0 && std::this_thread::get_id() == me) {
+        inline_indices.fetch_add(1);
+      }
+    });
+  }));
+  EXPECT_EQ(refused.load(), static_cast<int>(kOuter));
+  EXPECT_EQ(inline_indices.load(), static_cast<int>(3 * kOuter));
+  // Released again: the next job runs on the pool.
+  EXPECT_TRUE(pool.TryParallelFor(
+      4, [&](std::size_t, std::size_t) { calls.fetch_add(1); }));
+  EXPECT_EQ(calls.load(), 4);
+}
+
 // ------------------------------------------------------------- Histogram
 
 TEST(LatencyHistogramTest, SmallValuesAreExact) {

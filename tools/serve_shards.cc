@@ -9,8 +9,8 @@
 //
 // Serve queries from the directory's CURRENT generation (one session,
 // queries answered by the gain-merging ShardRouter; bit-identical to the
-// live model):
-//   serve_shards --dir=D [--pool_threads=4]
+// live model; commits fan out over the manager's shard pool):
+//   serve_shards --dir=D
 // one query per stdin line:
 //   topk K [BUDGET]   CELF greedy seeds across all shards
 //   gain X            routed marginal gain (sum of per-shard partials)
@@ -283,18 +283,16 @@ void PrintSelection(const SnapshotSeedSelection& selection) {
               static_cast<unsigned long long>(selection.gain_evaluations));
 }
 
-int RunServe(GenerationManager& manager, WorkerPool* pool,
-             const MetricsDump& dump) {
+int RunServe(GenerationManager& manager, const MetricsDump& dump) {
   const ServeQueryMetrics& qm = GetServeQueryMetrics();
   SpanRing ring(256);
-  GenerationManager::Session session(manager, pool);
+  GenerationManager::Session session(manager);
   session.router().set_span_ring(&ring);
   {
     const ShardManifest& m = session.shards().manifest;
     PrintManifest(m, "serving");
-    std::fprintf(stderr, "%u users, lambda %g, pool %zu workers\n",
-                 m.num_users, m.truncation_threshold,
-                 pool == nullptr ? 1 : pool->num_workers());
+    std::fprintf(stderr, "%u users, lambda %g\n", m.num_users,
+                 m.truncation_threshold);
   }
   std::string line;
   while (std::getline(std::cin, line)) {
@@ -1204,7 +1202,6 @@ int Main(int argc, char** argv) {
   int shards = 4;
   int generation = 1;
   int k = 50;
-  int pool_threads = 0;
   int threads = 1;
   int samples = 3;
   int poll_ms = 500;
@@ -1233,8 +1230,6 @@ int Main(int argc, char** argv) {
   flags.AddInt("shards", &shards, "target shard count for --split");
   flags.AddInt("generation", &generation, "generation number for --split");
   flags.AddInt("k", &k, "seeds for --bench topk");
-  flags.AddInt("pool_threads", &pool_threads,
-               "serve: persistent WorkerPool size (0 = all hardware)");
   flags.AddInt("threads", &threads, "--bench: concurrent serving sessions");
   flags.AddInt("samples", &samples, "--bench: topk latency samples");
   flags.AddInt("poll_ms", &poll_ms, "--watch: log poll interval");
@@ -1294,12 +1289,12 @@ int Main(int argc, char** argv) {
     return 1;
   }
   if (shards < 1 || generation < 1 || threads < 1 || samples < 1 ||
-      poll_ms < 1 || pool_threads < 0 || max_sessions < 1 ||
+      poll_ms < 1 || max_sessions < 1 ||
       rpc_deadline_ms < 0 || slow_query_ms < 0) {
     std::fprintf(stderr,
                  "--shards, --generation, --threads, --samples, --poll_ms, "
-                 "and --max_sessions must be >= 1; --pool_threads, "
-                 "--rpc_deadline_ms, and --slow_query_ms must be >= 0\n%s",
+                 "and --max_sessions must be >= 1; --rpc_deadline_ms and "
+                 "--slow_query_ms must be >= 0\n%s",
                  flags.Usage(argv[0]).c_str());
     return 1;
   }
@@ -1371,12 +1366,6 @@ int Main(int argc, char** argv) {
                     credit_name, json_path, dump);
   }
 
-  std::unique_ptr<WorkerPool> pool;
-  if (pool_threads != 1) {
-    pool = std::make_unique<WorkerPool>(
-        static_cast<std::size_t>(pool_threads));
-  }
-
   // --watch: the background ingestion loop reloads the log file every
   // poll and swaps a new generation in; the REPL session keeps serving
   // its pinned generation until `refresh`.
@@ -1426,7 +1415,7 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "watching %s every %d ms\n", log_path.c_str(),
                  poll_ms);
   }
-  const int status = RunServe(**manager, pool.get(), dump);
+  const int status = RunServe(**manager, dump);
   (*manager)->StopWatch();
   return status;
 }
