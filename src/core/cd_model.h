@@ -106,8 +106,8 @@ class CreditDistributionModel {
   /// have erased since.
   std::uint64_t credit_entries() const;
 
-  /// Approximate heap bytes: the frozen image plus the router's
-  /// workspaces.
+  /// Approximate heap bytes: the frozen image, its quotient pool and the
+  /// router's workspaces.
   std::uint64_t ApproxMemoryBytes() const;
 
   /// The credits as the scan froze them (commits live in the router's

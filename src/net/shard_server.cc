@@ -67,14 +67,12 @@ Result<std::unique_ptr<ShardServer>> ShardServer::Start(
   server->manager_ = std::move(manager_or).value();
 
   {
-    // Seed the ping state, and derive the served shards' global-au pools
+    // Seed the ping state, and derive the served shards' quotient pools
     // now, at start-up, rather than in the first client's hello.
     GenerationManager::Session probe(*server->manager_);
     const ShardedSnapshot& shards = probe.shards();
     SetServedRange(shards, &server->pong_state_);
-    for (std::size_t i = shards.first_shard; i < shards.end_shard(); ++i) {
-      shards.shard_quotient(i);
-    }
+    for (const CreditSnapshotView& view : shards.views) view.fwd_quotient();
   }
 
   auto listener_or = TcpListener::Bind(options.port);
@@ -435,12 +433,11 @@ void ShardServer::HandleConn(Conn* conn) {
         num_users = manifest.num_users;
         engines.clear();
         engines.reserve(shard_end - shard_begin);
-        for (std::size_t i = shard_begin; i < shard_end; ++i) {
-          // The same construction ShardRouter performs: global A_u and
-          // the global-au quotient pool, so every partial matches the
+        for (const CreditSnapshotView& view : shards.views) {
+          // The same construction ShardRouter performs — the view
+          // divides by the global A_u — so every partial matches the
           // in-process router bit for bit.
-          engines.emplace_back(shards.view(i), manifest.au,
-                               shards.shard_quotient(i));
+          engines.emplace_back(view);
         }
         session_seeds = 0;
 

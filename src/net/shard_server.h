@@ -50,7 +50,7 @@ struct ShardServerOptions {
 ///
 /// Per-connection state: a GenerationManager::Session (the pin) plus
 /// one SnapshotQueryEngine per served shard built against the pinned
-/// generation with the manifest's GLOBAL A_u and quotient pool — the
+/// generation, whose views divide by the manifest's GLOBAL A_u — the
 /// same construction ShardRouter performs, so the partials computed here
 /// are bit-identical to the in-process router's. Session capacity is enforced before the Session
 /// is constructed (the manager CHECK-aborts on slot exhaustion; the

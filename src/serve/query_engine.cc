@@ -61,17 +61,10 @@ inline bool GainTickFires() {
 }  // namespace
 
 SnapshotQueryEngine::SnapshotQueryEngine(const CreditSnapshotView& view)
-    : SnapshotQueryEngine(view, view.au(), view.fwd_quotient()) {}
-
-SnapshotQueryEngine::SnapshotQueryEngine(
-    const CreditSnapshotView& view, std::span<const std::uint32_t> au_override,
-    std::span<const FixedGain> quotient_override)
-    : view_(&view), au_(au_override), quot_(quotient_override) {
+    : view_(&view), au_(view.gain_au()), quot_(view.fwd_quotient()) {
   // Register the metric names up front so scrapes see them from the
   // first query, not only once the sampled probe first fires.
   (void)GetEngineMetrics();
-  INFLUMAX_CHECK(au_.size() >= view.num_users());
-  INFLUMAX_CHECK(quot_.size() == view.num_entries());
   ovl_row_.assign(view.num_slots(), nullptr);
   const std::uint32_t longest_row =
       view.num_slots() > 0 ? std::ranges::max(view.fwd_count()) : 0;

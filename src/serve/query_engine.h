@@ -43,23 +43,13 @@ namespace influmax {
 class SnapshotQueryEngine {
  public:
   /// Workspaces are sized to the view once, here. `view` must outlive
-  /// the engine. Seeds frozen into the snapshot are permanent: they
-  /// survive ResetSession() (their credit updates are already baked into
-  /// the snapshot's UC/SC arrays).
+  /// the engine. Every gain formula divides by view.gain_au() — for an
+  /// action-range shard, the generation's global A_u, as Theorem 3
+  /// wants (docs/sharding.md) — and sums the view's quotient pool, which
+  /// the first engine over the view derives. Seeds frozen into the
+  /// snapshot are permanent: they survive ResetSession() (their credit
+  /// updates are already baked into the snapshot's UC/SC arrays).
   explicit SnapshotQueryEngine(const CreditSnapshotView& view);
-
-  /// Shard-serving constructor (docs/sharding.md): `au_override` (length
-  /// >= the view's user count) replaces the view's own A_u array in every
-  /// gain formula, and `quotient_override` (length == the view's entry
-  /// count) is the matching pool, ToFixed(fwd_credit[e] /
-  /// au_override[fwd_node[e]]). An action-range shard stores only the
-  /// slots of its own actions, so its local au says "actions in this
-  /// shard" — but Theorem 3 divides by the user's *global* action count,
-  /// which ShardedSnapshot::shard_quotient supplies with its derived
-  /// pool. Both spans must outlive the engine.
-  SnapshotQueryEngine(const CreditSnapshotView& view,
-                      std::span<const std::uint32_t> au_override,
-                      std::span<const FixedGain> quotient_override);
 
   /// Marginal gain sigma_cd(S + x) - sigma_cd(S) of x against the
   /// current session seed set S (Algorithm 4 / Theorem 3); 0 when x is
@@ -170,12 +160,11 @@ class SnapshotQueryEngine {
 
   const CreditSnapshotView* view_;
 
-  // A_u divisors for every gain formula: the view's au section, or the
-  // router-supplied global override (see the sharding constructor).
+  // A_u divisors for every gain formula: the view's gain_au().
   std::span<const std::uint32_t> au_;
 
-  // Precomputed q[e] = ToFixed(fwd_credit[e] / au_[fwd_node[e]]) ([E],
-  // matching au_): the view's stored pool or the caller's override.
+  // The view's quotient pool, q[e] = ToFixed(fwd_credit[e] /
+  // au_[fwd_node[e]]) ([E]).
   std::span<const FixedGain> quot_;
   bool obs_enabled_ = true;
 

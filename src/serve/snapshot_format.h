@@ -26,10 +26,11 @@ namespace influmax {
 ///     then zero padding to the next 8-byte boundary, so every u64/double
 ///     payload is 8-byte aligned within the (page-aligned) mapping.
 inline constexpr std::uint64_t kSnapshotMagic = 0x584D464C50414E53ULL;
-/// Version 3 stores kFwdQuotient as fixed-point integers (core/
-/// fixed_gain.h, docs/gain_kernel.md). Version 2 stored it as doubles,
-/// version 1 not at all; both are rejected — rebuild to upgrade.
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+/// Version 4 stores no quotient pool: a view derives it from kFwdCredit
+/// on first use (docs/gain_kernel.md). Versions 2 and 3 stored it as a
+/// kFwdQuotient section, version 1 not at all; all three are rejected —
+/// rebuild to upgrade.
+inline constexpr std::uint32_t kSnapshotVersion = 4;
 inline constexpr std::uint64_t kSnapshotPreludeBytes = 64;
 
 /// Section order. Element types and expected counts (in terms of the
@@ -45,10 +46,6 @@ inline constexpr std::uint64_t kSnapshotPreludeBytes = 64;
 ///   kBwdCount        u32[S]    slot -> creditor record count
 ///   kFwdNode         u32[E]    credited user of each entry
 ///   kFwdCredit       f64[E]    Gamma_{v,u}(a) of each entry
-///   kFwdQuotient     i64[E]    ToFixed(fwd_credit[e] / au[fwd_node[e]]),
-///                              derived at write time so the gain sum needs
-///                              no division or gather (docs/gain_kernel.md);
-///                              re-derived and compared at open
 ///   kBwdNode         u32[E]    creditor node of each backward record
 ///   kBwdEntry        u64[E]    forward-entry index of the same (v, u) pair
 ///   kActionSize      u32[A]    scanned trace length per action
@@ -66,7 +63,6 @@ enum class SnapshotSection : std::uint32_t {
   kBwdCount,
   kFwdNode,
   kFwdCredit,
-  kFwdQuotient,
   kBwdNode,
   kBwdEntry,
   kActionSize,

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <limits>
 
+#include "common/logging.h"
 #include "serve/snapshot_format.h"
 #include "serve/snapshot_writer.h"
 
@@ -103,38 +104,33 @@ class SectionCursor {
   Status status_;
 };
 
-/// Whether `pool` is ToFixed(q) for a quotient q inside the headroom.
-/// Out of line: the validation loop calls it only for the rare quotient
-/// its inline rounding does not settle.
-[[gnu::noinline]] bool QuotientMatches(double q, FixedGain pool) {
-  return q >= 0.0 && q < kGainHeadroom && pool == ToFixed(q);
-}
-
 }  // namespace
 
-std::uint64_t FindSlotPastGainHeadroom(
-    std::span<const std::uint32_t> au,
-    std::span<const std::uint64_t> user_offsets,
-    std::span<const std::uint64_t> fwd_begin,
-    std::span<const std::uint32_t> fwd_count,
-    std::span<const FixedGain> pool, FixedGain max_q) {
+std::uint64_t FindSlotPastGainHeadroom(const CreditSnapshotView& view,
+                                       FixedGain max_q) {
   // Every term of a slot's sum is at most the larger of max_q and
   // 1/A_x <= 1, and a slot adds fwd_count quotients plus 1/A_x, so when
   // (largest count + 1) * max(max_q, 1) fits, every slot does — the
-  // common case, settled without a pass over the pool. Otherwise sum
+  // common case, settled without a pass over the entries. Otherwise sum
   // each slot.
+  const auto fwd_count = view.fwd_count();
   const std::uint64_t max_count =
       fwd_count.empty() ? 0 : std::ranges::max(fwd_count);
   if (GainAccum{max_count + 1} * std::max(max_q, ToFixed(1.0)) <=
       std::numeric_limits<FixedGain>::max()) {
     return CreditSnapshotView::kNoSlot;
   }
-  for (std::size_t x = 0; x + 1 < user_offsets.size(); ++x) {
-    for (std::uint64_t s = user_offsets[x]; s < user_offsets[x + 1]; ++s) {
+  const auto au = view.au();
+  const auto uo = view.user_offsets();
+  const auto fwd_begin = view.fwd_begin();
+  for (NodeId x = 0; x < view.num_users(); ++x) {
+    for (std::uint64_t s = uo[x]; s < uo[x + 1]; ++s) {
       FixedGain mga = ToFixed(1.0 / au[x]);
       for (std::uint64_t e = fwd_begin[s]; e < fwd_begin[s] + fwd_count[s];
            ++e) {
-        if (__builtin_add_overflow(mga, pool[e], &mga)) return s;
+        const FixedGain q =
+            ToFixed(view.fwd_credit()[e] / au[view.fwd_node()[e]]);
+        if (__builtin_add_overflow(mga, q, &mga)) return s;
       }
     }
   }
@@ -149,8 +145,7 @@ std::uint64_t CreditSnapshotView::SlotOf(NodeId u, ActionId a) const {
   return static_cast<std::uint64_t>(it - slot_action_.data());
 }
 
-CreditSnapshotView CreditSnapshotView::InMemory(
-    const SnapshotData& data, std::span<const FixedGain> quotient) {
+CreditSnapshotView CreditSnapshotView::InMemory(const SnapshotData& data) {
   CreditSnapshotView view;
   view.num_users_ = data.num_users;
   view.num_actions_ = data.num_actions;
@@ -170,7 +165,7 @@ CreditSnapshotView CreditSnapshotView::InMemory(
   view.bwd_count_ = data.bwd_count;
   view.fwd_node_ = data.fwd_node;
   view.fwd_credit_ = data.fwd_credit;
-  view.fwd_quotient_ = quotient;
+  view.gain_au_ = view.au_;
   view.bwd_node_ = data.bwd_node;
   view.bwd_entry_ = data.bwd_entry;
   view.action_size_ = data.action_size;
@@ -182,8 +177,7 @@ CreditSnapshotView CreditSnapshotView::InMemory(
       bytes(view.slot_sc_) + bytes(view.action_entry_begin_) +
       bytes(view.fwd_begin_) + bytes(view.fwd_count_) +
       bytes(view.bwd_begin_) + bytes(view.bwd_count_) +
-      bytes(view.fwd_node_) + bytes(view.fwd_credit_) +
-      bytes(view.fwd_quotient_) + bytes(view.bwd_node_) +
+      bytes(view.fwd_node_) + bytes(view.fwd_credit_) + bytes(view.bwd_node_) +
       bytes(view.bwd_entry_) + bytes(view.action_size_) +
       bytes(view.action_trace_hash_) + bytes(view.seeds_);
   return view;
@@ -239,8 +233,6 @@ Result<CreditSnapshotView> CreditSnapshotView::Open(const std::string& path) {
   view.bwd_count_ = cursor.ReadSection<std::uint32_t>("bwd_count", S, S);
   view.fwd_node_ = cursor.ReadSection<NodeId>("fwd_node", E, E);
   view.fwd_credit_ = cursor.ReadSection<double>("fwd_credit", E, E);
-  view.fwd_quotient_ =
-      cursor.ReadSection<FixedGain>("fwd_quotient", E, E);
   view.bwd_node_ = cursor.ReadSection<NodeId>("bwd_node", E, E);
   view.bwd_entry_ = cursor.ReadSection<std::uint64_t>("bwd_entry", E, E);
   view.action_size_ = cursor.ReadSection<std::uint32_t>("action_size", A, A);
@@ -325,26 +317,19 @@ Result<CreditSnapshotView> CreditSnapshotView::Open(const std::string& path) {
   // The fixed-point gain converts every quotient to an integer, so a
   // value it cannot hold is refused here rather than reaching a
   // conversion: credits are non-negative and finite, quotients inside
-  // the headroom, and the pool exactly the rounding the writer derives.
-  // The loop only finds the first bad entry; the message is built after.
+  // the headroom. The loop only finds the first bad entry; the message
+  // is built after.
   const auto fwd_node = view.fwd_node_;
   const auto bwd_node = view.bwd_node_;
   const auto credit = view.fwd_credit_;
-  const auto pool = view.fwd_quotient_;
   const auto au = view.au_;
-  FixedGain max_q = 0;
+  double max_q = 0.0;
   std::uint64_t e = 0;
   for (; e < E; ++e) {
     if (fwd_node[e] >= U || bwd_node[e] >= U) break;
     const double q = credit[e] / au[fwd_node[e]];
-    // The branch-free rounding settles every quotient below 8 — all of
-    // Algorithm 2's, whose credits are shares — and keeps this O(E) loop
-    // as cheap as the division it needs; the rest take the full check.
-    if ((pool[e] != ToFixedSmall(q) || !(q >= 0.0 && q < 8.0)) &&
-        !QuotientMatches(q, pool[e])) {
-      break;
-    }
-    max_q |= pool[e];  // >= the largest quotient, all being non-negative
+    if (!(q >= 0.0 && q < kGainHeadroom)) break;  // NaN included
+    max_q = std::max(max_q, q);
   }
   if (e < E) {
     const std::string entry = "entry " + std::to_string(e);
@@ -352,19 +337,17 @@ Result<CreditSnapshotView> CreditSnapshotView::Open(const std::string& path) {
       cursor.Fail(entry + " references a user out of range");
     } else if (!(credit[e] >= 0.0) || !std::isfinite(credit[e])) {
       cursor.Fail(entry + " has a negative or non-finite credit");
-    } else if (!(credit[e] / au[fwd_node[e]] < kGainHeadroom)) {
-      cursor.Fail(entry + " quotient exceeds the fixed-point headroom");
     } else {
-      cursor.Fail(entry + " quotient is not ToFixed(fwd_credit / au)");
+      cursor.Fail(entry + " quotient exceeds the fixed-point headroom");
     }
     return cursor.status();
   }
   // Every slot's mg_a(x) — 1/A_x plus its quotients — must fit a
   // FixedGain, so the engine's int64 slot sums cannot overflow. A
-  // session only lowers credits, so its sums stay inside too.
-  const std::uint64_t slot = FindSlotPastGainHeadroom(
-      view.au_, uo, view.fwd_begin_, view.fwd_count_, view.fwd_quotient_,
-      max_q);
+  // session only lowers credits, and a shard's global A_u only lowers
+  // quotients, so their sums stay inside too. Rounding is monotonic, so
+  // ToFixed(max_q) bounds every rounded quotient.
+  const std::uint64_t slot = FindSlotPastGainHeadroom(view, ToFixed(max_q));
   if (slot != kNoSlot) {
     cursor.Fail("slot " + std::to_string(slot) +
                 " gain exceeds the fixed-point headroom");
@@ -376,7 +359,31 @@ Result<CreditSnapshotView> CreditSnapshotView::Open(const std::string& path) {
       return cursor.status();
     }
   }
+  view.gain_au_ = view.au_;
   return view;
+}
+
+void CreditSnapshotView::DivideGainsBy(std::span<const std::uint32_t> au) {
+  INFLUMAX_CHECK(au.size() == num_users_);
+  gain_au_ = au;
+}
+
+std::span<const FixedGain> CreditSnapshotView::fwd_quotient() const {
+  std::call_once(pool_->once, [this] {
+    std::vector<FixedGain>& pool = pool_->quotients;
+    pool.resize(num_entries_);
+    for (std::uint64_t e = 0; e < pool.size(); ++e) {
+      pool[e] = ToFixed(fwd_credit_[e] / gain_au_[fwd_node_[e]]);
+    }
+    pool_->derived.store(true, std::memory_order_release);
+  });
+  return pool_->quotients;
+}
+
+std::uint64_t CreditSnapshotView::pool_bytes() const {
+  return pool_->derived.load(std::memory_order_acquire)
+             ? pool_->quotients.size() * sizeof(FixedGain)
+             : 0;
 }
 
 }  // namespace influmax

@@ -1,9 +1,13 @@
 #ifndef INFLUMAX_SERVE_SNAPSHOT_VIEW_H_
 #define INFLUMAX_SERVE_SNAPSHOT_VIEW_H_
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/memory.h"
 #include "common/status.h"
@@ -18,9 +22,10 @@ struct SnapshotData;
 /// (src/serve/snapshot_format.h). Open() memory-maps a file, validates
 /// the prelude, section structure, and cross-array index bounds once, and
 /// then exposes every section as a typed span pointing straight into the
-/// mapping — no hash tables, no copies, no allocation after Open.
-/// InMemory() spans an image a build holds in memory instead (the live
-/// model's frozen scan), with the same accessors.
+/// mapping — no hash tables, no copies. InMemory() spans an image a build
+/// holds in memory instead (the live model's frozen scan), with the same
+/// accessors. The one heap structure is the quotient pool, derived from
+/// the credits on the first fwd_quotient() call.
 ///
 /// Lookup model (all O(1) or O(log A_u), all hash-free):
 ///  * user u's slots: [user_offsets()[u], user_offsets()[u+1]) — one slot
@@ -31,9 +36,10 @@ struct SnapshotData;
 ///  * action a's entries are contiguous:
 ///    [action_entry_begin()[a], action_entry_begin()[a+1]).
 ///
-/// Concurrency: the view is immutable after Open and safe to share across
-/// any number of threads; per-thread mutable state lives in
-/// SnapshotQueryEngine (src/serve/query_engine.h).
+/// Concurrency: the view is immutable after Open (and DivideGainsBy) and
+/// safe to share across any number of threads — the pool's derivation
+/// runs once, whichever thread asks first; per-thread mutable state lives
+/// in SnapshotQueryEngine (src/serve/query_engine.h).
 class CreditSnapshotView {
  public:
   CreditSnapshotView() = default;
@@ -43,17 +49,22 @@ class CreditSnapshotView {
   /// Maps and validates `path`. Corruption with the failing byte offset
   /// when the file is truncated, mis-typed, or internally inconsistent,
   /// including any value the fixed-point gain cannot hold: a negative or
-  /// non-finite credit, a non-finite SC, a quotient that is not the
-  /// rounding of its credit / au, or a slot past the gain headroom.
+  /// non-finite credit, a non-finite SC, a quotient credit / au past the
+  /// headroom, or a slot past the gain headroom.
   static Result<CreditSnapshotView> Open(const std::string& path);
 
   /// A view over an in-memory image: every section spans `data`'s
-  /// vectors, and the quotient pool spans `quotient`, which must hold
-  /// ToFixed(fwd_credit / au) per entry (DeriveQuotientPool). Both must
-  /// outlive the view. Nothing is validated — the image comes from this
-  /// process's own build, not from a file.
-  static CreditSnapshotView InMemory(const SnapshotData& data,
-                                     std::span<const FixedGain> quotient);
+  /// vectors, which must outlive the view. Nothing is validated — the
+  /// image comes from this process's own build, not from a file.
+  static CreditSnapshotView InMemory(const SnapshotData& data);
+
+  /// Makes `au` the A_u this view's gains divide by: a generation's
+  /// global A_u for one of its action-range shards (docs/sharding.md),
+  /// where au() counts only the shard's own actions. `au` must hold
+  /// num_users() values, each at least au()'s — so every quotient stays
+  /// inside the headroom Open checked — and outlive the view. Call it
+  /// before the view is shared, and before the first fwd_quotient().
+  void DivideGainsBy(std::span<const std::uint32_t> au);
 
   NodeId num_users() const { return num_users_; }
   ActionId num_actions() const { return num_actions_; }
@@ -81,11 +92,18 @@ class CreditSnapshotView {
   std::span<const std::uint32_t> bwd_count() const { return bwd_count_; }
   std::span<const NodeId> fwd_node() const { return fwd_node_; }
   std::span<const double> fwd_credit() const { return fwd_credit_; }
-  /// Derived division-free gain pool: fwd_quotient()[e] equals
-  /// ToFixed(fwd_credit()[e] / au()[fwd_node()[e]]) (core/fixed_gain.h;
-  /// validated at Open). The gain sum adds this stream instead of
-  /// dividing and gathering per entry (docs/gain_kernel.md).
-  std::span<const FixedGain> fwd_quotient() const { return fwd_quotient_; }
+  /// The A_u every gain formula divides by: au(), unless DivideGainsBy
+  /// named a generation's global A_u.
+  std::span<const std::uint32_t> gain_au() const { return gain_au_; }
+  /// Division-free gain pool: fwd_quotient()[e] equals
+  /// ToFixed(fwd_credit()[e] / gain_au()[fwd_node()[e]])
+  /// (core/fixed_gain.h). Derived on the heap by the first call, from
+  /// any thread, and shared by every later one; the file stores no pool.
+  /// The gain sum adds this stream instead of dividing and gathering per
+  /// entry (docs/gain_kernel.md).
+  std::span<const FixedGain> fwd_quotient() const;
+  /// Heap bytes of the quotient pool: 0 until fwd_quotient() derives it.
+  std::uint64_t pool_bytes() const;
   std::span<const NodeId> bwd_node() const { return bwd_node_; }
   std::span<const std::uint64_t> bwd_entry() const { return bwd_entry_; }
   std::span<const std::uint32_t> action_size() const { return action_size_; }
@@ -104,14 +122,24 @@ class CreditSnapshotView {
   /// Serving-side memory footprint: the mapped file (resident pages are
   /// an upper bound; the kernel shares them across processes) — the
   /// number the ROADMAP's truncation-aware memory budgeting targets — or
-  /// the section bytes of an in-memory image.
+  /// the section bytes of an in-memory image. The derived pool is
+  /// pool_bytes(), not part of this.
   std::uint64_t ApproxMemoryBytes() const {
     return file_.size() + in_memory_bytes_;
   }
 
  private:
+  /// The lazily derived quotient pool, behind a pointer so the view
+  /// stays movable.
+  struct QuotientPool {
+    std::once_flag once;
+    std::vector<FixedGain> quotients;
+    std::atomic<bool> derived{false};
+  };
+
   MmapFile file_;
   std::uint64_t in_memory_bytes_ = 0;
+  std::unique_ptr<QuotientPool> pool_ = std::make_unique<QuotientPool>();
 
   NodeId num_users_ = 0;
   ActionId num_actions_ = 0;
@@ -132,7 +160,7 @@ class CreditSnapshotView {
   std::span<const std::uint32_t> bwd_count_;
   std::span<const NodeId> fwd_node_;
   std::span<const double> fwd_credit_;
-  std::span<const FixedGain> fwd_quotient_;
+  std::span<const std::uint32_t> gain_au_;
   std::span<const NodeId> bwd_node_;
   std::span<const std::uint64_t> bwd_entry_;
   std::span<const std::uint32_t> action_size_;
@@ -140,18 +168,15 @@ class CreditSnapshotView {
   std::span<const NodeId> seeds_;
 };
 
-/// The first slot whose mg_a(x) — ToFixed(1/A_x) plus its non-negative
-/// pool quotients, none of them above `max_q` — would overflow a
-/// FixedGain, in user-major slot order, or kNoSlot. Shared by the
-/// snapshot writer, which refuses to write such a slot, and
+/// The first slot whose mg_a(x) — ToFixed(1/A_x) plus its entries'
+/// quotients ToFixed(credit / au), all non-negative and none above
+/// `max_q` — would overflow a FixedGain, in user-major slot order, or
+/// kNoSlot. Rounds the quotients as it goes, so it needs no pool. Shared
+/// by the snapshot writer, which refuses to write such a slot, and
 /// CreditSnapshotView::Open, which refuses to serve one
-/// (docs/gain_kernel.md). Ranges must be in bounds.
-std::uint64_t FindSlotPastGainHeadroom(
-    std::span<const std::uint32_t> au,
-    std::span<const std::uint64_t> user_offsets,
-    std::span<const std::uint64_t> fwd_begin,
-    std::span<const std::uint32_t> fwd_count,
-    std::span<const FixedGain> pool, FixedGain max_q);
+/// (docs/gain_kernel.md). `view`'s ranges must be in bounds.
+std::uint64_t FindSlotPastGainHeadroom(const CreditSnapshotView& view,
+                                       FixedGain max_q);
 
 }  // namespace influmax
 

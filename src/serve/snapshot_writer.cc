@@ -188,23 +188,19 @@ void InitSnapshotSlots(const ActionLog& log, SnapshotData* data) {
   data->action_trace_hash.assign(num_actions, 0);
 }
 
-Status DeriveQuotientPool(const SnapshotData& data,
-                          std::vector<FixedGain>* pool) {
-  pool->resize(data.fwd_node.size());
-  FixedGain max_q = 0;
-  for (std::size_t e = 0; e < pool->size(); ++e) {
+Status CheckGainHeadroom(const SnapshotData& data) {
+  double max_q = 0.0;
+  for (std::size_t e = 0; e < data.fwd_node.size(); ++e) {
     const double q = data.fwd_credit[e] / data.au[data.fwd_node[e]];
     if (!(q >= 0.0 && q < kGainHeadroom)) {
       return Status::InvalidArgument(
           "snapshot image: entry " + std::to_string(e) +
           " credit is negative, non-finite or past the fixed-point headroom");
     }
-    (*pool)[e] = ToFixed(q);
-    max_q = std::max(max_q, (*pool)[e]);
+    max_q = std::max(max_q, q);
   }
   const std::uint64_t slot = FindSlotPastGainHeadroom(
-      data.au, data.user_offsets, data.fwd_begin, data.fwd_count, *pool,
-      max_q);
+      CreditSnapshotView::InMemory(data), ToFixed(max_q));
   if (slot != CreditSnapshotView::kNoSlot) {
     return Status::InvalidArgument("snapshot image: slot " +
                                    std::to_string(slot) +
@@ -217,14 +213,10 @@ namespace {
 
 Status WriteSnapshotFileImpl(const SnapshotData& data,
                              const std::string& path) {
-  // kFwdQuotient is derived here rather than carried in SnapshotData, so
-  // every producer — full build, incremental rescan, shard slicer — gets
-  // a pool consistent with its own au section by construction; the view
-  // re-derives it at open. Note a shard blob's pool divides by its
-  // *local* au; engines serving shards under a global-au override get a
-  // derived pool from ShardedSnapshot::shard_quotient instead.
-  std::vector<FixedGain> fwd_quot;
-  INFLUMAX_RETURN_IF_ERROR(DeriveQuotientPool(data, &fwd_quot));
+  // Every producer — full build, incremental rescan, shard slicer —
+  // passes this check, so no writer emits a file Open would refuse. The
+  // quotient pool is not written: a view derives it from the credits.
+  INFLUMAX_RETURN_IF_ERROR(CheckGainHeadroom(data));
   BinaryWriter writer(path, kSnapshotMagic, kSnapshotVersion);
   INFLUMAX_RETURN_IF_ERROR(writer.status());
   writer.set_failpoint("snapshot.write");
@@ -254,7 +246,6 @@ Status WriteSnapshotFileImpl(const SnapshotData& data,
   WriteSection(&writer, data.bwd_count);
   WriteSection(&writer, data.fwd_node);
   WriteSection(&writer, data.fwd_credit);
-  WriteSection(&writer, fwd_quot);
   WriteSection(&writer, data.bwd_node);
   WriteSection(&writer, data.bwd_entry);
   WriteSection(&writer, data.action_size);

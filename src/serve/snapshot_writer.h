@@ -125,13 +125,12 @@ Status FreezeAction(const ActionCreditTable& table, ActionId a,
                     std::span<const ActionTuple> trace, FreezeScratch* scratch,
                     SnapshotData* slots, SnapshotData* entries);
 
-/// The quotient pool of `data`, ToFixed(fwd_credit[e] / au[fwd_node[e]])
-/// per entry (core/fixed_gain.h), into `*pool`. InvalidArgument for
-/// what CreditSnapshotView::Open would refuse: a negative or non-finite
-/// credit, a quotient past the fixed-point headroom, or a slot whose
-/// mg_a(x) would overflow a FixedGain (docs/gain_kernel.md).
-Status DeriveQuotientPool(const SnapshotData& data,
-                          std::vector<FixedGain>* pool);
+/// InvalidArgument for the values of `data` CreditSnapshotView::Open
+/// would refuse: a negative or non-finite credit, a quotient
+/// fwd_credit[e] / au[fwd_node[e]] past the fixed-point headroom, or a
+/// slot whose mg_a(x) would overflow a FixedGain (docs/gain_kernel.md).
+/// Allocates no quotient pool.
+Status CheckGainHeadroom(const SnapshotData& data);
 
 /// Serializes `data` to `path` in the snapshot_format.h layout.
 Status WriteSnapshotFile(const SnapshotData& data, const std::string& path);

@@ -19,11 +19,9 @@
 namespace influmax {
 
 struct CreditDistributionModel::Frozen {
-  Frozen(SnapshotData image, std::vector<FixedGain> pool)
+  explicit Frozen(SnapshotData image)
       : data(std::move(image)),
-        quotient(std::move(pool)),
-        shards(InMemoryShardedSnapshot(
-            CreditSnapshotView::InMemory(data, quotient))),
+        shards(InMemoryShardedSnapshot(CreditSnapshotView::InMemory(data))),
         router(shards) {
     router.set_obs_enabled(false);  // the model's greedy is not served
   }
@@ -31,7 +29,6 @@ struct CreditDistributionModel::Frozen {
   const SnapshotQueryEngine& engine() const { return router.shard_engine(0); }
 
   SnapshotData data;
-  std::vector<FixedGain> quotient;
   ShardedSnapshot shards;  // the image as a whole 1-shard generation
   ShardRouter router;
 };
@@ -166,11 +163,9 @@ Result<CreditDistributionModel> CreditDistributionModel::Build(
   data.log_fingerprint =
       FingerprintTraceHashes(log.num_users(), data.action_trace_hash);
 
-  std::vector<FixedGain> quotient;
-  INFLUMAX_RETURN_IF_ERROR(DeriveQuotientPool(data, &quotient));
+  INFLUMAX_RETURN_IF_ERROR(CheckGainHeadroom(data));
   CreditDistributionModel model(log);
-  model.frozen_ =
-      std::make_unique<Frozen>(std::move(data), std::move(quotient));
+  model.frozen_ = std::make_unique<Frozen>(std::move(data));
   return model;
 }
 
@@ -203,7 +198,7 @@ std::uint64_t CreditDistributionModel::credit_entries() const {
 }
 
 std::uint64_t CreditDistributionModel::ApproxMemoryBytes() const {
-  return frozen().ApproxMemoryBytes() +
+  return frozen().ApproxMemoryBytes() + frozen().pool_bytes() +
          frozen_->router.ApproxMemoryBytes();
 }
 

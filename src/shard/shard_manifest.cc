@@ -232,7 +232,6 @@ Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path,
   }
   sharded.first_shard = range.begin;
   sharded.views.reserve(end - range.begin);
-  sharded.global_pools.reserve(end - range.begin);
   for (std::size_t i = range.begin; i < end; ++i) {
     const std::string path = sharded.dir + "/" + m.shard_files[i];
     auto fingerprint = FingerprintShardFile(path);
@@ -275,29 +274,22 @@ Result<ShardedSnapshot> OpenShardedSnapshot(const std::string& manifest_path,
             std::to_string(range.begin) + " about the frozen seed set");
       }
     }
-    // A blob's stored pool divides by its local au (the blob must
-    // self-validate), which equals the global divisors only when the
-    // shard spans every action; any other shard gets a global-au pool
-    // from shard_quotient(). A user's global A_u counts at least the
-    // actions the shard saw, so every global quotient is at most the
-    // blob's validated local one: the derived pool keeps the blob's
+    // The shard's gains divide by the global A_u. Open validated the
+    // blob's headroom under its local au; a user's global A_u counts at
+    // least the actions the shard saw, so every global quotient is at
+    // most the validated local one and the view's pool keeps that
     // headroom.
-    auto pool = std::make_unique<ShardedSnapshot::GlobalPool>();
     const auto local_au = view->au();
-    if (!std::equal(local_au.begin(), local_au.end(), m.au.begin(),
-                    m.au.end())) {
-      for (NodeId u = 0; u < m.num_users; ++u) {
-        if (m.au[u] < local_au[u]) {
-          return Status::Corruption(
-              "shard " + std::to_string(i) + " credits user " +
-              std::to_string(u) +
-              " with more actions than the manifest's A_u");
-        }
+    for (NodeId u = 0; u < m.num_users; ++u) {
+      if (m.au[u] < local_au[u]) {
+        return Status::Corruption(
+            "shard " + std::to_string(i) + " credits user " +
+            std::to_string(u) +
+            " with more actions than the manifest's A_u");
       }
-      pool->derive = true;
     }
+    view->DivideGainsBy(m.au);
     sharded.views.push_back(std::move(view).value());
-    sharded.global_pools.push_back(std::move(pool));
   }
   return sharded;
 }
@@ -314,9 +306,7 @@ ShardedSnapshot InMemoryShardedSnapshot(CreditSnapshotView view) {
   m.au.assign(view.au().begin(), view.au().end());
   m.shard_fingerprints = {0};
   m.shard_files = {""};
-  sharded.views.push_back(std::move(view));
-  sharded.global_pools.push_back(  // the stored pool already fits this A_u
-      std::make_unique<ShardedSnapshot::GlobalPool>());
+  sharded.views.push_back(std::move(view));  // divides by its own A_u
   return sharded;
 }
 
@@ -333,20 +323,10 @@ std::uint64_t ShardedSnapshot::mapped_bytes() const {
   return bytes;
 }
 
-std::span<const FixedGain> ShardedSnapshot::shard_quotient(
-    std::size_t i) const {
-  const CreditSnapshotView& shard = view(i);
-  GlobalPool& pool = *global_pools[i - first_shard];
-  if (!pool.derive) return shard.fwd_quotient();
-  std::call_once(pool.once, [&] {
-    const auto credit = shard.fwd_credit();
-    const auto node = shard.fwd_node();
-    pool.quotients.resize(shard.num_entries());
-    for (std::uint64_t e = 0; e < pool.quotients.size(); ++e) {
-      pool.quotients[e] = ToFixed(credit[e] / manifest.au[node[e]]);
-    }
-  });
-  return pool.quotients;
+std::uint64_t ShardedSnapshot::pool_bytes() const {
+  std::uint64_t bytes = 0;
+  for (const CreditSnapshotView& v : views) bytes += v.pool_bytes();
+  return bytes;
 }
 
 Result<std::string> ReadCurrentManifestName(const std::string& dir) {

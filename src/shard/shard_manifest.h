@@ -2,9 +2,6 @@
 #define INFLUMAX_SHARD_SHARD_MANIFEST_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -27,8 +24,8 @@ namespace influmax {
 /// it. What a shard blob *cannot* carry is the global A_u array (its au
 /// section must match its own slot CSR to validate), and Theorem 3's
 /// gain formula divides by global A_u; the manifest therefore records
-/// the global au, and the ShardRouter feeds it to every shard engine as
-/// an override (src/serve/query_engine.h).
+/// the global au, and OpenShardedSnapshot makes it the divisor of every
+/// opened view (CreditSnapshotView::DivideGainsBy).
 ///
 /// Manifest layout after BinaryWriter's magic + version:
 ///   u64 generation
@@ -107,7 +104,9 @@ struct ShardRange {
 
 /// An opened sharded snapshot: the manifest plus one validated
 /// CreditSnapshotView per opened shard. Immutable after open; shared
-/// freely across threads (per-session state lives in ShardRouter).
+/// freely across threads (per-session state lives in ShardRouter). The
+/// views divide their gains by manifest.au, which they span: move the
+/// snapshot whole, never its views without the manifest.
 struct ShardedSnapshot {
   std::string dir;
   ShardManifest manifest;
@@ -128,26 +127,11 @@ struct ShardedSnapshot {
   const CreditSnapshotView& view(std::size_t i) const;
   /// Bytes mapped by the opened views.
   std::uint64_t mapped_bytes() const;
-
-  /// Shard i's quotient pool (global shard number, opened shards only)
-  /// under the manifest's *global* au — the divisors Theorem 3 actually
-  /// uses. A shard blob's stored kFwdQuotient section divides by its
-  /// local au, so it serves only when the shard covers every action;
-  /// otherwise a global-au pool is derived on the first call for that
-  /// shard, once per open, and shared by every session's engines — a
-  /// process serving one shard derives one pool. Open checks global
-  /// A_u >= local A_u, so the derived pools inherit the blobs' headroom.
-  /// Thread-safe.
-  std::span<const FixedGain> shard_quotient(std::size_t i) const;
-
-  /// Per opened shard, parallel to views: whether its pool must be
-  /// derived, and the derived pool once shard_quotient() has filled it.
-  struct GlobalPool {
-    bool derive = false;
-    std::once_flag once;
-    std::vector<FixedGain> quotients;
-  };
-  std::vector<std::unique_ptr<GlobalPool>> global_pools;
+  /// Heap bytes of the views' quotient pools derived so far: each is
+  /// derived under the global A_u by the first engine over its shard —
+  /// the first ShardRouter, or a shard server at start-up — and shared
+  /// by every session's engines.
+  std::uint64_t pool_bytes() const;
 };
 
 /// Opens `manifest_path` and the shard blobs of `range` it names

@@ -61,13 +61,10 @@ ShardRouter::ShardRouter(const ShardedSnapshot& shards, WorkerPool* pool)
       << ", " << shards.end_shard() << ") of "
       << shards.manifest.num_shards();
   engines_.reserve(shards.views.size());
-  for (std::size_t i = 0; i < shards.views.size(); ++i) {
-    // Each engine divides by the global A_u, so it also needs the
-    // global-au quotient pool OpenShardedSnapshot derived (the blob's
-    // stored pool divides by local au) — shared, not re-derived per
-    // session.
-    engines_.emplace_back(shards.views[i], shards.manifest.au,
-                          shards.shard_quotient(i));
+  // Each view divides by the global A_u; the first router derives its
+  // quotient pool, and every later session's engines share it.
+  for (const CreditSnapshotView& view : shards.views) {
+    engines_.emplace_back(view);
   }
   // Frozen seeds agree across shards (OpenShardedSnapshot checks).
   front_.Bind(shards.manifest.au, shards.views[0].seeds());

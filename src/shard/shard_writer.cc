@@ -186,15 +186,13 @@ Status ShardedSnapshotWriter::WriteFromModel(
     ShardManifest* out_manifest) {
   // The model already holds its credits in the snapshot layout: slice
   // its in-memory view directly. Only a model with commits has to
-  // materialize them (and their quotient pool) first.
+  // materialize them first.
   if (model.committed_seeds().empty()) {
     return WriteShards(model.frozen(), model.frozen().au(), generation,
                        out_manifest);
   }
   const SnapshotData data = model.ToSnapshotData();
-  std::vector<FixedGain> quotient;
-  INFLUMAX_RETURN_IF_ERROR(DeriveQuotientPool(data, &quotient));
-  const CreditSnapshotView view = CreditSnapshotView::InMemory(data, quotient);
+  const CreditSnapshotView view = CreditSnapshotView::InMemory(data);
   return WriteShards(view, view.au(), generation, out_manifest);
 }
 

@@ -1,7 +1,8 @@
 // Fixed-point gain arithmetic (src/core/fixed_gain.h, docs/gain_kernel.md):
 // the quotient-pool contract — fwd_quotient[e] equals
-// ToFixed(fwd_credit[e] / au[fwd_node[e]]) in every snapshot producer
-// (full build, IncrementalRescan, SliceShardData) — the error bound
+// ToFixed(fwd_credit[e] / au[fwd_node[e]]) over every snapshot producer
+// (full build, IncrementalRescan, SliceShardData) and under a
+// generation's global A_u — the error bound
 // against the real-valued Theorem 3 sum, and the associativity the
 // contract rests on: gains, TopKSeeds and what-if gains are bit-equal
 // whatever order the shards' partials are summed in, and every gain of
@@ -16,6 +17,7 @@
 #include <filesystem>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,17 +90,22 @@ ActionLog PrefixLog(const ActionLog& full, double keep_fraction) {
   return std::move(log).value();
 }
 
-/// Asserts the pool contract on an open view: every stored quotient is
-/// the rounding of the division it replaces.
-void ExpectQuotientPoolExact(const CreditSnapshotView& view) {
+/// Asserts the pool contract on an open view: every derived quotient is
+/// the rounding of the division by `au` it replaces.
+void ExpectQuotientPoolExact(const CreditSnapshotView& view,
+                             std::span<const std::uint32_t> au) {
   const auto credit = view.fwd_credit();
   const auto node = view.fwd_node();
-  const auto au = view.au();
   const auto quot = view.fwd_quotient();
   ASSERT_EQ(quot.size(), view.num_entries());
   for (std::uint64_t e = 0; e < view.num_entries(); ++e) {
     ASSERT_EQ(quot[e], ToFixed(credit[e] / au[node[e]])) << "entry " << e;
   }
+}
+
+/// The same on a view that divides by its own A_u.
+void ExpectQuotientPoolExact(const CreditSnapshotView& view) {
+  ExpectQuotientPoolExact(view, view.au());
 }
 
 SyntheticDataset MakeDataset(double scale = 0.1) {
@@ -201,8 +208,8 @@ TEST(GainKernelTest, SliceShardDataRegeneratesQuotients) {
     ASSERT_TRUE(WriteSnapshotFile(slice, slice_path).ok());
     auto shard = CreditSnapshotView::Open(slice_path);
     ASSERT_TRUE(shard.ok());
-    // The shard's pool divides by its *local* au — the self-consistency
-    // Open validates; global-au pools are the router's job.
+    // A blob opened alone divides by its *local* au; a generation's
+    // views divide by the global one.
     ExpectQuotientPoolExact(*shard);
   }
   std::filesystem::remove_all(dir);
@@ -286,18 +293,18 @@ TEST(GainKernelTest, RouterGlobalPoolsKeepExactBitIdentity) {
   auto mono = CreditSnapshotView::Open(mono_path);
   ASSERT_TRUE(mono.ok());
   SnapshotQueryEngine engine(*mono);
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{3}}) {
+  for (const std::size_t shards :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}}) {
     ShardedSnapshotWriter writer(dir, shards);
     ASSERT_TRUE(writer.WriteFromView(*mono, shards).ok());
     auto sharded = OpenShardedSnapshot(dir + "/" + ManifestFileName(shards));
     ASSERT_TRUE(sharded.ok());
-    // Multi-shard blobs store local-au pools, so every shard gets a
-    // derived global-au replacement.
+    // Every view's pool is derived under the manifest's global A_u.
     for (std::size_t i = 0; i < sharded->views.size(); ++i) {
-      const auto pool = sharded->shard_quotient(i);
-      EXPECT_NE(pool.data(), sharded->views[i].fwd_quotient().data())
-          << "shard " << i;
-      EXPECT_EQ(pool.size(), sharded->views[i].num_entries());
+      SCOPED_TRACE("shard " + std::to_string(i));
+      ExpectQuotientPoolExact(sharded->views[i], sharded->manifest.au);
+      EXPECT_EQ(sharded->views[i].fwd_quotient().size(),
+                sharded->views[i].num_entries());
     }
     ShardRouter router(*sharded);
     for (NodeId x = 0; x < mono->num_users(); ++x) {
@@ -311,15 +318,15 @@ TEST(GainKernelTest, RouterGlobalPoolsKeepExactBitIdentity) {
 // ----------------------------------------------------- associativity
 
 /// `src` with its shards in `order`: a router over the result sums the
-/// shards' partials in that order.
+/// shards' partials in that order. The manifest moves with the views,
+/// which span its A_u.
 ShardedSnapshot PermuteShards(ShardedSnapshot src,
                               const std::vector<std::size_t>& order) {
   ShardedSnapshot out;
   out.dir = src.dir;
-  out.manifest = src.manifest;
+  out.manifest = std::move(src.manifest);
   for (const std::size_t i : order) {
     out.views.push_back(std::move(src.views[i]));
-    out.global_pools.push_back(std::move(src.global_pools[i]));
   }
   return out;
 }

@@ -446,9 +446,12 @@ TEST(PartialOpenTest, AManagerForOneShardMapsExactlyThatShard) {
     EXPECT_EQ(opened.mapped_bytes(), file_bytes);
     EXPECT_EQ(opened.view(i).num_actions(),
               m.range_begin[i + 1] - m.range_begin[i]);
-    // The served shard's global-au pool is the whole open's, bit for bit.
-    const auto pool = opened.shard_quotient(i);
-    const auto reference = whole.shard_quotient(i);
+    // Opening derives no pool; the first fwd_quotient() does, and the
+    // served shard's global-au pool is the whole open's, bit for bit.
+    EXPECT_EQ(opened.pool_bytes(), 0u);
+    const auto pool = opened.view(i).fwd_quotient();
+    EXPECT_EQ(opened.pool_bytes(), pool.size_bytes());
+    const auto reference = whole.view(i).fwd_quotient();
     EXPECT_TRUE(std::equal(pool.begin(), pool.end(), reference.begin(),
                            reference.end()));
   }

@@ -93,20 +93,22 @@ std::uint64_t FileHash(const std::string& path) {
 
 // ------------------------------------------------- round-trip exactness
 
-// The snapshot bytes are pinned: these hashes were recorded from the
-// hash-table credit store the model ran on before it moved onto the
+// The snapshot bytes are pinned. The format v3 hashes were recorded from
+// the hash-table credit store the model ran on before it moved onto the
 // frozen layout, so a model that freezes its scan, and serializes its
-// engine session after commits, writes exactly the same files.
+// engine session after commits, writes exactly the same files. Each v4
+// value is the hash of its v3 file with the quotient section (count and
+// payload) cut out and the version field set to 4: no other byte moved.
 TEST(SnapshotTest, SnapshotBytesMatchGoldenHashes) {
   auto ex = MakePaperExample();
   EqualDirectCredit credit;
   auto paper = BuildModel(ex.graph, ex.log, credit);
   const std::string path = TempPath("golden.snap");
   ASSERT_TRUE(paper.WriteSnapshot(path).ok());
-  EXPECT_EQ(FileHash(path), 0xf18b83f0cb3c4934ULL);
+  EXPECT_EQ(FileHash(path), 0x1d20beac21f6a360ULL);
   paper.CommitSeed(PaperExample::kV);
   ASSERT_TRUE(paper.WriteSnapshot(path).ok());
-  EXPECT_EQ(FileHash(path), 0xf54e33a3adc9ca00ULL);
+  EXPECT_EQ(FileHash(path), 0xa1fb01b87bd57ef9ULL);
 
   auto graph = GeneratePreferentialAttachment({250, 4, 0.6}, 98);
   ASSERT_TRUE(graph.ok());
@@ -123,10 +125,10 @@ TEST(SnapshotTest, SnapshotBytesMatchGoldenHashes) {
         CreditDistributionModel::Build(data->graph, data->log, credit, config);
     ASSERT_TRUE(model.ok());
     ASSERT_TRUE(model->WriteSnapshot(path).ok());
-    EXPECT_EQ(FileHash(path), 0xc09e67d51b5b5789ULL) << threads << " threads";
+    EXPECT_EQ(FileHash(path), 0x666d64d981c7552cULL) << threads << " threads";
     ASSERT_TRUE(model->SelectSeeds(10).ok());
     ASSERT_TRUE(model->WriteSnapshot(path).ok());
-    EXPECT_EQ(FileHash(path), 0x532cac71cf7ec111ULL) << threads << " threads";
+    EXPECT_EQ(FileHash(path), 0x35947b09599ab376ULL) << threads << " threads";
   }
   std::remove(path.c_str());
 }
@@ -408,12 +410,11 @@ TEST(SnapshotTest, ForgedBackwardRecordIntoAnotherSlotIsSkipped) {
 // The fixed-point gain converts every quotient, and every slot's sum of
 // them, to an integer; Open refuses a file whose values it cannot hold
 // before any conversion runs. Each forgery patches a written file in
-// place — a consistent quotient included where the case needs one — so
-// nothing but the forged value differs.
+// place, so nothing but the forged value differs.
 
 /// Element size of each SnapshotSection, in section order.
-constexpr std::size_t kSectionElementBytes[] = {4, 8, 4, 8, 8, 8, 4, 8, 4,
-                                                4, 8, 8, 4, 8, 4, 8, 4};
+constexpr std::size_t kSectionElementBytes[] = {4, 8, 4, 8, 8, 8, 4, 8,
+                                                4, 4, 8, 4, 8, 4, 8, 4};
 static_assert(std::size(kSectionElementBytes) ==
               static_cast<std::size_t>(SnapshotSection::kNumSections));
 
@@ -467,14 +468,10 @@ struct ForgeFixture {
     return opened.status().message();
   }
 
-  /// Sets entry e's credit and its matching quotient (when it has one).
+  /// Sets entry e's credit.
   std::string WithCredit(std::uint64_t e, double credit) const {
     std::string forged = bytes;
     Poke(&forged, SnapshotSection::kFwdCredit, e, credit);
-    const double q = credit / view.au()[view.fwd_node()[e]];
-    if (std::fabs(q) < kGainHeadroom) {
-      Poke(&forged, SnapshotSection::kFwdQuotient, e, ToFixed(q));
-    }
     return forged;
   }
 };
@@ -509,19 +506,6 @@ TEST(SnapshotTest, ForgedNonFiniteSetCreditIsRefused) {
   }
 }
 
-TEST(SnapshotTest, ForgedQuotientPoolEntryIsRefused) {
-  ForgeFixture f;
-  ASSERT_GT(f.view.num_entries(), 0u);
-  const std::uint64_t e = f.view.num_entries() - 1;
-  for (const FixedGain delta : {FixedGain{1}, FixedGain{-1}}) {
-    std::string forged = f.bytes;
-    Poke(&forged, SnapshotSection::kFwdQuotient, e,
-         f.view.fwd_quotient()[e] + delta);
-    const std::string refusal = f.OpenRefusal(forged);
-    EXPECT_TRUE(Mentions(refusal, "is not ToFixed")) << refusal;
-  }
-}
-
 /// A slot with two credit entries, each forged to a quotient of 0.75 of
 /// the headroom: each fits a FixedGain, their sum does not.
 std::uint64_t SlotWithTwoEntries(const CreditSnapshotView& view) {
@@ -541,8 +525,6 @@ TEST(SnapshotTest, ForgedSlotPastTheGainHeadroomIsRefused) {
     const double credit =
         0.75 * kGainHeadroom * f.view.au()[f.view.fwd_node()[e]];
     Poke(&forged, SnapshotSection::kFwdCredit, e, credit);
-    Poke(&forged, SnapshotSection::kFwdQuotient, e,
-         ToFixed(0.75 * kGainHeadroom));
   }
   const std::string refusal = f.OpenRefusal(forged);
   EXPECT_TRUE(Mentions(refusal, "slot " + std::to_string(s)) &&
@@ -555,7 +537,6 @@ TEST(SnapshotTest, ForgedSlotPastTheGainHeadroomIsRefused) {
   const std::uint64_t e = f.view.fwd_begin()[s];
   Poke(&one, SnapshotSection::kFwdCredit, e,
        0.75 * kGainHeadroom * f.view.au()[f.view.fwd_node()[e]]);
-  Poke(&one, SnapshotSection::kFwdQuotient, e, ToFixed(0.75 * kGainHeadroom));
   EXPECT_EQ(f.OpenRefusal(one), "opened");
 }
 
@@ -581,7 +562,7 @@ TEST(SnapshotTest, WriterRefusesSlotPastTheGainHeadroom) {
 
 TEST(SnapshotTest, OlderFormatVersionsAskForARebuild) {
   ForgeFixture f;
-  for (const std::uint32_t version : {1u, 2u}) {
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     std::string forged = f.bytes;
     std::memcpy(forged.data() + 8, &version, 4);
     const std::string refusal = f.OpenRefusal(forged);

@@ -86,6 +86,7 @@
 #include "common/timer.h"
 #include "core/cd_model.h"
 #include "core/direct_credit.h"
+#include "core/fixed_gain.h"
 #include "graph/graph_io.h"
 #include "net/fed_metrics.h"
 #include "net/remote_router.h"
@@ -420,7 +421,7 @@ int RunServe(GenerationManager& manager, const MetricsDump& dump) {
               : manager.retired_generations();
       std::printf(
           "generation=%llu latest=%llu shards=%zu users=%u actions=%u "
-          "lambda=%g session_seeds=%zu mapped=%llu router=%llu "
+          "lambda=%g session_seeds=%zu mapped=%llu pool=%llu router=%llu "
           "retired=%llu pinned_sessions=%lld swaps=%llu ingests=%llu "
           "replayed_tuples=%llu watch_ticks=%llu watch_errors=%llu "
           "ingest_failures=%llu recovery_events=%llu quarantined=%llu "
@@ -433,6 +434,7 @@ int RunServe(GenerationManager& manager, const MetricsDump& dump) {
           m.num_shards(), m.num_users, m.num_actions,
           m.truncation_threshold, router.session_seeds().size(),
           static_cast<unsigned long long>(mapped),
+          static_cast<unsigned long long>(session.shards().pool_bytes()),
           static_cast<unsigned long long>(router.ApproxMemoryBytes()),
           static_cast<unsigned long long>(retired),
           pinned_gauge != nullptr ? static_cast<long long>(pinned_gauge->value)
@@ -583,7 +585,7 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
     double sink = 0.0;
     for (NodeId x : active) {
       query_timer.Reset();
-      sink += engine.AccumulateGainTerms(x, 0.0);
+      sink += FromFixed(engine.PartialGain(x));
       hist.Record(query_timer.ElapsedSeconds() * 1e9);
     }
     char label[48];
@@ -604,9 +606,10 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
     topk_hist.Record(query_timer.ElapsedSeconds() * 1e9);
     if (sample == 0) selection = std::move(current);
   }
-  std::printf("topk(%d): %llu gain evaluations, router %s\n", k,
+  std::printf("topk(%d): %llu gain evaluations, router %s, pool %s\n", k,
               static_cast<unsigned long long>(selection.gain_evaluations),
-              FormatBytes(router.ApproxMemoryBytes()).c_str());
+              FormatBytes(router.ApproxMemoryBytes()).c_str(),
+              FormatBytes(main_session.shards().pool_bytes()).c_str());
   print_hist("shard_topk", topk_hist);
   records.push_back(WithPercentiles(
       {"shard_topk", topk_hist.Percentile(50.0),
