@@ -149,6 +149,9 @@ class RemoteShardRouter final : private ShardBackend {
   /// replays an empty commit list, which IS a fresh session.
   Status ResetSession() { return front_.ResetSession(); }
 
+  /// The query front itself (the serving REPL, tools/serve_repl.h).
+  QueryFront& front() { return front_; }
+
   /// Re-pins the router to whatever generation the servers now serve
   /// (drops the session, like GenerationManager::Session::Refresh).
   /// True when the generation changed.

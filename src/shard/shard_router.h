@@ -77,6 +77,10 @@ class ShardRouter final : private ShardBackend {
   /// Rewinds every shard session in O(touched).
   void ResetSession() { (void)front_.ResetSession(); }
 
+  /// The query front itself, with its Status-returning queries (the
+  /// serving REPL, tools/serve_repl.h).
+  QueryFront& front() { return front_; }
+
   std::span<const NodeId> session_seeds() const {
     return front_.session_seeds();
   }

@@ -10,28 +10,17 @@
 #include <sstream>
 #include <string>
 
-#include "actionlog/log_io.h"
 #include "common/flags.h"
 #include "core/cd_evaluator.h"
 #include "core/direct_credit.h"
-#include "graph/graph_io.h"
 #include "probability/em_learner.h"
 #include "probability/lt_weights.h"
 #include "probability/time_params.h"
 #include "propagation/monte_carlo.h"
+#include "serve_common.h"
 
 namespace influmax {
 namespace {
-
-Result<Graph> LoadGraph(const std::string& path) {
-  if (path.ends_with(".bin")) return ReadGraphBinary(path);
-  return ReadEdgeListFile(path);
-}
-
-Result<ActionLog> LoadLog(const std::string& path) {
-  if (path.ends_with(".bin")) return ReadActionLogBinary(path);
-  return ReadActionLogFile(path);
-}
 
 Result<std::vector<NodeId>> ParseSeeds(std::istream& in, NodeId num_nodes) {
   std::vector<NodeId> seeds;

@@ -9,31 +9,20 @@
 // LDAG), degree, pagerank.
 #include <cstdio>
 
-#include "actionlog/log_io.h"
 #include "common/flags.h"
 #include "common/timer.h"
 #include "core/cd_model.h"
 #include "core/direct_credit.h"
-#include "graph/graph_io.h"
 #include "im/baselines.h"
 #include "im/ldag.h"
 #include "im/pmia.h"
 #include "probability/em_learner.h"
 #include "probability/lt_weights.h"
 #include "probability/time_params.h"
+#include "serve_common.h"
 
 namespace influmax {
 namespace {
-
-Result<Graph> LoadGraph(const std::string& path) {
-  if (path.ends_with(".bin")) return ReadGraphBinary(path);
-  return ReadEdgeListFile(path);
-}
-
-Result<ActionLog> LoadLog(const std::string& path) {
-  if (path.ends_with(".bin")) return ReadActionLogBinary(path);
-  return ReadActionLogFile(path);
-}
 
 int Main(int argc, char** argv) {
   std::string graph_path;

@@ -1,13 +1,16 @@
 #ifndef INFLUMAX_TOOLS_SERVE_COMMON_H_
 #define INFLUMAX_TOOLS_SERVE_COMMON_H_
 
-// Helpers shared by the serving tools (serve_shards, shard_server):
-// graph/log loading with binary-or-text dispatch, direct-credit model
-// selection, error reporting, LatencyHistogram -> bench-record
-// percentile plumbing, and the metrics exposition surface (the `metrics`
-// REPL command, --metrics_json / --metrics_prom dumps —
-// docs/observability.md). Header-only; tools are single-TU binaries.
+// Helpers shared by the tools (select_seeds, predict_spread,
+// serve_shards, shard_server): graph/log loading with binary-or-text
+// dispatch, direct-credit model selection, error reporting,
+// LatencyHistogram -> bench-record percentile plumbing, and the
+// commands both serving CLIs answer on stdin: `failpoint`
+// (docs/durability.md) and `metrics` with the --metrics_json /
+// --metrics_prom dumps (docs/observability.md). Header-only; tools are
+// single-TU binaries.
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -16,6 +19,7 @@
 
 #include "actionlog/log_io.h"
 #include "common/bench_json.h"
+#include "common/failpoint.h"
 #include "common/histogram.h"
 #include "common/status.h"
 #include "core/direct_credit.h"
@@ -81,17 +85,24 @@ inline BenchJsonRecord WithPercentiles(BenchJsonRecord record,
   return record;
 }
 
-inline void PrintPercentiles(const char* label, const LatencyHistogram& hist,
-                             double ns_per_unit, const char* unit) {
-  std::printf("  %s percentiles: p50 %.3f %s, p95 %.3f %s, p99 %.3f %s "
-              "(%llu samples)\n",
-              label, hist.Percentile(50.0) / ns_per_unit, unit,
-              hist.Percentile(95.0) / ns_per_unit, unit,
-              hist.Percentile(99.0) / ns_per_unit, unit,
+/// One bench report line: a histogram of ns samples as p50/p95/p99 µs.
+inline void PrintPercentiles(const char* label, const LatencyHistogram& hist) {
+  std::printf("  %s: p50 %.3f us, p95 %.3f us, p99 %.3f us (%llu "
+              "samples)\n",
+              label, hist.Percentile(50.0) / 1e3, hist.Percentile(95.0) / 1e3,
+              hist.Percentile(99.0) / 1e3,
               static_cast<unsigned long long>(hist.count()));
 }
 
 // ------------------------------------------------------------- metrics
+
+/// A counter's value in a registry scrape; 0 when it was never created
+/// (or under INFLUMAX_OBS_OFF, where the scrape is empty).
+inline std::uint64_t CounterValue(const MetricsSnapshot& snap,
+                                  const char* name) {
+  const auto* counter = snap.FindCounter(name);
+  return counter != nullptr ? counter->value : 0;
+}
 
 /// Always-on per-REPL-query telemetry of the serving REPL.
 /// The engine/router gain probes are sampled (1 in kObsSampleEvery), so
@@ -208,16 +219,17 @@ struct MetricsDump {
   }
 };
 
-/// The `metrics [prom|spans]` REPL command:
+/// The `metrics [prom|spans]` command:
 /// plain -> human table, `prom` -> Prometheus text on stdout, `spans` ->
-/// the session span ring. Refreshes the --metrics_json/--metrics_prom
-/// dumps on every invocation.
-inline void HandleMetricsCommand(std::istringstream& in, const SpanRing& ring,
-                                 const MetricsDump& dump) {
+/// the session span ring (the table when there is no ring). Refreshes
+/// the --metrics_json/--metrics_prom dumps on every invocation.
+inline void HandleMetricsCommand(std::istringstream& in,
+                                 const SpanRing* ring = nullptr,
+                                 const MetricsDump& dump = {}) {
   std::string sub;
   in >> sub;
-  if (sub == "spans") {
-    PrintSpans(ring);
+  if (sub == "spans" && ring != nullptr) {
+    PrintSpans(*ring);
   } else if (sub == "prom") {
     const std::string text =
         PrometheusText(MetricsRegistry::Global().Scrape());
@@ -226,6 +238,60 @@ inline void HandleMetricsCommand(std::istringstream& in, const SpanRing& ring,
     PrintMetricsTable(MetricsRegistry::Global().Scrape());
   }
   dump.DumpAll();
+}
+
+/// The `failpoint list|arm NAME SPEC|disarm NAME|disarm all` command.
+/// Always parsed: the subcommands print FailedPrecondition when the
+/// build compiled failpoints out, rather than pretending to inject
+/// anything.
+inline void HandleFailpointCommand(std::istringstream& in) {
+  std::string verb;
+  in >> verb;
+  if (verb == "list") {
+    const auto names = FailpointCatalog();
+    if (!FailpointsCompiledIn()) {
+      std::printf("! failpoints are compiled out "
+                  "(build with -DINFLUMAX_FAILPOINTS=ON)\n");
+    } else if (names.empty()) {
+      std::printf("# no failpoints armed or evaluated yet\n");
+    }
+    for (const std::string& name : names) {
+      std::printf("%s\ttrips=%llu\n", name.c_str(),
+                  static_cast<unsigned long long>(FailpointTripCount(name)));
+    }
+  } else if (verb == "arm") {
+    std::string name;
+    std::string spec_text;
+    in >> name >> spec_text;
+    if (name.empty() || spec_text.empty()) {
+      std::printf("! usage: failpoint arm NAME SPEC (e.g. torn:128@1#2)\n");
+      return;
+    }
+    auto spec = ParseFailpointSpec(spec_text);
+    if (!spec.ok()) {
+      std::printf("! %s\n", spec.status().ToString().c_str());
+      return;
+    }
+    if (Status status = ArmFailpoint(name, *spec); !status.ok()) {
+      std::printf("! %s\n", status.ToString().c_str());
+      return;
+    }
+    std::printf("# armed %s=%s\n", name.c_str(), spec_text.c_str());
+  } else if (verb == "disarm") {
+    std::string name;
+    in >> name;
+    if (name.empty()) {
+      std::printf("! usage: failpoint disarm NAME|all\n");
+    } else if (name == "all") {
+      DisarmAllFailpoints();
+      std::printf("# all failpoints disarmed\n");
+    } else {
+      DisarmFailpoint(name);
+      std::printf("# disarmed %s\n", name.c_str());
+    }
+  } else {
+    std::printf("! usage: failpoint list | arm NAME SPEC | disarm NAME|all\n");
+  }
 }
 
 }  // namespace influmax

@@ -9,28 +9,14 @@
 //
 // Serve queries from the directory's CURRENT generation (one session,
 // queries answered by the gain-merging ShardRouter; bit-identical to the
-// live model; commits fan out over the manager's shard pool):
+// live model; commits fan out over the manager's shard pool), one
+// command per stdin line (serve_repl.h lists them):
 //   serve_shards --dir=D
-// one query per stdin line:
-//   topk K [BUDGET]   CELF greedy seeds across all shards
-//   gain X            routed marginal gain (sum of per-shard partials)
-//   commit X          commit X in every shard
-//   spread X Y Z ...  sigma_cd of the given set
-//   reset             rewind every shard session
-//   refresh           re-pin the latest generation
-//   recover           run crash recovery on the directory, then refresh
-//   failpoint list | arm NAME SPEC | disarm NAME | disarm all
-//                     fault injection (docs/durability.md; needs an
-//                     INFLUMAX_FAILPOINTS build)
-//   stats             manifest + session counters + registry totals
-//   metrics [prom|spans]  registry scrape (table, Prometheus text, or
-//                     the session span ring — docs/observability.md)
-//   quit
-// --recover runs the same recovery before opening (the restart path);
+// --recover runs the REPL's `recover` before opening (the restart path);
 // --failpoints=name=spec;... arms failpoints at startup and errors
-// loudly when the build compiled them out.
-// With --metrics_json=<path> / --metrics_prom=<path> the registry is
-// dumped to those files after every `metrics` command and at exit.
+// loudly when the build compiled them out. With --metrics_json=<path> /
+// --metrics_prom=<path> the registry is dumped to those files after
+// every `metrics` command and at exit.
 //
 // Tail an appended action log into new generations while serving
 // (generation-swap ingestion; the REPL keeps answering from its pinned
@@ -46,33 +32,23 @@
 //   serve_shards --bench --dir=D [--threads=4 --k=50 --json=out.json]
 //       [--graph=g.tsv --log=l.tsv --credit=equal]
 //
-// Cross-process serving (docs/networking.md). Connect the same REPL to
+// Cross-process serving (docs/networking.md): the same REPL over
 // running shard_server processes — one slot per action-range shard in
-// range order, '|'-separated replicas per slot:
+// range order, '|'-separated replicas per slot — every query traced
+// (docs/tracing.md; --slow_query_ms, --trace_json). --fleet_port=N also
+// serves one fleet-merged Prometheus /metrics (docs/observability.md):
 //   serve_shards --connect="host:p0|host:p0b,host:p1" [--rpc_deadline_ms=N]
-// Every --connect query runs under the distributed trace collector
-// (docs/tracing.md): `trace` lists the recent + slow rings, `trace ID`
-// prints one stitched timeline, `trace json [PATH]` / --trace_json=PATH
-// export Perfetto-loadable Chrome trace JSON, --slow_query_ms tunes the
-// slow ring's threshold. --fleet_port=N additionally serves one
-// fleet-merged Prometheus /metrics federating every replica's endpoint
-// (docs/observability.md).
-// and a loopback net bench that spins up one in-process ShardServer per
-// shard, routes through RemoteShardRouter, checks the answers are
-// bit-identical to the in-process ShardRouter, and records remote vs
-// local percentiles to --json:
+// Loopback net bench: one in-process ShardServer per shard behind a
+// RemoteShardRouter, answers checked bit-identical to the in-process
+// ShardRouter, remote vs local percentiles recorded to --json:
 //   serve_shards --bench_net --dir=D [--k=50 --json=out.json]
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -94,6 +70,7 @@
 #include "obs/trace.h"
 #include "probability/time_params.h"
 #include "serve_common.h"
+#include "serve_repl.h"
 #include "shard/generation_manager.h"
 #include "shard/recovery.h"
 #include "shard/shard_manifest.h"
@@ -110,74 +87,6 @@ Result<double> CurrentLambda(const std::string& dir) {
   auto manifest = ReadShardManifest(dir + "/" + *name);
   INFLUMAX_RETURN_IF_ERROR(manifest.status());
   return manifest->truncation_threshold;
-}
-
-void PrintRecoveryReport(const RecoveryReport& report) {
-  std::fprintf(stderr,
-               "recovered: serving %s (generation %llu)%s, removed %zu "
-               "leftover file(s), filled %zu quarantine dir(s)\n",
-               report.current_manifest.c_str(),
-               static_cast<unsigned long long>(report.generation),
-               report.current_rewritten ? ", CURRENT repointed" : "",
-               report.removed.size(), report.quarantined.size());
-  for (const std::string& q : report.quarantined) {
-    std::fprintf(stderr, "  quarantined: %s\n", q.c_str());
-  }
-}
-
-/// `failpoint list|arm NAME SPEC|disarm NAME|disarm all`. Always parsed
-/// (the subcommands print FailedPrecondition when the build compiled
-/// failpoints out, rather than pretending to inject anything).
-void HandleFailpointCommand(std::istringstream& in) {
-  std::string verb;
-  in >> verb;
-  if (verb == "list") {
-    const auto names = FailpointCatalog();
-    if (!FailpointsCompiledIn()) {
-      std::printf("! failpoints are compiled out "
-                  "(build with -DINFLUMAX_FAILPOINTS=ON)\n");
-    } else if (names.empty()) {
-      std::printf("# no failpoints armed or evaluated yet\n");
-    }
-    for (const std::string& name : names) {
-      std::printf("%s\ttrips=%llu\n", name.c_str(),
-                  static_cast<unsigned long long>(FailpointTripCount(name)));
-    }
-  } else if (verb == "arm") {
-    std::string name;
-    std::string spec_text;
-    in >> name >> spec_text;
-    if (name.empty() || spec_text.empty()) {
-      std::printf("! usage: failpoint arm NAME SPEC (e.g. torn:128@1#2)\n");
-      return;
-    }
-    auto spec = ParseFailpointSpec(spec_text);
-    if (!spec.ok()) {
-      std::printf("! %s\n", spec.status().ToString().c_str());
-      return;
-    }
-    if (Status status = ArmFailpoint(name, *spec); !status.ok()) {
-      std::printf("! %s\n", status.ToString().c_str());
-      return;
-    }
-    std::printf("# armed %s=%s\n", name.c_str(), spec_text.c_str());
-  } else if (verb == "disarm") {
-    std::string name;
-    in >> name;
-    if (name.empty()) {
-      std::printf("! usage: failpoint disarm NAME|all\n");
-      return;
-    }
-    if (name == "all") {
-      DisarmAllFailpoints();
-      std::printf("# all failpoints disarmed\n");
-    } else {
-      DisarmFailpoint(name);
-      std::printf("# disarmed %s\n", name.c_str());
-    }
-  } else {
-    std::printf("! usage: failpoint list | arm NAME SPEC | disarm NAME|all\n");
-  }
 }
 
 void PrintManifest(const ShardManifest& m, const char* verb) {
@@ -274,195 +183,34 @@ int RunIngest(GenerationManager& manager, const std::string& graph_path,
   return 0;
 }
 
-void PrintSelection(const SnapshotSeedSelection& selection) {
-  for (std::size_t i = 0; i < selection.seeds.size(); ++i) {
-    std::printf("%u\t%.6f\t%.6f\n", selection.seeds[i],
-                selection.marginal_gains[i], selection.cumulative_spread[i]);
-  }
-  std::printf("# %zu seeds, %llu gain evaluations\n",
-              selection.seeds.size(),
-              static_cast<unsigned long long>(selection.gain_evaluations));
+int RunServe(GenerationManager& manager, const MetricsDump& dump) {
+  LocalReplTransport transport(manager);
+  const ShardManifest& m = transport.session().shards().manifest;
+  PrintManifest(m, "serving");
+  std::fprintf(stderr, "%u users, lambda %g\n", m.num_users,
+               m.truncation_threshold);
+  return RunServingRepl(std::cin, transport, dump);
 }
 
-int RunServe(GenerationManager& manager, const MetricsDump& dump) {
-  const ServeQueryMetrics& qm = GetServeQueryMetrics();
-  SpanRing ring(256);
-  GenerationManager::Session session(manager);
-  session.router().set_span_ring(&ring);
-  {
-    const ShardManifest& m = session.shards().manifest;
-    PrintManifest(m, "serving");
-    std::fprintf(stderr, "%u users, lambda %g\n", m.num_users,
-                 m.truncation_threshold);
+/// Users that have acted (A_u != 0), the benches' query set. Empty, after
+/// saying so on stderr, when nobody has.
+std::vector<NodeId> ActiveUsers(const ShardManifest& m) {
+  std::vector<NodeId> active;
+  for (NodeId x = 0; x < m.num_users; ++x) {
+    if (m.au[x] != 0) active.push_back(x);
   }
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string command;
-    in >> command;
-    if (command.empty() || command[0] == '#') continue;
-    if (command == "quit" || command == "exit") break;
-    ShardRouter& router = session.router();
-    if (command == "topk") {
-      NodeId k = 0;
-      in >> k;
-      double budget;  // optional second operand
-      if (!(in >> budget)) budget = std::numeric_limits<double>::infinity();
-      if (k == 0) {
-        std::printf("! usage: topk K [BUDGET]\n");
-        std::fflush(stdout);
-        continue;
-      }
-      SnapshotSeedSelection selection;
-      {
-        ObsSpan span(&ring, kSpanQueryTopk, k, qm.topk);
-        selection = router.TopKSeeds(k, budget);
-      }
-      PrintSelection(selection);
-    } else if (command == "gain" || command == "commit") {
-      // A failed extraction writes 0, not the sentinel — committing
-      // node 0 on a typo would silently poison the session.
-      NodeId x = kInvalidNode;
-      if (!(in >> x)) {
-        std::printf("! usage: %s NODE\n", command.c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      if (command == "commit") {
-        {
-          ObsSpan span(&ring, kSpanQueryCommit, x, qm.commit);
-          router.CommitSeed(x);
-        }
-        std::printf("# %zu session seeds\n", router.session_seeds().size());
-      } else {
-        double gain = 0.0;
-        {
-          ObsSpan span(&ring, kSpanQueryGain, x, qm.gain);
-          gain = router.MarginalGain(x);
-        }
-        std::printf("%.6f\n", gain);
-      }
-    } else if (command == "spread") {
-      std::vector<NodeId> seeds;
-      NodeId x;
-      while (in >> x) seeds.push_back(x);
-      double spread = 0.0;
-      {
-        ObsSpan span(&ring, kSpanQuerySpread, seeds.size(), qm.spread);
-        spread = router.SpreadOf(seeds);
-      }
-      std::printf("%.6f\n", spread);
-    } else if (command == "reset") {
-      {
-        ObsSpan span(&ring, kSpanQueryReset, 0, qm.reset);
-        router.ResetSession();
-      }
-      std::printf("# session reset\n");
-    } else if (command == "refresh") {
-      const bool moved = session.Refresh();
-      // A swap builds a fresh router (no span ring); re-attach it.
-      if (moved) session.router().set_span_ring(&ring);
-      std::printf("# generation %llu%s\n",
-                  static_cast<unsigned long long>(session.generation()),
-                  moved ? " (swapped)" : " (unchanged)");
-    } else if (command == "recover") {
-      // Self-healing while serving: sweep the directory, then re-pin —
-      // the session keeps answering from its pinned mmaps throughout,
-      // even if recovery repointed CURRENT under it.
-      auto report = RecoverGenerationDir(manager.dir());
-      if (!report.ok()) {
-        std::printf("! %s\n", report.status().ToString().c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      PrintRecoveryReport(*report);
-      if (auto refreshed = manager.RefreshFromDisk(); !refreshed.ok()) {
-        std::printf("! refresh after recover: %s\n",
-                    refreshed.status().ToString().c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      const bool moved = session.Refresh();
-      if (moved) session.router().set_span_ring(&ring);
-      std::printf("# generation %llu%s\n",
-                  static_cast<unsigned long long>(session.generation()),
-                  moved ? " (swapped)" : " (unchanged)");
-    } else if (command == "failpoint") {
-      HandleFailpointCommand(in);
-    } else if (command == "metrics") {
-      HandleMetricsCommand(in, ring, dump);
-    } else {
-      if (command != "stats") {
-        std::printf("! unknown command '%s' (topk | gain | commit | "
-                    "spread | reset | refresh | recover | failpoint ... | "
-                    "stats | metrics [prom|spans] | quit)\n",
-                    command.c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      const ShardManifest& m = session.shards().manifest;
-      const std::uint64_t mapped = session.shards().mapped_bytes();
-      // Lifecycle counters come from the metrics registry — the same
-      // values `metrics` and the Prometheus dump expose — so stats stays
-      // one scrape, not a parallel set of ad-hoc counters. Under
-      // INFLUMAX_OBS_OFF the scrape is empty and the gauges fall back to
-      // what the manager can answer directly.
-      const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
-      const auto counter_of = [&snap](const char* name) {
-        const auto* c = snap.FindCounter(name);
-        return c != nullptr ? c->value : 0;
-      };
-      const auto* retired_gauge = snap.FindGauge("shard.generation.retired");
-      const auto* pinned_gauge =
-          snap.FindGauge("shard.generation.pinned_sessions");
-      const std::uint64_t retired =
-          retired_gauge != nullptr
-              ? static_cast<std::uint64_t>(retired_gauge->value)
-              : manager.retired_generations();
-      std::printf(
-          "generation=%llu latest=%llu shards=%zu users=%u actions=%u "
-          "lambda=%g session_seeds=%zu mapped=%llu pool=%llu router=%llu "
-          "retired=%llu pinned_sessions=%lld swaps=%llu ingests=%llu "
-          "replayed_tuples=%llu watch_ticks=%llu watch_errors=%llu "
-          "ingest_failures=%llu recovery_events=%llu quarantined=%llu "
-          "pool_jobs=%llu net_rpc=%llu net_rpc_errors=%llu "
-          "net_failovers=%llu net_reconnects=%llu "
-          "net_server_requests=%llu net_server_errors=%llu "
-          "net_server_rejected=%llu net_server_deadline_exceeded=%llu\n",
-          static_cast<unsigned long long>(session.generation()),
-          static_cast<unsigned long long>(manager.current_generation()),
-          m.num_shards(), m.num_users, m.num_actions,
-          m.truncation_threshold, router.session_seeds().size(),
-          static_cast<unsigned long long>(mapped),
-          static_cast<unsigned long long>(session.shards().pool_bytes()),
-          static_cast<unsigned long long>(router.ApproxMemoryBytes()),
-          static_cast<unsigned long long>(retired),
-          pinned_gauge != nullptr ? static_cast<long long>(pinned_gauge->value)
-                                  : 1LL,
-          static_cast<unsigned long long>(
-              counter_of("shard.generation.swaps")),
-          static_cast<unsigned long long>(counter_of("shard.ingest.count")),
-          static_cast<unsigned long long>(
-              counter_of("shard.ingest.replayed_tuples")),
-          static_cast<unsigned long long>(counter_of("shard.watch.ticks")),
-          static_cast<unsigned long long>(counter_of("shard.watch.errors")),
-          static_cast<unsigned long long>(counter_of("gen.ingest_failures")),
-          static_cast<unsigned long long>(counter_of("gen.recovery_events")),
-          static_cast<unsigned long long>(counter_of("gen.quarantined")),
-          static_cast<unsigned long long>(counter_of("pool.jobs")),
-          static_cast<unsigned long long>(counter_of("net.rpc.count")),
-          static_cast<unsigned long long>(counter_of("net.rpc.errors")),
-          static_cast<unsigned long long>(counter_of("net.failovers")),
-          static_cast<unsigned long long>(counter_of("net.reconnects")),
-          static_cast<unsigned long long>(counter_of("net.server.requests")),
-          static_cast<unsigned long long>(counter_of("net.server.errors")),
-          static_cast<unsigned long long>(counter_of("net.server.rejected")),
-          static_cast<unsigned long long>(
-              counter_of("net.server.deadline_exceeded")));
-    }
-    std::fflush(stdout);
+  if (active.empty()) {
+    std::fprintf(stderr, "no active users, nothing to bench\n");
   }
-  return dump.DumpAll();
+  return active;
+}
+
+/// A counter of a registry scrape as a bench-json value record.
+BenchJsonRecord CounterRecord(const MetricsSnapshot& snap, const char* name) {
+  BenchJsonRecord record{name, 0.0, 0, 1};
+  record.has_value = true;
+  record.value = static_cast<double>(CounterValue(snap, name));
+  return record;
 }
 
 /// --bench: routed-gain latency under `threads` concurrent sessions
@@ -516,23 +264,9 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
   const ShardManifest& m = main_session.shards().manifest;
   PrintManifest(m, "bench");
 
-  std::vector<NodeId> active;
-  for (NodeId x = 0; x < m.num_users; ++x) {
-    if (m.au[x] != 0) active.push_back(x);
-  }
-  if (active.empty()) {
-    std::fprintf(stderr, "no active users, nothing to bench\n");
-    return 1;
-  }
+  std::vector<NodeId> active = ActiveUsers(m);
+  if (active.empty()) return 1;
 
-  const auto print_hist = [](const char* label,
-                             const LatencyHistogram& hist) {
-    std::printf("  %s: p50 %.3f us, p95 %.3f us, p99 %.3f us (%llu "
-                "samples)\n",
-                label, hist.Percentile(50.0) / 1e3,
-                hist.Percentile(95.0) / 1e3, hist.Percentile(99.0) / 1e3,
-                static_cast<unsigned long long>(hist.count()));
-  };
 
   // Routed gains, `threads` sessions each working a stripe of the active
   // users; per-thread digests merged at the end (Merge is
@@ -570,7 +304,7 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
     std::printf("routed gain: %.3f us/query over %zu active users x %zu "
                 "sessions (checksum %.3f)\n",
                 ns_per_query / 1e3, active.size(), threads, checksum);
-    print_hist("routed_gain", routed_hist);
+    PrintPercentiles("routed_gain", routed_hist);
     records.push_back(WithPercentiles(
         {"shard_gain_routed", ns_per_query, 0, threads}, routed_hist));
   }
@@ -592,7 +326,7 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
     std::snprintf(label, sizeof(label), "shard%zu_gain_terms", i);
     std::printf("shard %zu [%u,%u): checksum %.3f\n", i, m.range_begin[i],
                 m.range_begin[i + 1], sink);
-    print_hist(label, hist);
+    PrintPercentiles(label, hist);
     records.push_back(
         WithPercentiles({label, hist.Percentile(50.0), 0, 1}, hist));
   }
@@ -610,7 +344,7 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
               static_cast<unsigned long long>(selection.gain_evaluations),
               FormatBytes(router.ApproxMemoryBytes()).c_str(),
               FormatBytes(main_session.shards().pool_bytes()).c_str());
-  print_hist("shard_topk", topk_hist);
+  PrintPercentiles("shard_topk", topk_hist);
   records.push_back(WithPercentiles(
       {"shard_topk", topk_hist.Percentile(50.0),
        router.ApproxMemoryBytes(), 1},
@@ -638,16 +372,8 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
     // Robustness counters (docs/durability.md): normally zero, nonzero
     // exactly when a bench run crossed an ingest failure or a recovery
     // repaired the directory — the archived trajectory flags it.
-    const auto counter_record = [&snap](const char* name) {
-      const auto* counter = snap.FindCounter(name);
-      BenchJsonRecord record{name, 0.0, 0, 1};
-      record.has_value = true;
-      record.value =
-          counter != nullptr ? static_cast<double>(counter->value) : 0.0;
-      return record;
-    };
-    records.push_back(counter_record("gen.ingest_failures"));
-    records.push_back(counter_record("gen.recovery_events"));
+    records.push_back(CounterRecord(snap, "gen.ingest_failures"));
+    records.push_back(CounterRecord(snap, "gen.recovery_events"));
   }
 
   int rc = 0;
@@ -660,88 +386,10 @@ int RunBench(GenerationManager& manager, std::size_t threads, int k,
   return rc;
 }
 
-/// One line per retained trace: id, root name, duration, span counts,
-/// failover/fetch attribution (the `trace` REPL command).
-void PrintTraceLine(const TraceRecord& t) {
-  std::printf("  %016llx %-14s %10.3f ms  spans=%zu remote=%u failovers=%u "
-              "fetches=%u detail=%llu\n",
-              static_cast<unsigned long long>(t.trace_id),
-              SpanNameString(t.root_name_id),
-              static_cast<double>(t.duration_ns) / 1e6, t.spans.size(),
-              t.remote_spans, t.failovers, t.fetches,
-              static_cast<unsigned long long>(t.detail));
-}
-
-/// `trace` REPL command (--connect, docs/tracing.md): no operand lists
-/// the recent and slow rings; `trace json [PATH]` exports Chrome
-/// trace-event JSON (stdout when PATH is omitted); any other operand is
-/// a hex trace id, printed span by span on the stitched timeline.
-void HandleTraceCommand(std::istringstream& in,
-                        const TraceCollector& collector) {
-  std::string arg;
-  in >> arg;
-  if (arg.empty()) {
-    const std::vector<TraceRecord> recent = collector.Traces();
-    const std::vector<TraceRecord> slow = collector.SlowTraces();
-    if (recent.empty() && slow.empty()) {
-      std::printf("no traces recorded%s\n",
-                  kObsEnabled ? "" : " (built with INFLUMAX_OBS_OFF)");
-      return;
-    }
-    std::printf("recent traces (oldest first):\n");
-    for (const TraceRecord& t : recent) PrintTraceLine(t);
-    std::printf("slow traces (slowest first; the slow-query log):\n");
-    for (const TraceRecord& t : slow) PrintTraceLine(t);
-    return;
-  }
-  if (arg == "json") {
-    std::string path;
-    in >> path;
-    if (path.empty()) {
-      const std::string json = collector.TraceEventJson();
-      std::fwrite(json.data(), 1, json.size(), stdout);
-    } else if (Status st = collector.WriteTraceJson(path); !st.ok()) {
-      std::printf("! %s\n", st.ToString().c_str());
-    } else {
-      std::printf("# wrote %s\n", path.c_str());
-    }
-    return;
-  }
-  const std::uint64_t id = std::strtoull(arg.c_str(), nullptr, 16);
-  const std::optional<TraceRecord> trace = collector.FindTrace(id);
-  if (!trace.has_value()) {
-    std::printf("! no retained trace %s (ids are hex; bare `trace` lists "
-                "them)\n",
-                arg.c_str());
-    return;
-  }
-  PrintTraceLine(*trace);
-  for (const TraceSpan& s : trace->spans) {
-    // start offset is signed: clock re-anchoring can land a remote span
-    // a hair before the root's first local timestamp.
-    const double start_ms =
-        static_cast<double>(
-            static_cast<std::int64_t>(s.rec.start_ns - trace->start_ns)) /
-        1e6;
-    std::printf("    %-18s origin=%u/%u start%+.3f ms dur %.3f ms "
-                "detail=%llu%s%s%s\n",
-                SpanNameString(s.rec.name_id), s.rec.origin >> 8,
-                s.rec.origin & 0xffu, start_ms,
-                static_cast<double>(s.rec.duration_ns) / 1e6,
-                static_cast<unsigned long long>(s.rec.detail),
-                (s.rec.flags & kSpanFlagRemote) != 0 ? " remote" : "",
-                (s.rec.flags & kSpanFlagFailover) != 0 ? " FAILOVER" : "",
-                (s.rec.flags & kSpanFlagFetched) != 0 ? " fetched" : "");
-  }
-}
-
-/// --connect: the serving REPL over RemoteShardRouter — same query
-/// vocabulary as RunServe, answered by shard_server processes. Every
-/// query runs under the trace collector (docs/tracing.md); `trace`
-/// inspects the stitched results. `probe` pings every replica of every
-/// slot; `stats` adds the client-side net.rpc.* counters. With
-/// --fleet_port the process also serves one fleet-merged Prometheus
-/// endpoint federating every replica's /metrics.
+/// --connect: the serving REPL over RemoteShardRouter, answered by
+/// shard_server processes, every query under the trace collector
+/// (docs/tracing.md). With --fleet_port the process also serves one
+/// fleet-merged Prometheus endpoint federating every replica's /metrics.
 int RunConnect(const std::string& spec, int rpc_deadline_ms,
                int slow_query_ms, int fleet_port,
                const std::string& trace_json, const MetricsDump& dump) {
@@ -763,7 +411,7 @@ int RunConnect(const std::string& spec, int rpc_deadline_ms,
   trace_options.slow_query_ns =
       static_cast<std::uint64_t>(slow_query_ms) * 1000000ull;
   TraceCollector collector(trace_options);
-  router.set_trace_collector(&collector);
+  RemoteReplTransport transport(router, collector);
 
   // Fleet metrics federation (docs/observability.md): every healthy
   // replica that advertised a metrics port in its pong becomes a scrape
@@ -786,135 +434,7 @@ int RunConnect(const std::string& spec, int rpc_deadline_ms,
                  "endpoint(s)\n",
                  fleet->port(), fleet->num_targets());
   }
-  SpanRing ring(256);  // metrics-dump plumbing; traces carry the spans
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::istringstream in(line);
-    std::string command;
-    in >> command;
-    if (command.empty() || command[0] == '#') continue;
-    if (command == "quit" || command == "exit") break;
-    if (command == "topk") {
-      NodeId k = 0;
-      in >> k;
-      double budget;
-      if (!(in >> budget)) budget = std::numeric_limits<double>::infinity();
-      if (k == 0) {
-        std::printf("! usage: topk K [BUDGET]\n");
-        std::fflush(stdout);
-        continue;
-      }
-      collector.StartTrace(kSpanQueryTopk, k);
-      auto selection = router.TopKSeeds(k, budget);
-      collector.EndTrace();
-      if (!selection.ok()) {
-        std::printf("! %s\n", selection.status().ToString().c_str());
-      } else {
-        PrintSelection(*selection);
-      }
-    } else if (command == "gain" || command == "commit") {
-      NodeId x = kInvalidNode;
-      if (!(in >> x)) {
-        std::printf("! usage: %s NODE\n", command.c_str());
-        std::fflush(stdout);
-        continue;
-      }
-      if (command == "commit") {
-        collector.StartTrace(kSpanQueryCommit, x);
-        const Status status = router.CommitSeed(x);
-        collector.EndTrace();
-        if (!status.ok()) {
-          std::printf("! %s\n", status.ToString().c_str());
-        } else {
-          std::printf("# %zu session seeds\n", router.session_seeds().size());
-        }
-      } else {
-        collector.StartTrace(kSpanQueryGain, x);
-        auto gain = router.MarginalGain(x);
-        collector.EndTrace();
-        if (!gain.ok()) {
-          std::printf("! %s\n", gain.status().ToString().c_str());
-        } else {
-          std::printf("%.6f\n", *gain);
-        }
-      }
-    } else if (command == "spread") {
-      std::vector<NodeId> seeds;
-      NodeId x;
-      while (in >> x) seeds.push_back(x);
-      collector.StartTrace(kSpanQuerySpread, seeds.size());
-      auto spread = router.SpreadOf(seeds);
-      collector.EndTrace();
-      if (!spread.ok()) {
-        std::printf("! %s\n", spread.status().ToString().c_str());
-      } else {
-        std::printf("%.6f\n", *spread);
-      }
-    } else if (command == "reset") {
-      collector.StartTrace(kSpanQueryReset);
-      router.ResetSession();
-      collector.EndTrace();
-      std::printf("# session reset\n");
-    } else if (command == "refresh") {
-      auto moved = router.Refresh();
-      if (!moved.ok()) {
-        std::printf("! %s\n", moved.status().ToString().c_str());
-      } else {
-        std::printf("# generation %llu%s\n",
-                    static_cast<unsigned long long>(router.generation()),
-                    *moved ? " (swapped)" : " (unchanged)");
-      }
-    } else if (command == "probe") {
-      for (const ReplicaHealth& h : router.ProbeReplicas()) {
-        std::printf("slot %zu replica %zu\t%s\tgeneration=%llu sessions=%u "
-                    "metrics_port=%d\n",
-                    h.slot, h.replica, h.healthy ? "healthy" : "DOWN",
-                    static_cast<unsigned long long>(h.generation),
-                    h.sessions_active, h.metrics_port);
-      }
-    } else if (command == "trace") {
-      HandleTraceCommand(in, collector);
-    } else if (command == "metrics") {
-      HandleMetricsCommand(in, ring, dump);
-    } else if (command == "stats") {
-      const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
-      const auto counter_of = [&snap](const char* name) {
-        const auto* c = snap.FindCounter(name);
-        return c != nullptr ? c->value : 0;
-      };
-      std::printf(
-          "generation=%llu slots=%zu users=%u actions=%u session_seeds=%zu "
-          "net_rpc=%llu net_rpc_errors=%llu net_rpc_retries=%llu "
-          "net_failovers=%llu net_reconnects=%llu net_commit_replays=%llu "
-          "net_server_requests=%llu net_server_errors=%llu "
-          "net_server_rejected=%llu net_server_deadline_exceeded=%llu "
-          "trace_count=%llu trace_slow=%llu trace_fetches=%llu\n",
-          static_cast<unsigned long long>(router.generation()),
-          router.num_slots(), router.num_users(), router.num_actions(),
-          router.session_seeds().size(),
-          static_cast<unsigned long long>(counter_of("net.rpc.count")),
-          static_cast<unsigned long long>(counter_of("net.rpc.errors")),
-          static_cast<unsigned long long>(counter_of("net.rpc.retries")),
-          static_cast<unsigned long long>(counter_of("net.failovers")),
-          static_cast<unsigned long long>(counter_of("net.reconnects")),
-          static_cast<unsigned long long>(counter_of("net.commit_replays")),
-          static_cast<unsigned long long>(counter_of("net.server.requests")),
-          static_cast<unsigned long long>(counter_of("net.server.errors")),
-          static_cast<unsigned long long>(counter_of("net.server.rejected")),
-          static_cast<unsigned long long>(
-              counter_of("net.server.deadline_exceeded")),
-          static_cast<unsigned long long>(counter_of("trace.count")),
-          static_cast<unsigned long long>(counter_of("trace.slow")),
-          static_cast<unsigned long long>(counter_of("trace.fetches")));
-    } else {
-      std::printf("! unknown command '%s' (topk | gain | commit | spread | "
-                  "reset | refresh | probe | trace [ID|json [PATH]] | stats "
-                  "| metrics [prom] | quit)\n",
-                  command.c_str());
-    }
-    std::fflush(stdout);
-  }
-  int rc = dump.DumpAll();
+  int rc = RunServingRepl(std::cin, transport, dump);
   if (!trace_json.empty()) {
     if (Status st = collector.WriteTraceJson(trace_json); !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -976,28 +496,14 @@ int RunBenchNet(GenerationManager& manager, const std::string& dir, int k,
   TraceCollector collector(trace_options);
   remote.set_trace_collector(&collector);
 
-  std::vector<NodeId> active;
-  for (NodeId x = 0; x < m.num_users; ++x) {
-    if (m.au[x] != 0) active.push_back(x);
-  }
-  if (active.empty()) {
-    std::fprintf(stderr, "no active users, nothing to bench\n");
-    return 1;
-  }
+  std::vector<NodeId> active = ActiveUsers(m);
+  if (active.empty()) return 1;
   // Each remote gain is one fan-out (num_shards round trips in flight);
   // cap the sweep so the bench stays seconds, not minutes, on big
   // corpora.
   constexpr std::size_t kMaxSweep = 4096;
   if (active.size() > kMaxSweep) active.resize(kMaxSweep);
 
-  const auto print_hist = [](const char* label,
-                             const LatencyHistogram& hist) {
-    std::printf("  %s: p50 %.3f us, p95 %.3f us, p99 %.3f us (%llu "
-                "samples)\n",
-                label, hist.Percentile(50.0) / 1e3,
-                hist.Percentile(95.0) / 1e3, hist.Percentile(99.0) / 1e3,
-                static_cast<unsigned long long>(hist.count()));
-  };
   const auto same_bits = [](double a, double b) {
     return std::memcmp(&a, &b, sizeof(double)) == 0;
   };
@@ -1032,8 +538,8 @@ int RunBenchNet(GenerationManager& manager, const std::string& dir, int k,
               "remote %.3f us/query (%.2fx)\n",
               active.size(), local_ns / 1e3, remote_ns / 1e3,
               local_ns > 0 ? remote_ns / local_ns : 0.0);
-  print_hist("net_gain_local", local_hist);
-  print_hist("net_gain_remote", remote_hist);
+  PrintPercentiles("net_gain_local", local_hist);
+  PrintPercentiles("net_gain_remote", remote_hist);
   if (gain_mismatches != 0) {
     std::fprintf(stderr, "FAIL: %zu of %zu remote gains differ from the "
                  "in-process router\n", gain_mismatches, active.size());
@@ -1079,7 +585,7 @@ int RunBenchNet(GenerationManager& manager, const std::string& dir, int k,
               k, remote_sel.seeds.size(),
               static_cast<unsigned long long>(remote_sel.gain_evaluations),
               topk_identical ? "bit-identical to" : "DIVERGES from");
-  print_hist("net_topk_remote", topk_hist);
+  PrintPercentiles("net_topk_remote", topk_hist);
   if (!topk_identical) {
     std::fprintf(stderr, "FAIL: remote topk diverges from the in-process "
                  "router\n");
@@ -1159,23 +665,15 @@ int RunBenchNet(GenerationManager& manager, const std::string& dir, int k,
   // catches a config that silently started retrying or failing over.
   {
     const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
-    const auto counter_record = [&snap](const char* name) {
-      const auto* counter = snap.FindCounter(name);
-      BenchJsonRecord record{name, 0.0, 0, 1};
-      record.has_value = true;
-      record.value =
-          counter != nullptr ? static_cast<double>(counter->value) : 0.0;
-      return record;
-    };
-    records.push_back(counter_record("net.rpc.count"));
-    records.push_back(counter_record("net.rpc.errors"));
-    records.push_back(counter_record("net.failovers"));
-    records.push_back(counter_record("net.reconnects"));
+    records.push_back(CounterRecord(snap, "net.rpc.count"));
+    records.push_back(CounterRecord(snap, "net.rpc.errors"));
+    records.push_back(CounterRecord(snap, "net.failovers"));
+    records.push_back(CounterRecord(snap, "net.reconnects"));
     // trace.* records ride along for the archive; bench_compare.py
     // skips them (no latency semantics to regress).
-    records.push_back(counter_record("trace.count"));
-    records.push_back(counter_record("trace.spans"));
-    records.push_back(counter_record("trace.spans.remote"));
+    records.push_back(CounterRecord(snap, "trace.count"));
+    records.push_back(CounterRecord(snap, "trace.spans"));
+    records.push_back(CounterRecord(snap, "trace.spans.remote"));
   }
 
   int rc = 0;

@@ -34,61 +34,10 @@
 #include "common/flags.h"
 #include "net/shard_server.h"
 #include "obs/metrics.h"
-#include "obs/prom_text.h"
 #include "serve_common.h"
 
 namespace influmax {
 namespace {
-
-void HandleFailpointCommand(std::istringstream& in) {
-  std::string verb;
-  in >> verb;
-  if (verb == "list") {
-    const auto names = FailpointCatalog();
-    if (!FailpointsCompiledIn()) {
-      std::printf("! failpoints are compiled out "
-                  "(build with -DINFLUMAX_FAILPOINTS=ON)\n");
-    } else if (names.empty()) {
-      std::printf("# no failpoints armed or evaluated yet\n");
-    }
-    for (const std::string& name : names) {
-      std::printf("%s\ttrips=%llu\n", name.c_str(),
-                  static_cast<unsigned long long>(FailpointTripCount(name)));
-    }
-  } else if (verb == "arm") {
-    std::string name;
-    std::string spec_text;
-    in >> name >> spec_text;
-    if (name.empty() || spec_text.empty()) {
-      std::printf("! usage: failpoint arm NAME SPEC (e.g. torn:40@1#2)\n");
-      return;
-    }
-    auto spec = ParseFailpointSpec(spec_text);
-    if (!spec.ok()) {
-      std::printf("! %s\n", spec.status().ToString().c_str());
-      return;
-    }
-    if (Status status = ArmFailpoint(name, *spec); !status.ok()) {
-      std::printf("! %s\n", status.ToString().c_str());
-      return;
-    }
-    std::printf("# armed %s=%s\n", name.c_str(), spec_text.c_str());
-  } else if (verb == "disarm") {
-    std::string name;
-    in >> name;
-    if (name == "all") {
-      DisarmAllFailpoints();
-      std::printf("# all failpoints disarmed\n");
-    } else if (!name.empty()) {
-      DisarmFailpoint(name);
-      std::printf("# disarmed %s\n", name.c_str());
-    } else {
-      std::printf("! usage: failpoint disarm NAME|all\n");
-    }
-  } else {
-    std::printf("! usage: failpoint list | arm NAME SPEC | disarm NAME|all\n");
-  }
-}
 
 int Main(int argc, char** argv) {
   std::string dir;
@@ -173,30 +122,21 @@ int Main(int argc, char** argv) {
       }
     } else if (command == "stats") {
       const MetricsSnapshot snap = MetricsRegistry::Global().Scrape();
-      const auto counter_of = [&snap](const char* name) {
-        const auto* c = snap.FindCounter(name);
-        return c != nullptr ? c->value : 0;
-      };
       std::printf(
           "generation=%llu port=%d metrics_port=%d sessions=%zu "
           "requests=%llu errors=%llu rejected=%llu deadline_exceeded=%llu\n",
           static_cast<unsigned long long>(server.current_generation()),
           server.port(), server.metrics_port(), server.sessions_active(),
-          static_cast<unsigned long long>(counter_of("net.server.requests")),
-          static_cast<unsigned long long>(counter_of("net.server.errors")),
-          static_cast<unsigned long long>(counter_of("net.server.rejected")),
           static_cast<unsigned long long>(
-              counter_of("net.server.deadline_exceeded")));
+              CounterValue(snap, "net.server.requests")),
+          static_cast<unsigned long long>(
+              CounterValue(snap, "net.server.errors")),
+          static_cast<unsigned long long>(
+              CounterValue(snap, "net.server.rejected")),
+          static_cast<unsigned long long>(
+              CounterValue(snap, "net.server.deadline_exceeded")));
     } else if (command == "metrics") {
-      std::string sub;
-      in >> sub;
-      if (sub == "prom") {
-        const std::string text =
-            PrometheusText(MetricsRegistry::Global().Scrape());
-        std::fwrite(text.data(), 1, text.size(), stdout);
-      } else {
-        PrintMetricsTable(MetricsRegistry::Global().Scrape());
-      }
+      HandleMetricsCommand(in);
     } else if (command == "failpoint") {
       HandleFailpointCommand(in);
     } else {
